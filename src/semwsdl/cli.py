@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .explore import ExplorerConfig, annotate_description
@@ -31,9 +30,9 @@ from .preprocess import (
     ConfigError,
     PreprocessConfig,
     Stage,
+    default_config,
     parse_abbreviations,
     parse_stop_words,
-    _data_text,
 )
 from .writer import WriterConfig, write_report, write_sawsdl
 
@@ -67,8 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prefix for concept URIs in modelReference values")
     common.add_argument("--max-depth", dest="max_depth", type=int, default=8,
                         help="maximum exploration depth (default 8)")
-    common.add_argument("--jobs", dest="jobs", type=int, default=1,
-                        help="parallel workers; output is identical for any value")
     common.add_argument("--stages", dest="stages",
                         help="comma list of decompose,normalize,filter,explore "
                              "or 'none' (default: all)")
@@ -104,41 +101,34 @@ def _parse_stages(text: str | None) -> tuple[frozenset[Stage], bool]:
 
 
 def _gather_inputs(paths: list[str]) -> list[str]:
-    """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order."""
+    """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
+
+    Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated.
+    """
     files: list[str] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
             found = sorted(
                 str(child) for child in path.iterdir()
-                if child.is_file() and child.suffix in (".wsdl", ".xsd"))
+                if child.is_file() and child.suffix in (".wsdl", ".xsd")
+                and not child.name.endswith(".sawsdl.wsdl"))
             files.extend(found)
         else:
             files.append(raw)
-    seen = set()
-    unique = []
-    for name in files:
-        if name not in seen:
-            seen.add(name)
-            unique.append(name)
-    return unique
+    return list(dict.fromkeys(files))
 
 
 def _build_setup(args):
     stage_set, explore = _parse_stages(args.stages)
-    if args.jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+    defaults = default_config()
+    abbreviations, stop_words = defaults.abbreviations, defaults.stop_words
     if args.abbreviations_path:
         abbreviations = parse_abbreviations(
             Path(args.abbreviations_path).read_text("utf-8"), args.abbreviations_path)
-    else:
-        abbreviations = parse_abbreviations(_data_text("abbreviations.txt"),
-                                            "abbreviations.txt")
     if args.stopwords_path:
         stop_words = parse_stop_words(
             Path(args.stopwords_path).read_text("utf-8"), args.stopwords_path)
-    else:
-        stop_words = parse_stop_words(_data_text("stopwords.txt"), "stopwords.txt")
     preprocess_config = PreprocessConfig(abbreviations, stop_words, stage_set)
     explorer_config = ExplorerConfig(max_depth=args.max_depth,
                                      type_explorer_enabled=explore,
@@ -182,24 +172,16 @@ def _output_names(source_ids: list[str]) -> dict[str, str]:
 
 def _run_annotate(args, corpus: Corpus, setup) -> int:
     preprocess_config, explorer_config, lexicon, overrides, writer_config = setup
-
-    def annotate_one(description):
-        annotations = annotate_description(description, explorer_config,
-                                           preprocess_config, lexicon, overrides)
-        output = write_sawsdl(corpus.raw_documents[description.source_id],
-                              description, annotations, writer_config)
-        return annotations, output
-
-    if args.jobs == 1:
-        results = [annotate_one(description) for description in corpus.descriptions]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(annotate_one, corpus.descriptions))
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     names = _output_names([d.source_id for d in corpus.descriptions])
     all_annotations = []
-    for description, (annotations, output) in zip(corpus.descriptions, results):
+    for description in corpus.descriptions:
+        annotations = annotate_description(description, explorer_config,
+                                           preprocess_config, lexicon, overrides)
+        # popping releases each tree once written, which keeps memory flat
+        output = write_sawsdl(corpus.trees.pop(description.source_id),
+                              description, annotations, writer_config)
         (output_dir / names[description.source_id]).write_bytes(output)
         all_annotations.extend(annotations)
     report = write_report(all_annotations, corpus.descriptions,

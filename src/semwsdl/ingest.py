@@ -3,12 +3,14 @@
 Only the structural subset needed for annotation is modeled: portType
 operations, their messages and parts, and the inline XSD schemas that
 define parameter types.  Bindings, services and policy elements are
-parsed past without complaint.  Raw bytes are kept alongside so the
-writer can later inject attributes into the original documents.
+parsed past without complaint.  Each document's parsed tree is kept
+alongside, with the node that declares each parameter, so the writer
+can inject attributes without parsing the document again.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,11 +48,22 @@ class SkippedFile:
 
 
 @dataclass
+class WsdlTree:
+    """A parsed WSDL document and its parameters' declaring nodes, in order.
+
+    Several parameters may share one node (element-style parts).
+    """
+
+    document: XmlDocument
+    nodes: dict[str, XmlElement]
+
+
+@dataclass
 class Corpus:
-    """Parsed descriptions plus the original bytes, one entry per source."""
+    """Parsed descriptions plus their document trees, keyed by source id."""
 
     descriptions: list[WsDescription]
-    raw_documents: dict[str, bytes]
+    trees: dict[str, WsdlTree]
     skipped: list[SkippedFile] = field(default_factory=list)
 
 
@@ -110,7 +123,7 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     names are internal and never mined for words.
     """
     index = _SchemaIndex()
-    pending: list[tuple[QName, XmlElement, str, bool]] = []
+    pending: deque[tuple[QName, XmlElement, str, bool]] = deque()
     import_locations: list[str] = []
     for schema in schemas:
         tns = schema.attrs.get("targetNamespace", "")
@@ -134,13 +147,13 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
             elif local == "element":
                 _register_element(child, QName(tns, name), tns, index, pending)
     while pending:
-        qname, node, tns, anonymous = pending.pop(0)
+        qname, node, tns, anonymous = pending.popleft()
         index.types[qname] = _classify_complex(qname, node, tns, anonymous, index, pending)
     return index, import_locations
 
 
 def _register_element(element: XmlElement, qn: QName, tns: str,
-                      index: _SchemaIndex, pending: list) -> None:
+                      index: _SchemaIndex, pending: deque) -> None:
     index.element_node[qn] = element
     type_attr = element.attrs.get("type", "")
     if type_attr.strip():
@@ -162,7 +175,7 @@ def _register_element(element: XmlElement, qn: QName, tns: str,
 
 
 def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
-                      index: _SchemaIndex, pending: list) -> TypeDefinition:
+                      index: _SchemaIndex, pending: deque) -> TypeDefinition:
     sequence = node.first_child(XSD_NAMESPACE, "sequence")
     if sequence is None:
         for model in _OTHER_MODELS:
@@ -295,10 +308,20 @@ def _description(source_id: str, analysis: _Analysis) -> WsDescription:
                          tuple(analysis.warnings))
 
 
+def _tree(document: XmlDocument, analysis: _Analysis) -> WsdlTree:
+    return WsdlTree(document, {raw.param_id: raw.node for raw in analysis.params()})
+
+
 def parse_wsdl(source_id: str, document: bytes) -> WsDescription:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
     xdoc = xmlio.parse_xml(document)
     return _description(source_id, _analyze(source_id, xdoc))
+
+
+def parse_wsdl_tree(source_id: str, document: bytes) -> WsdlTree:
+    """Parse one WSDL document into its tree.  Raises MalformedXml on unusable input."""
+    xdoc = xmlio.parse_xml(document)
+    return _tree(xdoc, _analyze(source_id, xdoc))
 
 
 def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition:
@@ -320,7 +343,7 @@ def load_corpus(paths: list) -> Corpus:
     Import resolution never leaves the supplied file set.
     """
     descriptions: list[WsDescription] = []
-    raw_documents: dict[str, bytes] = {}
+    trees: dict[str, WsdlTree] = {}
     skipped: list[SkippedFile] = []
     schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str], Path]] = {}
     description_imports: dict[str, tuple[Path, list[str]]] = {}
@@ -348,7 +371,7 @@ def load_corpus(paths: list) -> Corpus:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
         descriptions.append(_description(source_id, analysis))
-        raw_documents[source_id] = data
+        trees[source_id] = _tree(xdoc, analysis)
         description_imports[source_id] = (resolved.parent, analysis.import_locations)
     for position, description in enumerate(descriptions):
         base_dir, locations = description_imports[description.source_id]
@@ -358,17 +381,17 @@ def load_corpus(paths: list) -> Corpus:
             descriptions[position] = replace(description, types=merged)
     if not descriptions:
         raise EmptyCorpus("no parseable WSDL description in input")
-    return Corpus(descriptions, raw_documents, skipped)
+    return Corpus(descriptions, trees, skipped)
 
 
 def _imported_types(base_dir: Path, locations: list[str],
                     schema_files: dict) -> dict[QName, TypeDefinition]:
     """Transitive closure of schemaLocation imports over the supplied files."""
     merged: dict[QName, TypeDefinition] = {}
-    queue = [(base_dir, location) for location in locations]
+    queue = deque((base_dir, location) for location in locations)
     visited: set[Path] = set()
     while queue:
-        base, location = queue.pop(0)
+        base, location = queue.popleft()
         try:
             target = (base / location).resolve()
         except OSError:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .explore import ExplorerConfig, annotate_description, annotate_parameter_with_trace
 from .ingest import Corpus
 from .lexicon import EMPTY_OVERRIDES, Lexicon, OverrideMap, associate
-from .model import Concept, Word
+from .model import Concept, Word, annotation_rate
 from .preprocess import ALL_STAGES, PreprocessConfig, Stage
 
 STAGE_NAMES = (
@@ -69,10 +69,6 @@ class WordFrequencyRow:
             raise ValueError("occurrences must be >= 1")
 
 
-def _rate(annotated: int, total: int) -> float:
-    return annotated / total if total else 0.0
-
-
 def stage_configurations(preprocess_config: PreprocessConfig,
                          explorer_config: ExplorerConfig):
     """The five cumulative (name, preprocess, explorer) configurations.
@@ -109,7 +105,7 @@ def run_ablation(corpus: Corpus, preprocess_config: PreprocessConfig,
             for annotation in annotate_description(description, ecfg, pcfg,
                                                    lexicon, overrides):
                 annotated += bool(annotation.entries)
-        rows.append(AblationRow(name, annotated, total, _rate(annotated, total)))
+        rows.append(AblationRow(name, annotated, total, annotation_rate(annotated, total)))
     return AblationReport(tuple(rows))
 
 

@@ -198,3 +198,8 @@ class Annotation:
     @property
     def annotated(self) -> bool:
         return bool(self.entries)
+
+
+def annotation_rate(annotated: int, total: int) -> float:
+    """Share of parameters annotated; 0.0 for an empty batch."""
+    return annotated / total if total else 0.0

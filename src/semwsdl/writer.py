@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from . import xmlio
-from .ingest import SkippedFile, WsDescription, _analyze
-from .model import Annotation
+from .ingest import SkippedFile, WsdlTree, WsDescription, parse_wsdl_tree
+from .model import Annotation, annotation_rate
 from .xmlio import MalformedXml, XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
@@ -35,10 +35,6 @@ class WriterConfig:
         parsed = urlparse(self.uri_prefix)
         if not parsed.scheme:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
-
-
-def _rate(annotated: int, total: int) -> float:
-    return annotated / total if total else 0.0
 
 
 def _ensure_root_declaration(root: XmlElement) -> str:
@@ -87,51 +83,46 @@ def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) 
     node.attrs[attr_name] = " ".join(merged)
 
 
-def write_sawsdl(original: bytes, desc: WsDescription,
+def write_sawsdl(original: WsdlTree | bytes, desc: WsDescription,
                  annotations: list[Annotation],
                  config: WriterConfig | None = None) -> bytes:
-    """Return a copy of the original document with modelReference attributes.
+    """Return the document with modelReference attributes, serialized.
 
-    Raises StructureMismatch when the description's parameters do not line
-    up with what the document actually declares.
+    A WsdlTree, as kept in Corpus.trees, is annotated in place.  Bytes are
+    parsed first; that is how an already written copy is annotated again.
+    Raises StructureMismatch when the document is not WSDL or its
+    parameters do not line up with the description's.
     """
     config = config or WriterConfig()
-    document = xmlio.parse_xml(original)
-    try:
-        analysis = _analyze(desc.source_id, document)
-    except MalformedXml as exc:
-        raise StructureMismatch(str(exc)) from None
-    document_ids = [raw.param_id for raw in analysis.params()]
-    description_ids = [param.param_id for param in desc.parameters()]
-    if document_ids != description_ids:
+    if isinstance(original, WsdlTree):
+        tree = original
+    else:
+        try:
+            tree = parse_wsdl_tree(desc.source_id, original)
+        except MalformedXml as exc:
+            raise StructureMismatch(str(exc)) from None
+    if list(tree.nodes) != [param.param_id for param in desc.parameters()]:
         raise StructureMismatch(
-            f"{desc.source_id}: document declares {len(document_ids)} parameters "
+            f"{desc.source_id}: document declares {len(tree.nodes)} parameters "
             f"that do not match the description")
-    node_for = {raw.param_id: raw.node for raw in analysis.params()}
     by_id = {annotation.param_id: annotation for annotation in annotations}
-    # group URI lists per target node; one node can declare several parameters
-    buckets: list[tuple[XmlElement, list[str]]] = []
-    bucket_index: dict[int, int] = {}
-    for param_id in description_ids:
+    # group URI lists per target node (hashed by identity); one node can
+    # declare several parameters
+    uris_for: dict[XmlElement, list[str]] = {}
+    for param_id, node in tree.nodes.items():
         annotation = by_id.get(param_id)
         if annotation is None or not annotation.entries:
             continue
-        node = node_for[param_id]
-        uris = [config.uri_prefix + entry.concept.id for entry in annotation.entries]
-        position = bucket_index.get(id(node))
-        if position is None:
-            bucket_index[id(node)] = len(buckets)
-            buckets.append((node, uris))
-        else:
-            buckets[position][1].extend(uris)
-    root_prefix = _ensure_root_declaration(document.root)
-    for node, uris in buckets:
+        uris_for.setdefault(node, []).extend(
+            config.uri_prefix + entry.concept.id for entry in annotation.entries)
+    root_prefix = _ensure_root_declaration(tree.document.root)
+    for node, uris in uris_for.items():
         _merge_model_reference(node, uris, root_prefix)
-    return xmlio.serialize(document)
+    return xmlio.serialize(tree.document)
 
 
 def _direction_summary(annotated: int, total: int) -> dict:
-    return {"total": total, "annotated": annotated, "rate": _rate(annotated, total)}
+    return {"total": total, "annotated": annotated, "rate": annotation_rate(annotated, total)}
 
 
 def write_report(annotations: list[Annotation], descriptions: list[WsDescription],
@@ -171,7 +162,7 @@ def write_report(annotations: list[Annotation], descriptions: list[WsDescription
         "summary": {
             "total": total,
             "annotated": annotated,
-            "rate": _rate(annotated, total),
+            "rate": annotation_rate(annotated, total),
             "inputs": _direction_summary(counts["input"][1], counts["input"][0]),
             "outputs": _direction_summary(counts["output"][1], counts["output"][0]),
         },

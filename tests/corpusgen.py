@@ -83,4 +83,4 @@ def random_corpus(seed, size=None):
     if size is None:
         size = rng.randint(1, 3)
     descriptions = [random_description(rng, i) for i in range(size)]
-    return Corpus(descriptions, {d.source_id: b"" for d in descriptions}, [])
+    return Corpus(descriptions, {}, [])

@@ -1,6 +1,8 @@
 import json
+import shutil
+from pathlib import Path
 
-from semwsdl import cli
+from semwsdl import annotate_description, cli, write_sawsdl
 
 from conftest import CORPUS_DIR, LEXICON_PATH, SPECIAL_DIR
 
@@ -81,15 +83,30 @@ def test_output_name_collisions_get_suffixes(tmp_path):
     assert (out / "svc-2.sawsdl.wsdl").exists()
 
 
-def test_jobs_flag_does_not_change_output(tmp_path):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    assert cli.run(base_args("annotate", [CORPUS_DIR], serial) + ["--jobs", "1"]) == 0
-    assert cli.run(base_args("annotate", [CORPUS_DIR], threaded) + ["--jobs", "4"]) == 0
-    serial_files = sorted(p.name for p in serial.iterdir())
-    assert serial_files == sorted(p.name for p in threaded.iterdir())
-    for name in serial_files:
-        assert (serial / name).read_bytes() == (threaded / name).read_bytes()
+def test_output_dir_equal_to_input_dir_is_stable(tmp_path, capsys):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", shared)
+    assert cli.run(base_args("annotate", [shared], shared)) == 0
+    first = {p.name: p.read_bytes() for p in shared.iterdir()}
+    assert cli.run(base_args("annotate", [shared], shared)) == 0
+    second = {p.name: p.read_bytes() for p in shared.iterdir()}
+    assert sorted(first) == ["music_catalog.sawsdl.wsdl", "music_catalog.wsdl", "report.json"]
+    assert second == first
+    assert "annotated 1/2 parameters across 1 files" in capsys.readouterr().err
+
+
+def test_written_copies_equal_annotating_the_file_bytes(tmp_path, fixture_corpus,
+                                                        preprocess_config, explorer_config,
+                                                        demo_lexicon):
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [CORPUS_DIR], out)) == 0
+    for desc in fixture_corpus.descriptions:
+        annotations = annotate_description(desc, explorer_config, preprocess_config,
+                                           demo_lexicon)
+        expected = write_sawsdl(Path(desc.source_id).read_bytes(), desc, annotations)
+        written = out / f"{Path(desc.source_id).stem}.sawsdl.wsdl"
+        assert written.read_bytes() == expected, desc.source_id
 
 
 def test_stage_flag_matches_staged_evaluation(tmp_path):
@@ -151,8 +168,6 @@ def test_fatal_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.run(base_args("annotate", [empty], out)) == 2
-    assert cli.run(base_args("annotate", [CORPUS_DIR], out)
-                   + ["--jobs", "0"]) == 2
     assert cli.run(base_args("annotate", [CORPUS_DIR], out)
                    + ["--stages", "shuffle"]) == 2
     missing = tmp_path / "missing.tsv"

@@ -178,7 +178,7 @@ def test_load_corpus_records_failures(tmp_path):
     corpus = load_corpus([good, bad])
     assert len(corpus.descriptions) == 1
     assert corpus.descriptions[0].source_id == str(good)
-    assert corpus.raw_documents[str(good)] == MINIMAL
+    assert list(corpus.trees) == [str(good)]
     assert len(corpus.skipped) == 1
     assert corpus.skipped[0].path == str(bad)
     assert corpus.skipped[0].error
@@ -201,9 +201,11 @@ def test_load_corpus_over_fixture_directory(fixture_corpus):
     assert fixture_corpus.skipped == []
     total = sum(len(list(d.parameters())) for d in fixture_corpus.descriptions)
     assert total == 27
-    # raw bytes are kept verbatim for every parsed description
+    # every description keeps its tree, with one node per parameter in order
+    assert list(fixture_corpus.trees) == [d.source_id for d in fixture_corpus.descriptions]
     for desc in fixture_corpus.descriptions:
-        assert fixture_corpus.raw_documents[desc.source_id]
+        nodes = fixture_corpus.trees[desc.source_id].nodes
+        assert list(nodes) == [param.param_id for param in desc.parameters()]
 
 
 def test_corrupt_fixture_is_skipped():
@@ -235,6 +237,6 @@ def test_schema_import_ignored_outside_batch():
 
 
 def test_corpus_is_plain_data():
-    corpus = Corpus(descriptions=[], raw_documents={}, skipped=[])
+    corpus = Corpus(descriptions=[], trees={}, skipped=[])
     assert corpus.descriptions == []
     assert corpus.skipped == []

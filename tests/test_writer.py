@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from semwsdl.explore import ExplorerConfig, annotate_description
-from semwsdl.ingest import SkippedFile, parse_wsdl
+from semwsdl.ingest import SkippedFile, load_corpus, parse_wsdl
 from semwsdl.model import (
     Annotation,
     AnnotationEntry,
@@ -110,7 +111,7 @@ def test_injection_is_idempotent():
 def test_annotated_copy_reingests_identically(fixture_corpus, preprocess_config,
                                               explorer_config, demo_lexicon):
     for desc in fixture_corpus.descriptions:
-        data = fixture_corpus.raw_documents[desc.source_id]
+        data = Path(desc.source_id).read_bytes()
         annotations = annotate_description(
             desc, explorer_config, preprocess_config, demo_lexicon)
         output = write_sawsdl(data, desc, annotations)
@@ -181,6 +182,13 @@ def test_mismatched_description_is_rejected():
         write_sawsdl(other_data, desc, [])
     with pytest.raises(StructureMismatch):
         write_sawsdl(b"<not-wsdl/>", desc, [])
+
+
+def test_retained_tree_of_another_document_is_rejected():
+    _, desc = load("music_catalog.wsdl")
+    other = load_corpus([CORPUS_DIR / "auth_service.wsdl"])
+    with pytest.raises(StructureMismatch):
+        write_sawsdl(other.trees[str(CORPUS_DIR / "auth_service.wsdl")], desc, [])
 
 
 def test_custom_uri_prefix():
