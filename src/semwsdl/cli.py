@@ -104,8 +104,9 @@ def _gather_inputs(paths: list[str]) -> list[str]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
     Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated.
+    A file named twice, in any spelling, is kept once under its first one.
     """
-    files: list[str] = []
+    files: dict[Path, str] = {}
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
@@ -113,10 +114,11 @@ def _gather_inputs(paths: list[str]) -> list[str]:
                 str(child) for child in path.iterdir()
                 if child.is_file() and child.suffix in (".wsdl", ".xsd")
                 and not child.name.endswith(".sawsdl.wsdl"))
-            files.extend(found)
         else:
-            files.append(raw)
-    return list(dict.fromkeys(files))
+            found = [raw]
+        for name in found:
+            files.setdefault(Path(name).resolve(), name)
+    return list(files.values())
 
 
 def _build_setup(args):
@@ -131,8 +133,7 @@ def _build_setup(args):
             Path(args.stopwords_path).read_text("utf-8"), args.stopwords_path)
     preprocess_config = PreprocessConfig(abbreviations, stop_words, stage_set)
     explorer_config = ExplorerConfig(max_depth=args.max_depth,
-                                     type_explorer_enabled=explore,
-                                     type_name_stage_enabled=explore)
+                                     type_explorer_enabled=explore)
     lexicon = load_lexicon(Path(args.lexicon_path).read_bytes(),
                            source=args.lexicon_path)
     if args.overrides_path:

@@ -42,17 +42,15 @@ _NAMED_CUSTOM_KINDS = (
 
 @dataclass(frozen=True)
 class ExplorerConfig:
-    """Switches for the two type-information fallbacks.
+    """Switches for the type-information fallbacks.
 
-    type_name_stage_enabled gates stage (0b); type_explorer_enabled gates
-    the structural descent.  The staged evaluation turns both off for its
-    name-only rows and both on for its final row, but they are separate
-    switches so the depth-0 fallback can be measured alone.
+    type_explorer_enabled gates the type-name stage (0b) and the structural
+    descent together; the staged evaluation turns it off for its name-only
+    rows and on for its final row.
     """
 
     max_depth: int = 8
     type_explorer_enabled: bool = True
-    type_name_stage_enabled: bool = True
 
     def __post_init__(self):
         if self.max_depth < 0:
@@ -89,14 +87,12 @@ def _visits(param: Parameter, desc: WsDescription, config: ExplorerConfig,
     """Yield StageVisits in search order; the caller decides when to stop."""
     yield _stage(AnnotationSource.PARAMETER_NAME, 0, [(param.name, ())],
                  preprocess_config, lexicon, overrides)
-    root_type = resolve_type(desc, param.type_ref)
-    if (config.type_name_stage_enabled
-            and root_type.kind in _NAMED_CUSTOM_KINDS
-            and not root_type.anonymous):
-        yield _stage(AnnotationSource.TYPE_NAME, 0, [(root_type.name.local_name, ())],
-                     preprocess_config, lexicon, overrides)
     if not config.type_explorer_enabled:
         return
+    root_type = resolve_type(desc, param.type_ref)
+    if root_type.kind in _NAMED_CUSTOM_KINDS and not root_type.anonymous:
+        yield _stage(AnnotationSource.TYPE_NAME, 0, [(root_type.name.local_name, ())],
+                     preprocess_config, lexicon, overrides)
     visited = {root_type.name}
     if root_type.kind is TypeKind.COMPLEX_SEQUENCE:
         frontier = [(sub, (sub.name,)) for sub in root_type.subparameters]

@@ -77,10 +77,8 @@ def stage_configurations(preprocess_config: PreprocessConfig,
     type fallbacks are off; the last row switches on the type-name stage
     and the structural descent together.
     """
-    no_types = replace(explorer_config,
-                       type_explorer_enabled=False, type_name_stage_enabled=False)
-    with_types = replace(explorer_config,
-                         type_explorer_enabled=True, type_name_stage_enabled=True)
+    no_types = replace(explorer_config, type_explorer_enabled=False)
+    with_types = replace(explorer_config, type_explorer_enabled=True)
     return [
         (STAGE_NAMES[0], replace(preprocess_config, enabled_stages=frozenset()), no_types),
         (STAGE_NAMES[1],

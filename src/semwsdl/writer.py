@@ -37,23 +37,30 @@ class WriterConfig:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
 
 
+def _free_prefix(scope: dict[str, str]) -> str:
+    """The first of sawsdl, sawsdl1, sawsdl2, ... that scope leaves unbound."""
+    prefix, counter = "sawsdl", 0
+    while prefix in scope:
+        counter += 1
+        prefix = f"sawsdl{counter}"
+    return prefix
+
+
 def _ensure_root_declaration(root: XmlElement) -> str:
     """Make sure a prefix for the SAWSDL namespace is declared on the root."""
     for name, value in root.attrs.items():
         if name.startswith("xmlns:") and value == SAWSDL_NAMESPACE:
             return name[6:]
-    scope = root.nsmap()
-    candidate = "sawsdl"
-    counter = 0
-    while candidate in scope:
-        counter += 1
-        candidate = f"sawsdl{counter}"
-    root.attrs[f"xmlns:{candidate}"] = SAWSDL_NAMESPACE
-    return candidate
+    prefix = _free_prefix(root.nsmap())
+    root.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
+    return prefix
 
 
 def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) -> None:
-    scope = node.nsmap()
+    # the bindings as parsed, plus the root's SAWSDL declaration, first so that it
+    # wins wherever nothing shadows it.  A prefix that an earlier write of this
+    # tree declared on this node is left out; the shadowed branch picks it again.
+    scope = {root_prefix: SAWSDL_NAMESPACE, **node.nsmap()}
     attr_name = None
     for name in node.attrs:
         if ":" in name:
@@ -62,19 +69,11 @@ def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) 
                 attr_name = name
                 break
     if attr_name is None:
-        if scope.get(root_prefix) == SAWSDL_NAMESPACE:
-            prefix = root_prefix
-        else:
-            prefix = next((p for p, uri in scope.items()
-                           if uri == SAWSDL_NAMESPACE and p), None)
-            if prefix is None:
-                # root prefix is shadowed here; declare one locally
-                counter = 0
-                prefix = "sawsdl"
-                while prefix in scope:
-                    counter += 1
-                    prefix = f"sawsdl{counter}"
-                node.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
+        prefix = next((p for p, uri in scope.items() if uri == SAWSDL_NAMESPACE and p), None)
+        if prefix is None:
+            # root prefix is shadowed here; declare one locally
+            prefix = _free_prefix(scope)
+            node.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
         attr_name = f"{prefix}:modelReference"
     merged = node.attrs.get(attr_name, "").split()
     for uri in uris:

@@ -42,28 +42,18 @@ class XmlElement:
     name: str
     attrs: dict[str, str] = field(default_factory=dict)
     children: list = field(default_factory=list)
-    parent: "XmlElement | None" = field(default=None, repr=False)
-
-    def append(self, child) -> None:
-        if isinstance(child, XmlElement):
-            child.parent = self
-        self.children.append(child)
+    scope: dict[str, str] = field(default_factory=lambda: {"xml": XML_NAMESPACE},
+                                  repr=False)
 
     def nsmap(self) -> dict[str, str]:
-        """In-scope prefix -> URI map ('' is the default namespace)."""
-        chain = []
-        node: XmlElement | None = self
-        while node is not None:
-            chain.append(node)
-            node = node.parent
-        scope: dict[str, str] = {"xml": XML_NAMESPACE}
-        for element in reversed(chain):
-            for name, value in element.attrs.items():
-                if name == "xmlns":
-                    scope[""] = value
-                elif name.startswith("xmlns:"):
-                    scope[name[6:]] = value
-        return scope
+        """In-scope prefix -> URI map ('' is the default namespace).
+
+        The map is computed once, when the document is parsed, and is shared
+        with every descendant that declares no namespace of its own, so it
+        must not be mutated.  Declarations added to attrs afterwards are not
+        in it.
+        """
+        return self.scope
 
     def qname(self) -> tuple[str, str]:
         """Resolved (namespace URI, local name) of this element."""
@@ -100,15 +90,6 @@ class XmlElement:
             return child
         return None
 
-    def text_content(self) -> str:
-        parts = []
-        for child in self.children:
-            if isinstance(child, str):
-                parts.append(child)
-            elif isinstance(child, XmlElement):
-                parts.append(child.text_content())
-        return "".join(parts)
-
 
 @dataclass(eq=False)
 class XmlDocument:
@@ -126,16 +107,24 @@ class _TreeBuilder:
 
     def _append_misc(self, node) -> None:
         if self._stack:
-            self._stack[-1].append(node)
+            self._stack[-1].children.append(node)
         elif self.root is None:
             self.prolog.append(node)
         else:
             self.epilog.append(node)
 
     def start_element(self, name: str, attrs: dict[str, str]) -> None:
-        element = XmlElement(name=name, attrs=dict(attrs))
+        # share the parent's map unless this element declares a namespace
+        inherited = self._stack[-1].scope if self._stack else {"xml": XML_NAMESPACE}
+        scope = inherited
+        for attr, value in attrs.items():
+            if attr == "xmlns" or attr.startswith("xmlns:"):
+                if scope is inherited:
+                    scope = dict(inherited)
+                scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
+        element = XmlElement(name, attrs, [], scope)
         if self._stack:
-            self._stack[-1].append(element)
+            self._stack[-1].children.append(element)
         elif self.root is None:
             self.root = element
         self._stack.append(element)
@@ -159,6 +148,11 @@ class _TreeBuilder:
         self._append_misc(ProcessingInstruction(target, data))
 
 
+def _reject_doctype(name, *_) -> None:
+    # entities would be expanded or dropped, and the copy could not keep them
+    raise MalformedXml(f"DOCTYPE declarations are not supported (<!DOCTYPE {name}>)")
+
+
 def parse_xml(data: bytes) -> XmlDocument:
     """Parse bytes into an XmlDocument; raises MalformedXml on bad input."""
     if data.startswith(_UTF8_BOM):
@@ -171,6 +165,7 @@ def parse_xml(data: bytes) -> XmlDocument:
     parser.CharacterDataHandler = builder.character_data
     parser.CommentHandler = builder.comment
     parser.ProcessingInstructionHandler = builder.processing_instruction
+    parser.StartDoctypeDeclHandler = _reject_doctype
     try:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
@@ -193,35 +188,40 @@ def _escape_attr(value: str) -> str:
 
 
 def _write_node(node, out: list[str]) -> None:
-    if isinstance(node, str):
-        out.append(_escape_text(node))
-    elif isinstance(node, Comment):
-        out.append(f"<!--{node.text}-->")
-    elif isinstance(node, ProcessingInstruction):
-        data = f" {node.data}" if node.data else ""
-        out.append(f"<?{node.target}{data}?>")
-    else:
-        out.append(f"<{node.name}")
-        for name, value in node.attrs.items():
-            out.append(f' {name}="{_escape_attr(value)}"')
-        if node.children:
-            out.append(">")
-            for child in node.children:
-                _write_node(child, out)
-            out.append(f"</{node.name}>")
+    # each open element waits on an explicit stack with the iterator over its
+    # remaining siblings, so nesting depth is not bounded by recursion
+    open_elements: list = []
+    siblings = iter((node,))
+    while True:
+        for node in siblings:
+            if isinstance(node, XmlElement):
+                out.append(f"<{node.name}")
+                for name, value in node.attrs.items():
+                    out.append(f' {name}="{_escape_attr(value)}"')
+                if node.children:
+                    out.append(">")
+                    open_elements.append((node.name, siblings))
+                    siblings = iter(node.children)
+                    break
+                out.append("/>")
+            elif isinstance(node, str):
+                out.append(_escape_text(node))
+            elif isinstance(node, Comment):
+                out.append(f"<!--{node.text}-->")
+            else:
+                data = f" {node.data}" if node.data else ""
+                out.append(f"<?{node.target}{data}?>")
         else:
-            out.append("/>")
+            if not open_elements:
+                return
+            name, siblings = open_elements.pop()
+            out.append(f"</{name}>")
 
 
 def serialize(document: XmlDocument) -> bytes:
     """Serialize deterministically: UTF-8, fixed declaration, stable escaping."""
     out: list[str] = ['<?xml version="1.0" encoding="utf-8"?>\n']
-    for node in document.prolog:
-        _write_node(node, out)
-        out.append("\n")
-    _write_node(document.root, out)
-    out.append("\n")
-    for node in document.epilog:
+    for node in (*document.prolog, document.root, *document.epilog):
         _write_node(node, out)
         out.append("\n")
     return "".join(out).encode("utf-8")

@@ -3,6 +3,7 @@ import shutil
 from pathlib import Path
 
 from semwsdl import annotate_description, cli, write_sawsdl
+from semwsdl.xmlio import parse_xml
 
 from conftest import CORPUS_DIR, LEXICON_PATH, SPECIAL_DIR
 
@@ -63,12 +64,54 @@ def test_annotate_reports_skipped_and_exits_1(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
-def test_directory_and_file_inputs_deduplicate(tmp_path):
+def test_directory_and_file_inputs_deduplicate(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     code = cli.run(base_args(
         "annotate", [CORPUS_DIR / "music_catalog.wsdl", CORPUS_DIR], out))
     assert code == 0
     assert len(list(out.glob("*.sawsdl.wsdl"))) == 10
+    # the same file in two spellings is annotated once, under the first
+    monkeypatch.chdir(CORPUS_DIR.parent)
+    single = tmp_path / "single"
+    code = cli.run(base_args("annotate", ["corpus", "./corpus/music_catalog.wsdl"], single))
+    assert code == 0
+    assert len(list(single.glob("*.sawsdl.wsdl"))) == 10
+    assert "annotated 19/27 parameters across 10 files" in capsys.readouterr().err
+    ids = [record["param_id"] for record in read_report(single)["parameters"]]
+    assert any(param_id.startswith("corpus/music_catalog.wsdl::") for param_id in ids)
+
+
+def test_deep_nesting_is_written_without_recursion(tmp_path):
+    depth = 5000
+    nested = "<note>" * depth + "</note>" * depth
+    source = (CORPUS_DIR / "music_catalog.wsdl").read_text("utf-8")
+    (tmp_path / "deep.wsdl").write_text(source.replace(
+        "<wsdl:types>", f"<wsdl:documentation>{nested}</wsdl:documentation><wsdl:types>", 1))
+    shutil.copy(CORPUS_DIR / "auth_service.wsdl", tmp_path)
+    out = tmp_path / "out"
+    code = cli.run(base_args(
+        "annotate", [tmp_path / "deep.wsdl", tmp_path / "auth_service.wsdl"], out))
+    assert code == 0
+    assert sorted(p.name for p in out.glob("*.sawsdl.wsdl")) == [
+        "auth_service.sawsdl.wsdl", "deep.sawsdl.wsdl"]
+    element = next(parse_xml((out / "deep.sawsdl.wsdl").read_bytes()).root.iter_elements())
+    reached = 0
+    while (element := next(element.iter_elements(), None)) is not None:
+        reached += 1
+    assert reached == depth
+
+
+def test_doctype_input_is_skipped(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.run(base_args(
+        "annotate", [CORPUS_DIR / "music_catalog.wsdl", SPECIAL_DIR / "doctype_entity.wsdl"],
+        out))
+    assert code == 1
+    assert [p.name for p in out.glob("*.sawsdl.wsdl")] == ["music_catalog.sawsdl.wsdl"]
+    skipped = read_report(out)["skipped"]
+    assert [Path(s["path"]).name for s in skipped] == ["doctype_entity.wsdl"]
+    assert "DOCTYPE" in skipped[0]["error"]
+    assert "skipped" in capsys.readouterr().err
 
 
 def test_output_name_collisions_get_suffixes(tmp_path):

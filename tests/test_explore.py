@@ -210,7 +210,7 @@ def test_shared_member_type_is_expanded_once(preprocess_config, explorer_config,
 
 def test_disabling_descent_never_adds_successes(fixture_corpus, preprocess_config,
                                                 demo_lexicon):
-    off = ExplorerConfig(type_explorer_enabled=False, type_name_stage_enabled=False)
+    off = ExplorerConfig(type_explorer_enabled=False)
     on = ExplorerConfig()
     for desc in fixture_corpus.descriptions:
         for param in desc.parameters():
@@ -219,20 +219,6 @@ def test_disabling_descent_never_adds_successes(fixture_corpus, preprocess_confi
             if a_off.annotated:
                 assert a_on.annotated
                 assert a_off.entries == a_on.entries
-
-
-def test_descent_off_still_allows_type_name_stage(fixture_corpus, preprocess_config,
-                                                  demo_lexicon):
-    depth0 = ExplorerConfig(type_explorer_enabled=False, type_name_stage_enabled=True)
-    full = ExplorerConfig()
-    for desc in fixture_corpus.descriptions:
-        for param in desc.parameters():
-            a0 = annotate_parameter(param, desc, depth0, preprocess_config, demo_lexicon)
-            af = annotate_parameter(param, desc, full, preprocess_config, demo_lexicon)
-            full_depth0 = af.annotated and {e.depth for e in af.entries} == {0}
-            assert a0.annotated == full_depth0
-            if a0.annotated:
-                assert a0.entries == af.entries
 
 
 def test_overrides_rewrite_the_winning_concept(fixture_corpus, preprocess_config,

@@ -103,9 +103,8 @@ def test_stage_configurations_shape(preprocess_config, explorer_config):
     assert [name for name, _, _ in configs] == list(STAGE_NAMES)
     for _, _, ecfg in configs[:4]:
         assert not ecfg.type_explorer_enabled
-        assert not ecfg.type_name_stage_enabled
     final = configs[4][2]
-    assert final.type_explorer_enabled and final.type_name_stage_enabled
+    assert final.type_explorer_enabled
     assert all(ecfg.max_depth == explorer_config.max_depth for _, _, ecfg in configs)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from semwsdl.explore import ExplorerConfig, annotate_description
-from semwsdl.ingest import SkippedFile, load_corpus, parse_wsdl
+from semwsdl.ingest import SkippedFile, load_corpus, parse_wsdl, parse_wsdl_tree
 from semwsdl.model import (
     Annotation,
     AnnotationEntry,
@@ -173,6 +173,42 @@ def test_foreign_prefix_for_sawsdl_is_reused():
     part = find_part(parse_xml(output).root, "city")
     assert part.attrs["sem:modelReference"] == f"urn:old#Kept {PREFIX}City"
     assert "sawsdl:modelReference" not in part.attrs
+
+
+SHADOWING = """<?xml version="1.0"?>
+<wsdl:definitions targetNamespace="urn:t"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:sawsdl="{sawsdl}"
+    xmlns:tns="urn:t">
+  <wsdl:message name="In"{message_attrs}>
+    <wsdl:part name="city" type="xsd:string"{part_attrs}/>
+  </wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Go"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+</wsdl:definitions>"""
+
+
+@pytest.mark.parametrize("message_attrs, part_attrs", [
+    (' xmlns:sawsdl="urn:other"', ""),
+    ("", ' xmlns:sawsdl="urn:other"'),
+    # a modelReference under a prefix the document never declares is not SAWSDL's
+    ("", ' sem:modelReference="urn:old#Unbound"'),
+], ids=["shadowed-on-message", "shadowed-on-part", "undeclared-prefix"])
+def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
+    data = SHADOWING.format(sawsdl=SAWSDL_NAMESPACE, message_attrs=message_attrs,
+                            part_attrs=part_attrs).encode()
+    desc = parse_wsdl("shadow.wsdl", data)
+    ann = annotation_for(desc, "city", [entry("City", "city")])
+    tree = parse_wsdl_tree("shadow.wsdl", data)
+    first = write_sawsdl(tree, desc, [ann])
+    assert write_sawsdl(tree, desc, [ann]) == first
+    assert write_sawsdl(first, parse_wsdl("shadow.wsdl", first), [ann]) == first
+    part = find_part(parse_xml(first).root, "city")
+    references = [name for name in part.attrs if name.endswith(":modelReference")
+                  and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
+    assert [part.attrs[name] for name in references] == [f"{PREFIX}City"]
 
 
 def test_mismatched_description_is_rejected():

@@ -1,10 +1,12 @@
+import xml.parsers.expat
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semwsdl.xmlio import (
     Comment,
     MalformedXml,
     ProcessingInstruction,
-    XmlElement,
     parse_xml,
     serialize,
 )
@@ -52,6 +54,9 @@ def test_nested_prefix_redefinition():
     leaf = next(mid.iter_elements())
     assert mid.qname() == ("urn:two", "mid")
     assert leaf.qname() == ("urn:two", "leaf")
+    # a declaration copies the map; an element without one shares its parent's
+    assert mid.nsmap() is not doc.root.nsmap()
+    assert leaf.nsmap() is mid.nsmap()
 
 
 def test_serialization_is_stable_after_one_round():
@@ -105,9 +110,64 @@ def test_malformed_raises():
         parse_xml(b"")
 
 
-def test_append_sets_parent():
-    root = XmlElement("root")
-    child = XmlElement("child")
-    root.append(child)
-    assert child.parent is root
-    assert list(root.iter_elements()) == [child]
+def test_doctype_is_refused_before_entities_expand():
+    # a billion-laughs bomb: expat's amplification limit would stop it too,
+    # but only after seconds of expansion and with another message
+    entities = ['<!ENTITY e0 "xxxxxxxxxx">'] + [
+        f'<!ENTITY e{level} "{f"&e{level - 1};" * 10}">' for level in range(1, 10)]
+    bomb = f'<!DOCTYPE r [{"".join(entities)}]><r>&e9;</r>'.encode()
+    with pytest.raises(MalformedXml, match="DOCTYPE"):
+        parse_xml(bomb)
+
+
+PREFIXES = ["a", "b", "c"]
+URIS = ["urn:one", "urn:two", "urn:three"]
+
+
+@st.composite
+def namespaced_documents(draw):
+    """Nested elements that declare, redeclare, shadow and undeclare prefixes."""
+
+    def element(scope, depth):
+        declared = draw(st.dictionaries(st.sampled_from(["", *PREFIXES]),
+                                        st.sampled_from(["", *URIS]), max_size=3))
+        # only the default namespace may be undeclared (xmlns=""), not a prefix
+        declared = {prefix: uri for prefix, uri in declared.items() if uri or not prefix}
+        scope = {**scope, **declared}
+        prefix = draw(st.sampled_from(["", *PREFIXES]))
+        if prefix and prefix not in scope:
+            declared[prefix] = scope[prefix] = draw(st.sampled_from(URIS))
+        attrs = "".join(f' xmlns:{p}="{uri}"' if p else f' xmlns="{uri}"'
+                        for p, uri in declared.items())
+        name = f"{prefix}:e{depth}" if prefix else f"e{depth}"
+        count = draw(st.integers(0, 3)) if depth < 4 else 0
+        children = "".join(element(scope, depth + 1) for _ in range(count))
+        return f"<{name}{attrs}>{children}</{name}>"
+
+    return element({}, 0).encode()
+
+
+def expat_names(data):
+    """Every element's (namespace, local) as namespace-aware expat resolves it."""
+    names = []
+
+    def start(name, attrs):
+        uri, _, local = name.rpartition(" ")
+        names.append((uri, local))
+
+    parser = xml.parsers.expat.ParserCreate(namespace_separator=" ")
+    parser.StartElementHandler = start
+    parser.Parse(data, True)
+    return names
+
+
+@settings(max_examples=100, deadline=None)
+@given(namespaced_documents())
+def test_qnames_match_namespace_aware_expat(data):
+    resolved = []
+    pending = [parse_xml(data).root]
+    while pending:
+        element = pending.pop()
+        resolved.append(element.qname())
+        pending.extend(reversed(list(element.iter_elements())))
+    assert resolved == expat_names(data)
