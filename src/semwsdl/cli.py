@@ -1,7 +1,8 @@
 """Batch command line: annotate, ablate, wordfreq.
 
 Exit codes: 0 full success, 1 partial (some inputs skipped), 2 fatal
-(bad flags, unreadable config or lexicon, nothing parseable).
+(bad flags, unreadable config or lexicon, nothing parseable, or an
+internal error).
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def _gather_inputs(paths: list[str]) -> list[str]:
 
     Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated.
     A file named twice, in any spelling, is kept once under its first one.
+    A path that cannot be resolved (a symlink loop) is kept as named, so
+    load_corpus records it as skipped.
     """
     files: dict[Path, str] = {}
     for raw in paths:
@@ -117,7 +120,11 @@ def _gather_inputs(paths: list[str]) -> list[str]:
         else:
             found = [raw]
         for name in found:
-            files.setdefault(Path(name).resolve(), name)
+            try:
+                key = Path(name).resolve()
+            except (OSError, RuntimeError):  # RuntimeError: a symlink loop
+                key = Path(name)
+            files.setdefault(key, name)
     return list(files.values())
 
 
@@ -229,6 +236,15 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else 2
+    try:
+        return _run_command(args)
+    except Exception as exc:  # a bug, not a bad input: one line, never exit 1
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 2
+
+
+def _run_command(args) -> int:
     try:
         setup = _build_setup(args)
     except (OSError, ConfigError, LexiconError, ValueError) as exc:

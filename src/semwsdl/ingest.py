@@ -292,7 +292,7 @@ def _analyze(source_id: str, document: XmlDocument) -> _Analysis:
                     bucket.append(_build_param(source_id, op_name, direction, part,
                                                index, id_counts))
             operations.append(raw_op)
-    return _Analysis(operations, dict(index.types), warnings, import_locations)
+    return _Analysis(operations, index.types, warnings, import_locations)
 
 
 def _description(source_id: str, analysis: _Analysis) -> WsDescription:
@@ -304,8 +304,7 @@ def _description(source_id: str, analysis: _Analysis) -> WsDescription:
         )
         for raw in analysis.operations
     )
-    return WsDescription(source_id, operations, dict(analysis.types),
-                         tuple(analysis.warnings))
+    return WsDescription(source_id, operations, analysis.types, tuple(analysis.warnings))
 
 
 def _tree(document: XmlDocument, analysis: _Analysis) -> WsdlTree:
@@ -340,7 +339,11 @@ def load_corpus(paths: list) -> Corpus:
     Standalone XSD files are indexed as import targets: a description
     whose schema imports/includes one of them (by schemaLocation,
     resolved relative to the importing file) sees its named types.
-    Import resolution never leaves the supplied file set.
+    Import resolution never leaves the supplied file set, and a location
+    that cannot be resolved (a symlink loop) is ignored like one outside
+    it.  Each closure is computed once per directory and list of
+    locations; descriptions without types of their own share the
+    closure's dict as their `types`, which therefore must not be mutated.
     """
     descriptions: list[WsDescription] = []
     trees: dict[str, WsdlTree] = {}
@@ -351,7 +354,8 @@ def load_corpus(paths: list) -> Corpus:
         source_id = str(path)
         try:
             data = Path(path).read_bytes()
-        except OSError as exc:
+            resolved = Path(path).resolve()
+        except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
             skipped.append(SkippedFile(source_id, f"io error: {exc}"))
             continue
         try:
@@ -359,9 +363,7 @@ def load_corpus(paths: list) -> Corpus:
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
-        root_name = xdoc.root.qname()
-        resolved = Path(path).resolve()
-        if root_name == (XSD_NAMESPACE, "schema"):
+        if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
             index, locations = _index_schemas([xdoc.root])
             schema_files[resolved] = (index.types, locations, resolved.parent)
             continue
@@ -373,12 +375,16 @@ def load_corpus(paths: list) -> Corpus:
         descriptions.append(_description(source_id, analysis))
         trees[source_id] = _tree(xdoc, analysis)
         description_imports[source_id] = (resolved.parent, analysis.import_locations)
+    closures: dict[tuple[Path, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
     for position, description in enumerate(descriptions):
         base_dir, locations = description_imports[description.source_id]
-        imported = _imported_types(base_dir, locations, schema_files)
+        key = (base_dir, tuple(locations))
+        imported = closures.get(key)
+        if imported is None:
+            imported = closures[key] = _imported_types(base_dir, locations, schema_files)
         if imported:
-            merged = {**imported, **description.types}
-            descriptions[position] = replace(description, types=merged)
+            types = {**imported, **description.types} if description.types else imported
+            descriptions[position] = replace(description, types=types)
     if not descriptions:
         raise EmptyCorpus("no parseable WSDL description in input")
     return Corpus(descriptions, trees, skipped)
@@ -386,7 +392,11 @@ def load_corpus(paths: list) -> Corpus:
 
 def _imported_types(base_dir: Path, locations: list[str],
                     schema_files: dict) -> dict[QName, TypeDefinition]:
-    """Transitive closure of schemaLocation imports over the supplied files."""
+    """Transitive closure of schemaLocation imports over the supplied files.
+
+    Breadth first from the description's own locations; the first
+    definition of a name wins.
+    """
     merged: dict[QName, TypeDefinition] = {}
     queue = deque((base_dir, location) for location in locations)
     visited: set[Path] = set()
@@ -394,7 +404,7 @@ def _imported_types(base_dir: Path, locations: list[str],
         base, location = queue.popleft()
         try:
             target = (base / location).resolve()
-        except OSError:
+        except (OSError, RuntimeError):  # RuntimeError: a symlink loop
             continue
         if target in visited or target not in schema_files:
             visited.add(target)

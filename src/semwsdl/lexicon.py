@@ -77,9 +77,14 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
     """Parse the TSV lexicon format: word<TAB>rank<TAB>concept per line.
 
     Blank lines and '#' comments are ignored.  Ranks per word must form
-    1..k with no gaps or duplicates.
+    1..k with no gaps or duplicates.  Words that name the same concept id
+    share one Concept object.
     """
-    senses: dict[str, dict[int, Concept]] = {}
+    # a word's senses stay a list, indexed by rank - 1, while its ranks
+    # arrive in order; a word whose ranks arrive out of order keeps a dict
+    # by rank instead, checked for gaps once every line is read
+    senses: dict[str, list[Concept] | dict[int, Concept]] = {}
+    concepts: dict[str, Concept] = {}
     for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -88,7 +93,7 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
         if len(fields) != 3:
             raise MalformedLexiconLine(
                 f"{source}:{number}: expected word<TAB>rank<TAB>concept")
-        word, rank_text, concept_id = (f.strip() for f in fields)
+        word, rank_text, concept_id = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not _WORD_RE.fullmatch(word):
             raise MalformedLexiconLine(
                 f"{source}:{number}: word must be lowercase letters: {word!r}")
@@ -101,17 +106,29 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
             raise MalformedLexiconLine(f"{source}:{number}: rank must be >= 1")
         if not concept_id:
             raise MalformedLexiconLine(f"{source}:{number}: concept must be non-empty")
-        ranks = senses.setdefault(word, {})
-        if rank in ranks:
-            raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
-        ranks[rank] = Concept(concept_id, ontology_tag)
+        concept = concepts.get(concept_id)
+        if concept is None:
+            concept = concepts[concept_id] = Concept(concept_id, ontology_tag)
+        ranks = senses.get(word)
+        if ranks is None:
+            senses[word] = [concept] if rank == 1 else {rank: concept}
+        elif type(ranks) is list and rank == len(ranks) + 1:
+            ranks.append(concept)
+        else:
+            if type(ranks) is list:
+                ranks = senses[word] = dict(enumerate(ranks, start=1))
+            if rank in ranks:
+                raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
+            ranks[rank] = concept
     entries: dict[str, tuple[Concept, ...]] = {}
     for word, ranks in senses.items():
-        expected = list(range(1, len(ranks) + 1))
-        if sorted(ranks) != expected:
-            raise NonContiguousRanks(
-                f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {sorted(ranks)}")
-        entries[word] = tuple(ranks[rank] for rank in expected)
+        if type(ranks) is dict:
+            got = sorted(ranks)
+            if got != list(range(1, len(ranks) + 1)):
+                raise NonContiguousRanks(
+                    f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {got}")
+            ranks = [ranks[rank] for rank in got]
+        entries[word] = tuple(ranks)
     return Lexicon(entries=entries, ontology_tag=ontology_tag)
 
 

@@ -149,7 +149,11 @@ class Operation:
 
 @dataclass(frozen=True)
 class WsDescription:
-    """One parsed WSDL document: operations plus its local type table."""
+    """One parsed WSDL document: operations plus its type table.
+
+    `types` holds the document's own types and those it imports.  Several
+    descriptions may share one `types` dict, so it must not be mutated.
+    """
 
     source_id: str
     operations: tuple[Operation, ...] = ()

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -114,6 +115,41 @@ def test_doctype_input_is_skipped(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+IMPORTING = MINIMAL.replace(
+    '<wsdl:message name="In">',
+    '<wsdl:types><xsd:schema targetNamespace="urn:t">'
+    '<xsd:import schemaLocation="loop/x.xsd"/></xsd:schema></wsdl:types>'
+    '<wsdl:message name="In">')
+
+
+def test_schema_location_through_symlink_loop_is_ignored(tmp_path, capsys):
+    os.symlink("loop", tmp_path / "loop")
+    (tmp_path / "svc.wsdl").write_text(IMPORTING)
+    out = tmp_path / "out"
+    code = cli.run(base_args(
+        "annotate", [tmp_path / "svc.wsdl", CORPUS_DIR / "music_catalog.wsdl"], out))
+    # the location is ignored like an import outside the batch; nothing is skipped
+    assert code == 0
+    assert sorted(p.name for p in out.glob("*.sawsdl.wsdl")) == [
+        "music_catalog.sawsdl.wsdl", "svc.sawsdl.wsdl"]
+    assert read_report(out)["skipped"] == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_input_through_symlink_loop_is_skipped(tmp_path, capsys):
+    os.symlink("loop", tmp_path / "loop")
+    looped = tmp_path / "loop" / "a" / "x.wsdl"
+    out = tmp_path / "out"
+    code = cli.run(base_args(
+        "annotate", [looped, CORPUS_DIR / "music_catalog.wsdl"], out))
+    assert code == 1
+    assert [p.name for p in out.glob("*.sawsdl.wsdl")] == ["music_catalog.sawsdl.wsdl"]
+    skipped = read_report(out)["skipped"]
+    assert [s["path"] for s in skipped] == [str(looped)]
+    assert skipped[0]["error"].startswith("io error:")
+    assert f"skipped {looped}: io error:" in capsys.readouterr().err
+
+
 def test_output_name_collisions_get_suffixes(tmp_path):
     for sub in ("a", "b"):
         (tmp_path / sub).mkdir()
@@ -219,6 +255,20 @@ def test_fatal_errors_exit_2(tmp_path, capsys):
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR)]) == 2
     assert cli.run([]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("counting failed\non two lines")
+
+    monkeypatch.setattr(cli, "word_frequency", broken)
+    out = tmp_path / "out"
+    code = cli.run(base_args("wordfreq", [CORPUS_DIR / "music_catalog.wsdl"], out))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: internal: RuntimeError: counting failed on two lines"]
+    assert "Traceback" not in err
 
 
 def test_malformed_lexicon_exits_2(tmp_path, capsys):

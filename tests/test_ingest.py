@@ -1,3 +1,7 @@
+import os
+import random
+import shutil
+
 import pytest
 
 from semwsdl.ingest import (
@@ -240,3 +244,140 @@ def test_corpus_is_plain_data():
     corpus = Corpus(descriptions=[], trees={}, skipped=[])
     assert corpus.descriptions == []
     assert corpus.skipped == []
+
+
+# -- import closures: computed once per directory and location list ---------
+
+def schema(tns, body):
+    return f"""<?xml version="1.0"?>
+<xsd:schema targetNamespace="{tns}" xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+{body}
+</xsd:schema>""".encode()
+
+
+def importing(locations, own_types="", tns="urn:test"):
+    imports = "".join(f'<xsd:import schemaLocation="{loc}"/>' for loc in locations)
+    return wsdl(f"""
+  <wsdl:types><xsd:schema targetNamespace="{tns}">{imports}{own_types}</xsd:schema></wsdl:types>
+  <wsdl:message name="In"><wsdl:part name="q" type="xsd:string"/></wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+""", tns)
+
+
+def write_library(directory, rng, tag):
+    """Six XSDs that include each other: shared, chained and in a ring.
+
+    Every schema also defines a type its neighbours define, so precedence
+    shows in the merged table.
+    """
+    names = [f"s{n}" for n in range(6)]
+    directory.mkdir(parents=True)
+    for position, name in enumerate(names):
+        includes = rng.sample(names, rng.randint(0, 3))
+        includes.append(names[(position + 1) % len(names)])  # the ring
+        body = "".join(f'<xsd:include schemaLocation="{inc}.xsd"/>' for inc in includes)
+        body += (f'<xsd:simpleType name="T{position}{tag}"/>'
+                 f'<xsd:complexType name="Shared"><xsd:sequence>'
+                 f'<xsd:element name="from{name}{tag}" type="xsd:string"/>'
+                 f'</xsd:sequence></xsd:complexType>')
+        (directory / f"{name}.xsd").write_bytes(schema("urn:lib", body))
+    return names
+
+
+def write_import_tree(root, rng):
+    """WSDLs in three directories; "../lib" names root/lib from a and c, b/lib from b/sub."""
+    names = write_library(root / "lib", rng, "")
+    write_library(root / "b" / "lib", rng, "b")
+    # few distinct location lists, so descriptions meet the same closure
+    choices = [[f"../lib/{name}.xsd" for name in rng.sample(names, rng.randint(0, 3))]
+               for _ in range(3)]
+    choices[0].append("../lib/missing.xsd")
+    wsdls = []
+    for directory in ("a", "b/sub", "c"):
+        (root / directory).mkdir(parents=True)
+        for number in range(5):
+            # an own type may shadow an imported one of the same name
+            own = rng.choice(["", '<xsd:simpleType name="Own"/>',
+                              '<xsd:simpleType name="Shared"/>'])
+            path = root / directory / f"svc{number}.wsdl"
+            path.write_bytes(importing(rng.choice(choices), own, tns="urn:lib"))
+            wsdls.append(path)
+    return wsdls, sorted(root.glob("**/*.xsd"))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_import_closure_does_not_depend_on_the_batch(tmp_path, seed):
+    wsdls, xsds = write_import_tree(tmp_path, random.Random(seed))
+    batch = load_corpus([*wsdls, *xsds])
+    assert [d.source_id for d in batch.descriptions] == [str(p) for p in wsdls]
+    for path, desc in zip(wsdls, batch.descriptions):
+        alone = load_corpus([path, *xsds]).descriptions[0]
+        assert desc.types == alone.types
+        assert list(desc.types) == list(alone.types)
+
+
+def test_same_location_in_two_directories_resolves_apart(tmp_path):
+    for directory, kind in (("x", "simpleType"), ("y", "complexType")):
+        (tmp_path / directory).mkdir()
+        (tmp_path / directory / "svc.wsdl").write_bytes(importing(["types.xsd"]))
+        (tmp_path / directory / "types.xsd").write_bytes(
+            schema("urn:lib", f'<xsd:{kind} name="Item"/>'))
+    corpus = load_corpus(sorted(tmp_path.glob("*/*")))
+    item = QName("urn:lib", "Item")
+    assert [d.types[item].kind for d in corpus.descriptions] == [
+        TypeKind.CUSTOM_SIMPLE, TypeKind.EMPTY_COMPLEX]
+
+
+def test_own_type_wins_over_imported(tmp_path):
+    common = IMPORTS_DIR / "common.xsd"
+    shutil.copy(common, tmp_path)
+    address = QName("http://example.com/common", "Address")
+    own = importing(["common.xsd"], '<xsd:simpleType name="Address"/>',
+                    tns="http://example.com/common")
+    (tmp_path / "own.wsdl").write_bytes(own)
+    (tmp_path / "plain.wsdl").write_bytes(importing(["common.xsd"]))
+    corpus = load_corpus([tmp_path / "own.wsdl", tmp_path / "plain.wsdl",
+                          tmp_path / "common.xsd"])
+    own_desc, plain_desc = corpus.descriptions
+    assert own_desc.types[address].kind is TypeKind.CUSTOM_SIMPLE
+    assert plain_desc.types[address].kind is TypeKind.COMPLEX_SEQUENCE
+
+
+def test_include_ring_terminates(tmp_path):
+    for name, other in (("a", "b"), ("b", "c"), ("c", "a")):
+        (tmp_path / f"{name}.xsd").write_bytes(schema("urn:lib", (
+            f'<xsd:include schemaLocation="{other}.xsd"/>'
+            f'<xsd:simpleType name="{name.upper()}"/>')))
+    (tmp_path / "svc.wsdl").write_bytes(importing(["b.xsd"]))
+    corpus = load_corpus(sorted(tmp_path.iterdir()))
+    assert list(corpus.descriptions[0].types) == [
+        QName("urn:lib", "B"), QName("urn:lib", "C"), QName("urn:lib", "A")]
+
+
+def test_descriptions_without_own_types_share_the_closure(tmp_path):
+    shutil.copy(IMPORTS_DIR / "common.xsd", tmp_path)
+    for name in ("one", "two"):
+        (tmp_path / f"{name}.wsdl").write_bytes(importing(["common.xsd"]))
+    (tmp_path / "own.wsdl").write_bytes(
+        importing(["common.xsd"], '<xsd:simpleType name="Own"/>'))
+    one, two, own = load_corpus([tmp_path / "one.wsdl", tmp_path / "two.wsdl",
+                                 tmp_path / "own.wsdl", tmp_path / "common.xsd"]).descriptions
+    assert one.types is two.types
+    assert own.types is not one.types
+    assert QName("urn:test", "Own") in own.types
+    assert QName("urn:test", "Own") not in one.types
+
+
+def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
+    os.symlink("loop", tmp_path / "loop")
+    svc = tmp_path / "svc.wsdl"
+    svc.write_bytes(importing(["loop/x.xsd", "common.xsd"]))
+    shutil.copy(IMPORTS_DIR / "common.xsd", tmp_path)
+    looped = tmp_path / "loop" / "a" / "x.wsdl"
+    corpus = load_corpus([svc, looped, tmp_path / "common.xsd"])
+    assert [d.source_id for d in corpus.descriptions] == [str(svc)]
+    assert QName("http://example.com/common", "Address") in corpus.descriptions[0].types
+    assert [s.path for s in corpus.skipped] == [str(looped)]
+    assert corpus.skipped[0].error.startswith("io error:")

@@ -17,6 +17,8 @@ from semwsdl.lexicon import (
 )
 from semwsdl.model import Concept, Word
 
+from bruteforce import oracle_parse_lexicon
+
 
 def test_load_single_entry():
     lx = load_lexicon(b"buffalo\t1\tHoofedMammal\n")
@@ -64,8 +66,11 @@ def test_load_rejects_duplicate_sense():
 def test_load_rejects_rank_gaps():
     with pytest.raises(NonContiguousRanks):
         load_lexicon("word\t2\tX\n")
-    with pytest.raises(NonContiguousRanks):
-        load_lexicon("word\t1\tX\nword\t3\tY\n")
+    # the message lists the ranks seen, whatever order they arrived in
+    for text in ("word\t1\tX\nword\t3\tY\n", "word\t3\tY\nword\t1\tX\n"):
+        with pytest.raises(NonContiguousRanks, match=r"^demo.tsv: ranks for 'word' must be "
+                                                     r"1..2, got \[1, 3\]$"):
+            load_lexicon(text, source="demo.tsv")
 
 
 @pytest.mark.parametrize("word,concept", [
@@ -140,3 +145,55 @@ def test_override_precedence_property(word, lexicon_concept, override_concept):
 
 def test_default_lexicon_matches_packaged_file():
     assert default_lexicon().entries == default_lexicon().entries
+
+
+_CONCEPTS = st.sampled_from(["Human", "City", "Process", "Artifact", "Region"])
+
+
+@st.composite
+def lexicon_documents(draw):
+    """(text, word -> concept ids by rank): shuffled lines, comments, blanks, spaces."""
+    senses = draw(st.dictionaries(
+        st.from_regex(r"[a-z]{1,8}", fullmatch=True),
+        st.lists(_CONCEPTS, min_size=1, max_size=4), max_size=12))
+    pad = st.sampled_from(["", " ", "  "])
+    lines = [f"{draw(pad)}{word}{draw(pad)}\t{draw(pad)}{rank}{draw(pad)}\t"
+             f"{draw(pad)}{concept}{draw(pad)}"
+             for word, concepts in senses.items()
+             for rank, concept in enumerate(concepts, start=1)]
+    lines += draw(st.lists(st.sampled_from(["", "   ", "# comment", "  # indented\tcomment"]),
+                           max_size=5))
+    lines = draw(st.permutations(lines))
+    return "\n".join(lines), senses
+
+
+@settings(max_examples=200, deadline=None)
+@given(lexicon_documents())
+def test_load_matches_oracle_on_shuffled_documents(document):
+    text, senses = document
+    lx = load_lexicon(text)
+    assert {word: concepts[0].id for word, concepts in lx.entries.items()} == \
+        oracle_parse_lexicon(text)
+    assert {word: [c.id for c in concepts] for word, concepts in lx.entries.items()} == senses
+
+
+def test_same_concept_id_is_one_object():
+    lx = load_lexicon("city\t1\tRegion\ntown\t2\tRegion\ntown\t1\tCity\n")
+    assert lx.entries["city"][0] is lx.entries["town"][1]
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("word\t1\tX\nword\t1\tY\n", DuplicateSense, "2: duplicate sense 'word' rank 1"),
+    ("word\t2\tX\nword\t1\tY\n\nword\t2\tZ\n", DuplicateSense,
+     "4: duplicate sense 'word' rank 2"),
+    ("word\t1\tX\nword\t2\tY\nword\t1\tZ\n", DuplicateSense,
+     "3: duplicate sense 'word' rank 1"),
+    ("ok\t1\tFine\n# note\nok\ttwo\tX\n", MalformedLexiconLine,
+     "3: rank must be an integer: 'two'"),
+    ("word\t one \tX\n", MalformedLexiconLine, "1: rank must be an integer: 'one'"),
+    ("ok\t1\tFine\nok\t0\tX\n", MalformedLexiconLine, "2: rank must be >= 1"),
+])
+def test_line_errors_name_the_offending_line(text, error, message):
+    with pytest.raises(error) as raised:
+        load_lexicon(text, source="demo.tsv")
+    assert str(raised.value) == f"demo.tsv:{message}"
