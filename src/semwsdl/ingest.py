@@ -354,8 +354,7 @@ def load_corpus(paths: list) -> Corpus:
         source_id = str(path)
         try:
             data = Path(path).read_bytes()
-            resolved = Path(path).resolve()
-        except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        except OSError as exc:
             skipped.append(SkippedFile(source_id, f"io error: {exc}"))
             continue
         try:
@@ -363,6 +362,7 @@ def load_corpus(paths: list) -> Corpus:
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
+        resolved = Path(path).resolve()
         if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
             index, locations = _index_schemas([xdoc.root])
             schema_files[resolved] = (index.types, locations, resolved.parent)

@@ -80,10 +80,7 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
     1..k with no gaps or duplicates.  Words that name the same concept id
     share one Concept object.
     """
-    # a word's senses stay a list, indexed by rank - 1, while its ranks
-    # arrive in order; a word whose ranks arrive out of order keeps a dict
-    # by rank instead, checked for gaps once every line is read
-    senses: dict[str, list[Concept] | dict[int, Concept]] = {}
+    senses: dict[str, dict[int, Concept]] = {}
     concepts: dict[str, Concept] = {}
     for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
         stripped = line.strip()
@@ -109,26 +106,17 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
         concept = concepts.get(concept_id)
         if concept is None:
             concept = concepts[concept_id] = Concept(concept_id, ontology_tag)
-        ranks = senses.get(word)
-        if ranks is None:
-            senses[word] = [concept] if rank == 1 else {rank: concept}
-        elif type(ranks) is list and rank == len(ranks) + 1:
-            ranks.append(concept)
-        else:
-            if type(ranks) is list:
-                ranks = senses[word] = dict(enumerate(ranks, start=1))
-            if rank in ranks:
-                raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
-            ranks[rank] = concept
+        ranks = senses.setdefault(word, {})
+        if rank in ranks:
+            raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
+        ranks[rank] = concept
     entries: dict[str, tuple[Concept, ...]] = {}
     for word, ranks in senses.items():
-        if type(ranks) is dict:
-            got = sorted(ranks)
-            if got != list(range(1, len(ranks) + 1)):
-                raise NonContiguousRanks(
-                    f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {got}")
-            ranks = [ranks[rank] for rank in got]
-        entries[word] = tuple(ranks)
+        expected = list(range(1, len(ranks) + 1))
+        if sorted(ranks) != expected:
+            raise NonContiguousRanks(
+                f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {sorted(ranks)}")
+        entries[word] = tuple(ranks[rank] for rank in expected)
     return Lexicon(entries=entries, ontology_tag=ontology_tag)
 
 
