@@ -12,7 +12,14 @@ from .explore import (
     annotate_parameter,
     annotate_parameter_with_trace,
 )
-from .ingest import Corpus, EmptyCorpus, load_corpus, parse_wsdl, resolve_type
+from .ingest import (
+    Corpus,
+    EmptyCorpus,
+    load_corpus,
+    parse_wsdl,
+    parse_wsdl_tree,
+    resolve_type,
+)
 from .lexicon import (
     Lexicon,
     OverrideMap,
@@ -99,6 +106,7 @@ __all__ = [
     "load_overrides",
     "normalize",
     "parse_wsdl",
+    "parse_wsdl_tree",
     "preprocess",
     "resolve_type",
     "run_ablation",

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .explore import ExplorerConfig, annotate_description
-from .ingest import Corpus, EmptyCorpus, load_corpus
+from .ingest import Corpus, EmptyCorpus, SkippedFile, load_corpus
 from .lexicon import (
     EMPTY_OVERRIDES,
     LexiconError,
@@ -105,27 +105,19 @@ def _gather_inputs(paths: list[str]) -> list[str]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
     Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated.
-    A file named twice, in any spelling, is kept once under its first one.
-    A path that cannot be resolved (a symlink loop) is kept as named, so
-    load_corpus records it as skipped.
+    A file named twice is left in twice; load_corpus loads it once.
     """
-    files: dict[Path, str] = {}
+    files: list[str] = []
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            found = sorted(
+            files.extend(sorted(
                 str(child) for child in path.iterdir()
                 if child.is_file() and child.suffix in (".wsdl", ".xsd")
-                and not child.name.endswith(".sawsdl.wsdl"))
+                and not child.name.endswith(".sawsdl.wsdl")))
         else:
-            found = [raw]
-        for name in found:
-            try:
-                key = Path(name).resolve()
-            except (OSError, RuntimeError):  # RuntimeError: a symlink loop
-                key = Path(name)
-            files.setdefault(key, name)
-    return list(files.values())
+            files.append(raw)
+    return files
 
 
 def _build_setup(args):
@@ -178,49 +170,49 @@ def _output_names(source_ids: list[str]) -> dict[str, str]:
     return names
 
 
-def _run_annotate(args, corpus: Corpus, setup) -> int:
+def _run_annotate(args, corpus: Corpus, setup) -> None:
+    """Write each copy; one that cannot be written becomes a skipped entry."""
     preprocess_config, explorer_config, lexicon, overrides, writer_config = setup
     output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
     names = _output_names([d.source_id for d in corpus.descriptions])
     all_annotations = []
+    written = []
     for description in corpus.descriptions:
         annotations = annotate_description(description, explorer_config,
                                            preprocess_config, lexicon, overrides)
         # popping releases each tree once written, which keeps memory flat
         output = write_sawsdl(corpus.trees.pop(description.source_id),
                               description, annotations, writer_config)
-        (output_dir / names[description.source_id]).write_bytes(output)
+        try:
+            (output_dir / names[description.source_id]).write_bytes(output)
+        except OSError as exc:
+            skip = SkippedFile(description.source_id, f"write error: {exc}")
+            corpus.skipped.append(skip)
+            print(f"skipped {skip.path}: {skip.error}", file=sys.stderr)
+            continue
+        written.append(description)
         all_annotations.extend(annotations)
-    report = write_report(all_annotations, corpus.descriptions,
-                          corpus.skipped, writer_config)
+    report = write_report(all_annotations, written, corpus.skipped)
     (output_dir / "report.json").write_bytes(report)
     annotated = sum(1 for a in all_annotations if a.entries)
     print(f"annotated {annotated}/{len(all_annotations)} parameters across "
-          f"{len(corpus.descriptions)} files", file=sys.stderr)
-    return 1 if corpus.skipped else 0
+          f"{len(written)} files", file=sys.stderr)
 
 
-def _run_ablate(args, corpus: Corpus, setup) -> int:
+def _run_ablate(args, corpus: Corpus, setup) -> None:
     preprocess_config, explorer_config, lexicon, overrides, _ = setup
     report = run_ablation(corpus, preprocess_config, explorer_config,
                           lexicon, overrides)
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "ablation.json").write_bytes(ablation_to_json(report))
+    (Path(args.output_dir) / "ablation.json").write_bytes(ablation_to_json(report))
     sys.stdout.write(render_ablation_table(report))
-    return 1 if corpus.skipped else 0
 
 
-def _run_wordfreq(args, corpus: Corpus, setup) -> int:
+def _run_wordfreq(args, corpus: Corpus, setup) -> None:
     preprocess_config, explorer_config, lexicon, overrides, _ = setup
     rows = word_frequency(corpus, preprocess_config, explorer_config,
                           lexicon, overrides)
-    output_dir = Path(args.output_dir)
-    output_dir.mkdir(parents=True, exist_ok=True)
-    (output_dir / "words.csv").write_bytes(word_frequency_to_csv(rows))
+    (Path(args.output_dir) / "words.csv").write_bytes(word_frequency_to_csv(rows))
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
-    return 1 if corpus.skipped else 0
 
 
 _COMMANDS = {
@@ -256,10 +248,12 @@ def _run_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args, corpus, setup)
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](args, corpus, setup)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if corpus.skipped else 0
 
 
 def main(argv: list[str] | None = None) -> int:

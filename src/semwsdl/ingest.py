@@ -68,41 +68,10 @@ class Corpus:
 
 
 @dataclass
-class _RawParam:
-    name: str
-    direction: Direction
-    type_ref: QName
-    param_id: str
-    node: XmlElement
-
-
-@dataclass
-class _RawOperation:
-    name: str
-    inputs: list[_RawParam] = field(default_factory=list)
-    outputs: list[_RawParam] = field(default_factory=list)
-
-
-@dataclass
 class _SchemaIndex:
     types: dict[QName, TypeDefinition] = field(default_factory=dict)
     element_type: dict[QName, QName] = field(default_factory=dict)
     element_node: dict[QName, XmlElement] = field(default_factory=dict)
-
-
-@dataclass
-class _Analysis:
-    """Everything one document walk produces, including node references."""
-
-    operations: list[_RawOperation]
-    types: dict[QName, TypeDefinition]
-    warnings: list[str]
-    import_locations: list[str]
-
-    def params(self):
-        for operation in self.operations:
-            yield from operation.inputs
-            yield from operation.outputs
 
 
 def _attr_qname(element: XmlElement, value: str) -> QName | None:
@@ -217,7 +186,11 @@ def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
 
 def _build_param(source_id: str, op_name: str, direction: Direction,
                  part: XmlElement, index: _SchemaIndex,
-                 id_counts: dict[str, int]) -> _RawParam:
+                 nodes: dict[str, XmlElement]) -> Parameter:
+    """The part's parameter; its declaring node goes into nodes under its id.
+
+    An id already in nodes gets the first free ``::<n>`` suffix, n >= 2.
+    """
     element_attr = part.attrs.get("element", "")
     type_attr = part.attrs.get("type", "")
     node = part
@@ -232,14 +205,18 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     else:
         name = part.attrs.get("name", "")
         type_ref = _ANY_TYPE
-    base = f"{source_id}::{op_name}::{direction.value}::{name}"
-    count = id_counts.get(base, 0) + 1
-    id_counts[base] = count
-    param_id = base if count == 1 else f"{base}::{count}"
-    return _RawParam(name, direction, type_ref, param_id, node)
+    param_id = base = f"{source_id}::{op_name}::{direction.value}::{name}"
+    count = 1
+    while param_id in nodes:
+        count += 1
+        param_id = f"{base}::{count}"
+    nodes[param_id] = node
+    return Parameter(name, direction, type_ref, param_id)
 
 
-def _analyze(source_id: str, document: XmlDocument) -> _Analysis:
+def _analyze(source_id: str,
+             document: XmlDocument) -> tuple[WsDescription, dict[str, XmlElement], list[str]]:
+    """One walk: the description, its param_id -> node map and its import locations."""
     root = document.root
     if root.qname() != (WSDL_NAMESPACE, "definitions"):
         raise MalformedXml(f"{source_id}: root element is not wsdl:definitions")
@@ -258,8 +235,8 @@ def _analyze(source_id: str, document: XmlDocument) -> _Analysis:
             warnings.append("unnamed message skipped")
             continue
         messages[QName(target_ns, name)] = list(message.find_children(WSDL_NAMESPACE, "part"))
-    operations: list[_RawOperation] = []
-    id_counts: dict[str, int] = {}
+    operations: list[Operation] = []
+    nodes: dict[str, XmlElement] = {}
     for port_type in root.find_children(WSDL_NAMESPACE, "portType"):
         for operation in port_type.find_children(WSDL_NAMESPACE, "operation"):
             op_name = operation.attrs.get("name", "")
@@ -282,45 +259,26 @@ def _analyze(source_id: str, document: XmlDocument) -> _Analysis:
                 message_refs[direction] = ref
             if not usable:
                 continue
-            raw_op = _RawOperation(op_name)
-            for direction, bucket in ((Direction.INPUT, raw_op.inputs),
-                                      (Direction.OUTPUT, raw_op.outputs)):
-                ref = message_refs.get(direction)
-                if ref is None:
-                    continue
-                for part in messages[ref]:
-                    bucket.append(_build_param(source_id, op_name, direction, part,
-                                               index, id_counts))
-            operations.append(raw_op)
-    return _Analysis(operations, index.types, warnings, import_locations)
-
-
-def _description(source_id: str, analysis: _Analysis) -> WsDescription:
-    operations = tuple(
-        Operation(
-            raw.name,
-            tuple(Parameter(p.name, p.direction, p.type_ref, p.param_id) for p in raw.inputs),
-            tuple(Parameter(p.name, p.direction, p.type_ref, p.param_id) for p in raw.outputs),
-        )
-        for raw in analysis.operations
-    )
-    return WsDescription(source_id, operations, analysis.types, tuple(analysis.warnings))
-
-
-def _tree(document: XmlDocument, analysis: _Analysis) -> WsdlTree:
-    return WsdlTree(document, {raw.param_id: raw.node for raw in analysis.params()})
+            params = {
+                direction: tuple(_build_param(source_id, op_name, direction, part, index, nodes)
+                                 for part in messages[ref])
+                for direction, ref in message_refs.items()
+            }
+            operations.append(Operation(op_name, params.get(Direction.INPUT, ()),
+                                        params.get(Direction.OUTPUT, ())))
+    description = WsDescription(source_id, tuple(operations), index.types, tuple(warnings))
+    return description, nodes, import_locations
 
 
 def parse_wsdl(source_id: str, document: bytes) -> WsDescription:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
-    xdoc = xmlio.parse_xml(document)
-    return _description(source_id, _analyze(source_id, xdoc))
+    return _analyze(source_id, xmlio.parse_xml(document))[0]
 
 
 def parse_wsdl_tree(source_id: str, document: bytes) -> WsdlTree:
     """Parse one WSDL document into its tree.  Raises MalformedXml on unusable input."""
     xdoc = xmlio.parse_xml(document)
-    return _tree(xdoc, _analyze(source_id, xdoc))
+    return WsdlTree(xdoc, _analyze(source_id, xdoc)[1])
 
 
 def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition:
@@ -344,12 +302,15 @@ def load_corpus(paths: list) -> Corpus:
     it.  Each closure is computed once per directory and list of
     locations; descriptions without types of their own share the
     closure's dict as their `types`, which therefore must not be mutated.
+    A file named more than once, in any spelling, is loaded once, under
+    its first.
     """
     descriptions: list[WsDescription] = []
     trees: dict[str, WsdlTree] = {}
     skipped: list[SkippedFile] = []
     schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str], Path]] = {}
-    description_imports: dict[str, tuple[Path, list[str]]] = {}
+    import_keys: list[tuple[Path, tuple[str, ...]]] = []
+    seen: set[Path] = set()
     for path in paths:
         source_id = str(path)
         try:
@@ -357,31 +318,32 @@ def load_corpus(paths: list) -> Corpus:
         except OSError as exc:
             skipped.append(SkippedFile(source_id, f"io error: {exc}"))
             continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            continue
+        seen.add(resolved)
         try:
             xdoc = xmlio.parse_xml(data)
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
-        resolved = Path(path).resolve()
         if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
             index, locations = _index_schemas([xdoc.root])
             schema_files[resolved] = (index.types, locations, resolved.parent)
             continue
         try:
-            analysis = _analyze(source_id, xdoc)
+            description, nodes, locations = _analyze(source_id, xdoc)
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
-        descriptions.append(_description(source_id, analysis))
-        trees[source_id] = _tree(xdoc, analysis)
-        description_imports[source_id] = (resolved.parent, analysis.import_locations)
+        descriptions.append(description)
+        trees[source_id] = WsdlTree(xdoc, nodes)
+        import_keys.append((resolved.parent, tuple(locations)))
     closures: dict[tuple[Path, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
-    for position, description in enumerate(descriptions):
-        base_dir, locations = description_imports[description.source_id]
-        key = (base_dir, tuple(locations))
+    for position, (description, key) in enumerate(zip(descriptions, import_keys)):
         imported = closures.get(key)
         if imported is None:
-            imported = closures[key] = _imported_types(base_dir, locations, schema_files)
+            imported = closures[key] = _imported_types(*key, schema_files)
         if imported:
             types = {**imported, **description.types} if description.types else imported
             descriptions[position] = replace(description, types=types)
@@ -390,7 +352,7 @@ def load_corpus(paths: list) -> Corpus:
     return Corpus(descriptions, trees, skipped)
 
 
-def _imported_types(base_dir: Path, locations: list[str],
+def _imported_types(base_dir: Path, locations: tuple[str, ...],
                     schema_files: dict) -> dict[QName, TypeDefinition]:
     """Transitive closure of schemaLocation imports over the supplied files.
 

@@ -42,7 +42,6 @@ class Lexicon:
     """word text -> concepts ordered by ascending sense rank."""
 
     entries: dict[str, tuple[Concept, ...]] = field(default_factory=dict)
-    ontology_tag: str = "SUMO"
 
     def __post_init__(self):
         for word, concepts in self.entries.items():
@@ -72,8 +71,7 @@ def _as_text(document: bytes | str, source: str) -> str:
         raise MalformedLexiconLine(f"{source}: not UTF-8 text: {exc}") from None
 
 
-def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
-                 source: str = "<lexicon>") -> Lexicon:
+def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
     """Parse the TSV lexicon format: word<TAB>rank<TAB>concept per line.
 
     Blank lines and '#' comments are ignored.  Ranks per word must form
@@ -105,7 +103,7 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
             raise MalformedLexiconLine(f"{source}:{number}: concept must be non-empty")
         concept = concepts.get(concept_id)
         if concept is None:
-            concept = concepts[concept_id] = Concept(concept_id, ontology_tag)
+            concept = concepts[concept_id] = Concept(concept_id)
         ranks = senses.setdefault(word, {})
         if rank in ranks:
             raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
@@ -117,11 +115,10 @@ def load_lexicon(document: bytes | str, ontology_tag: str = "SUMO",
             raise NonContiguousRanks(
                 f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {sorted(ranks)}")
         entries[word] = tuple(ranks[rank] for rank in expected)
-    return Lexicon(entries=entries, ontology_tag=ontology_tag)
+    return Lexicon(entries=entries)
 
 
-def load_overrides(document: bytes | str, ontology_tag: str = "SUMO",
-                   source: str = "<overrides>") -> OverrideMap:
+def load_overrides(document: bytes | str, source: str = "<overrides>") -> OverrideMap:
     """Parse 'word=Concept' lines; '#' comments and blanks ignored."""
     entries: dict[str, Concept] = {}
     for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
@@ -138,7 +135,7 @@ def load_overrides(document: bytes | str, ontology_tag: str = "SUMO",
                 f"{source}:{number}: word must be letters only: {word!r}")
         if not concept_id:
             raise MalformedOverrideLine(f"{source}:{number}: concept must be non-empty")
-        entries[word] = Concept(concept_id, ontology_tag)
+        entries[word] = Concept(concept_id)
     return OverrideMap(entries=entries)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from . import xmlio
-from .ingest import SkippedFile, WsdlTree, WsDescription, parse_wsdl_tree
+from .ingest import SkippedFile, WsdlTree, WsDescription
 from .model import Annotation, annotation_rate
-from .xmlio import MalformedXml, XmlElement
+from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
 
@@ -29,7 +29,6 @@ class StructureMismatch(ValueError):
 @dataclass(frozen=True)
 class WriterConfig:
     uri_prefix: str = "http://www.ontologyportal.org/SUMO.owl#"
-    report_pretty: bool = False
 
     def __post_init__(self):
         parsed = urlparse(self.uri_prefix)
@@ -82,24 +81,17 @@ def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) 
     node.attrs[attr_name] = " ".join(merged)
 
 
-def write_sawsdl(original: WsdlTree | bytes, desc: WsDescription,
+def write_sawsdl(tree: WsdlTree, desc: WsDescription,
                  annotations: list[Annotation],
                  config: WriterConfig | None = None) -> bytes:
-    """Return the document with modelReference attributes, serialized.
+    """Annotate the tree in place with modelReference attributes; serialize it.
 
-    A WsdlTree, as kept in Corpus.trees, is annotated in place.  Bytes are
-    parsed first; that is how an already written copy is annotated again.
-    Raises StructureMismatch when the document is not WSDL or its
-    parameters do not line up with the description's.
+    The tree is one kept in Corpus.trees, or, to annotate an already
+    written copy again, one from ingest.parse_wsdl_tree.  Raises
+    StructureMismatch when its parameters do not line up with the
+    description's.
     """
     config = config or WriterConfig()
-    if isinstance(original, WsdlTree):
-        tree = original
-    else:
-        try:
-            tree = parse_wsdl_tree(desc.source_id, original)
-        except MalformedXml as exc:
-            raise StructureMismatch(str(exc)) from None
     if list(tree.nodes) != [param.param_id for param in desc.parameters()]:
         raise StructureMismatch(
             f"{desc.source_id}: document declares {len(tree.nodes)} parameters "
@@ -125,10 +117,8 @@ def _direction_summary(annotated: int, total: int) -> dict:
 
 
 def write_report(annotations: list[Annotation], descriptions: list[WsDescription],
-                 skipped: list[SkippedFile] | tuple = (),
-                 config: WriterConfig | None = None) -> bytes:
+                 skipped: list[SkippedFile] | tuple = ()) -> bytes:
     """Serialize the batch outcome as deterministic UTF-8 JSON."""
-    config = config or WriterConfig()
     by_id = {annotation.param_id: annotation for annotation in annotations}
     records = []
     counts = {"input": [0, 0], "output": [0, 0]}
@@ -172,8 +162,4 @@ def write_report(annotations: list[Annotation], descriptions: list[WsDescription
             "them separately and combined",
         ],
     }
-    if config.report_pretty:
-        text = json.dumps(payload, ensure_ascii=False, indent=2)
-    else:
-        text = json.dumps(payload, ensure_ascii=False, separators=(",", ":"))
-    return text.encode("utf-8")
+    return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")

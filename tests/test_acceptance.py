@@ -36,6 +36,7 @@ from semwsdl import (
     default_lexicon,
     load_corpus,
     parse_wsdl,
+    parse_wsdl_tree,
     preprocess,
     run_ablation,
     write_report,
@@ -167,11 +168,11 @@ def test_criterion_7_round_trip_and_idempotence(fixture_corpus):
         for desc in fixture_corpus.descriptions:
             data = Path(desc.source_id).read_bytes()
             annotations = annotate_description(desc, explorer, config, lexicon)
-            first = write_sawsdl(data, desc, annotations)
+            first = write_sawsdl(parse_wsdl_tree(desc.source_id, data), desc, annotations)
             again = parse_wsdl(desc.source_id, first)
             assert again.operations == desc.operations
             assert again.types == desc.types
-            second = write_sawsdl(first, again, annotations)
+            second = write_sawsdl(parse_wsdl_tree(desc.source_id, first), again, annotations)
             assert second == first, desc.source_id
     _verdict(7, "annotated copies re-ingest equal and re-inject byte-identical", check)
 

@@ -3,7 +3,7 @@ import os
 import shutil
 from pathlib import Path
 
-from semwsdl import annotate_description, cli, write_sawsdl
+from semwsdl import annotate_description, cli, parse_wsdl_tree, write_sawsdl
 from semwsdl.xmlio import parse_xml
 
 from conftest import CORPUS_DIR, LEXICON_PATH, SPECIAL_DIR
@@ -63,6 +63,38 @@ def test_annotate_reports_skipped_and_exits_1(tmp_path, capsys):
     assert len(report["skipped"]) == 1
     assert "corrupt.wsdl" in report["skipped"][0]["path"]
     assert "skipped" in capsys.readouterr().err
+
+
+def test_part_names_that_look_like_suffixes_get_distinct_ids(tmp_path):
+    parts = "".join(f'<wsdl:part name="{name}" type="xsd:string"/>'
+                    for name in ("city", "city", "city::2"))
+    (tmp_path / "cities.wsdl").write_text(MINIMAL.replace(
+        '<wsdl:part name="city" type="xsd:string"/>', parts))
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", tmp_path)
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [tmp_path], out)) == 0
+    assert sorted(p.name for p in out.glob("*.sawsdl.wsdl")) == [
+        "cities.sawsdl.wsdl", "music_catalog.sawsdl.wsdl"]
+    ids = [record["param_id"] for record in read_report(out)["parameters"]]
+    assert len(ids) == 5
+    assert len(set(ids)) == 5
+
+
+def test_copy_that_cannot_be_written_is_skipped(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "music_catalog.sawsdl.wsdl").mkdir(parents=True)
+    code = cli.run(base_args("annotate", [CORPUS_DIR], out))
+    assert code == 1
+    assert len([p for p in out.glob("*.sawsdl.wsdl") if p.is_file()]) == 9
+    report = read_report(out)
+    assert report["summary"]["total"] == 25
+    assert not any("music_catalog" in r["param_id"] for r in report["parameters"])
+    [skip] = report["skipped"]
+    assert skip["path"] == str(CORPUS_DIR / "music_catalog.wsdl")
+    assert skip["error"].startswith("write error:")
+    err = capsys.readouterr().err
+    assert f"skipped {CORPUS_DIR / 'music_catalog.wsdl'}: write error:" in err
+    assert "parameters across 9 files" in err
 
 
 def test_directory_and_file_inputs_deduplicate(tmp_path, capsys, monkeypatch):
@@ -183,7 +215,8 @@ def test_written_copies_equal_annotating_the_file_bytes(tmp_path, fixture_corpus
     for desc in fixture_corpus.descriptions:
         annotations = annotate_description(desc, explorer_config, preprocess_config,
                                            demo_lexicon)
-        expected = write_sawsdl(Path(desc.source_id).read_bytes(), desc, annotations)
+        tree = parse_wsdl_tree(desc.source_id, Path(desc.source_id).read_bytes())
+        expected = write_sawsdl(tree, desc, annotations)
         written = out / f"{Path(desc.source_id).stem}.sawsdl.wsdl"
         assert written.read_bytes() == expected, desc.source_id
 

@@ -9,6 +9,7 @@ from semwsdl.ingest import (
     EmptyCorpus,
     load_corpus,
     parse_wsdl,
+    parse_wsdl_tree,
     resolve_type,
 )
 from semwsdl.model import Direction, QName, SubParameter, TypeKind, XSD_NAMESPACE
@@ -101,19 +102,21 @@ def test_operation_with_undeclared_message_is_skipped():
 
 
 def test_duplicate_part_names_get_distinct_ids():
-    doc = wsdl("""
-  <wsdl:message name="In">
-    <wsdl:part name="item" type="xsd:string"/>
-    <wsdl:part name="item" type="xsd:int"/>
-  </wsdl:message>
+    for names, suffixes in [
+        (["item", "item"], ["item", "item::2"]),
+        # a part whose name looks like a suffix takes the next free one
+        (["city", "city", "city::2"], ["city", "city::2", "city::2::2"]),
+    ]:
+        parts = "".join(f'<wsdl:part name="{name}" type="xsd:string"/>' for name in names)
+        doc = wsdl(f"""
+  <wsdl:message name="In">{parts}</wsdl:message>
   <wsdl:portType name="P">
     <wsdl:operation name="Op"><wsdl:input message="tns:In"/></wsdl:operation>
   </wsdl:portType>
 """)
-    desc = parse_wsdl("d", doc)
-    ids = [p.param_id for p in desc.parameters()]
-    assert ids == ["d::Op::input::item", "d::Op::input::item::2"]
-    assert len(set(ids)) == 2
+        ids = [p.param_id for p in parse_wsdl("d", doc).parameters()]
+        assert ids == [f"d::Op::input::{suffix}" for suffix in suffixes]
+        assert list(parse_wsdl_tree("d", doc).nodes) == ids
 
 
 def test_element_style_parts():
@@ -368,6 +371,16 @@ def test_descriptions_without_own_types_share_the_closure(tmp_path):
     assert own.types is not one.types
     assert QName("urn:test", "Own") in own.types
     assert QName("urn:test", "Own") not in one.types
+
+
+def test_file_named_twice_is_loaded_once(tmp_path):
+    source = tmp_path / "music_catalog.wsdl"
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", source)
+    os.symlink(source, tmp_path / "link.wsdl")
+    for paths in ([source, source], [source, tmp_path / "link.wsdl"]):
+        corpus = load_corpus(paths)
+        assert [d.source_id for d in corpus.descriptions] == [str(source)]
+        assert list(corpus.trees) == [str(source)]
 
 
 def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):

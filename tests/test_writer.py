@@ -1,7 +1,9 @@
 import json
+import xml.parsers.expat
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from semwsdl.explore import ExplorerConfig, annotate_description
 from semwsdl.ingest import SkippedFile, load_corpus, parse_wsdl, parse_wsdl_tree
@@ -19,7 +21,7 @@ from semwsdl.writer import (
     write_report,
     write_sawsdl,
 )
-from semwsdl.xmlio import parse_xml
+from semwsdl.xmlio import MalformedXml, parse_xml
 
 from conftest import CORPUS_DIR
 
@@ -33,6 +35,10 @@ def entry(concept, word, source=AnnotationSource.PARAMETER_NAME, path=(), depth=
 def load(name):
     data = (CORPUS_DIR / name).read_bytes()
     return data, parse_wsdl(name, data)
+
+
+def write(data, desc, annotations, config=None):
+    return write_sawsdl(parse_wsdl_tree(desc.source_id, data), desc, annotations, config)
 
 
 def annotation_for(desc, param_name, entries):
@@ -59,7 +65,7 @@ def test_injects_multiple_uris_space_separated():
         entry("ComposingMusic", "composer", AnnotationSource.SUBPARAMETER_NAME,
               ("composer",), 1),
     ])
-    output = write_sawsdl(data, desc, [ann])
+    output = write(data, desc, [ann])
     doc = parse_xml(output)
     assert any(v == SAWSDL_NAMESPACE for k, v in doc.root.attrs.items()
                if k.startswith("xmlns:"))
@@ -77,7 +83,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
         entry("Class", "category"),
         entry("Class", "category", AnnotationSource.TYPE_NAME),
     ])
-    output = write_sawsdl(data, desc, [ann])
+    output = write(data, desc, [ann])
     part = find_part(parse_xml(output).root, "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class"
 
@@ -85,7 +91,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
 def test_no_annotations_changes_only_the_declaration():
     data, desc = load("music_catalog.wsdl")
     empty = [Annotation(p.param_id) for p in desc.parameters()]
-    output = write_sawsdl(data, desc, empty)
+    output = write(data, desc, empty)
     assert b"modelReference" not in output
     doc = parse_xml(output)
     assert doc.root.attrs["xmlns:sawsdl"] == SAWSDL_NAMESPACE
@@ -93,18 +99,18 @@ def test_no_annotations_changes_only_the_declaration():
 
 def test_unannotated_parameters_need_no_annotation_objects():
     data, desc = load("music_catalog.wsdl")
-    assert write_sawsdl(data, desc, []) == write_sawsdl(
+    assert write(data, desc, []) == write(
         data, desc, [Annotation(p.param_id) for p in desc.parameters()])
 
 
 def test_injection_is_idempotent():
     data, desc = load("user_service.wsdl")
     ann = annotation_for(desc, "UserName", [entry("HoldsRight", "name")])
-    first = write_sawsdl(data, desc, [ann])
+    first = write(data, desc, [ann])
     # the annotated copy still parses as the same service, so a second
     # pass over it must change nothing
     desc2 = parse_wsdl("user_service.wsdl", first)
-    second = write_sawsdl(first, desc2, [ann])
+    second = write(first, desc2, [ann])
     assert first == second
 
 
@@ -114,7 +120,7 @@ def test_annotated_copy_reingests_identically(fixture_corpus, preprocess_config,
         data = Path(desc.source_id).read_bytes()
         annotations = annotate_description(
             desc, explorer_config, preprocess_config, demo_lexicon)
-        output = write_sawsdl(data, desc, annotations)
+        output = write(data, desc, annotations)
         again = parse_wsdl(desc.source_id, output)
         assert again.operations == desc.operations
         assert again.types == desc.types
@@ -125,7 +131,7 @@ def test_element_style_annotation_lands_on_the_element():
     ann = annotation_for(desc, "TransferRequest", [
         entry("CurrencyMeasure", "amount", AnnotationSource.SUBPARAMETER_NAME,
               ("amount",), 1)])
-    doc = parse_xml(write_sawsdl(data, desc, [ann]))
+    doc = parse_xml(write(data, desc, [ann]))
     carriers = [
         element for element in _walk(doc.root)
         if any("modelReference" in name for name in element.attrs)
@@ -145,10 +151,10 @@ def _walk(element):
 def test_existing_model_reference_is_merged():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [entry("Class", "category")])
-    first = write_sawsdl(data, desc, [ann])
+    first = write(data, desc, [ann])
     desc2 = parse_wsdl("music_catalog.wsdl", first)
     ann2 = annotation_for(desc2, "category", [entry("Collection", "category")])
-    second = write_sawsdl(first, desc2, [ann2])
+    second = write(first, desc2, [ann2])
     part = find_part(parse_xml(second).root, "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class {PREFIX}Collection"
 
@@ -169,7 +175,7 @@ def test_foreign_prefix_for_sawsdl_is_reused():
 </wsdl:definitions>""".encode()
     desc = parse_wsdl("pre.wsdl", data)
     ann = annotation_for(desc, "city", [entry("City", "city")])
-    output = write_sawsdl(data, desc, [ann])
+    output = write(data, desc, [ann])
     part = find_part(parse_xml(output).root, "city")
     assert part.attrs["sem:modelReference"] == f"urn:old#Kept {PREFIX}City"
     assert "sawsdl:modelReference" not in part.attrs
@@ -204,20 +210,128 @@ def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     tree = parse_wsdl_tree("shadow.wsdl", data)
     first = write_sawsdl(tree, desc, [ann])
     assert write_sawsdl(tree, desc, [ann]) == first
-    assert write_sawsdl(first, parse_wsdl("shadow.wsdl", first), [ann]) == first
+    assert write(first, parse_wsdl("shadow.wsdl", first), [ann]) == first
     part = find_part(parse_xml(first).root, "city")
     references = [name for name in part.attrs if name.endswith(":modelReference")
                   and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
     assert [part.attrs[name] for name in references] == [f"{PREFIX}City"]
 
 
+WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
+# sawsdl and sawsdl1 are the writer's own prefixes; binding them elsewhere
+# makes it pick another one
+ROUND_TRIP_PREFIXES = ["", "a", "sawsdl", "sawsdl1"]
+ROUND_TRIP_URIS = ["urn:one", "urn:two", SAWSDL_NAMESPACE]
+TEXT_PIECES = ["x", "é", " ", "\n", "\r\n", "\r", "\t", "&amp;", "&lt;", "&gt;",
+               "&quot;", "&#13;", "&#9;", "&#10;", "]]", ">", "'", '"', "-"]
+CDATA_PIECES = ["x", "<", "&", "&amp;", "]", "\r\n", "\r"]
+XML_DECLARATIONS = ['<?xml version="1.0"?>\n', '<?xml version="1.0" encoding="UTF-8"?>', ""]
+
+
+@st.composite
+def round_trip_documents(draw):
+    """WSDL documents full of what a copy must keep: every node kind,
+    character references, line ends, prolog and epilog nodes, shadowed prefixes."""
+
+    def text(pieces=TEXT_PIECES):
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=6)))
+
+    def misc():
+        kind = draw(st.sampled_from(["comment", "pi", "space"]))
+        if kind == "comment":
+            return f"<!--{text(TEXT_PIECES[:-1])}-->"  # no "-": "--" ends a comment
+        if kind == "pi":
+            return f"<?pi{draw(st.integers(0, 2))} {text()}?>"
+        return text([" ", "\n", "\t"])
+
+    def declarations(scope):
+        declared = draw(st.dictionaries(st.sampled_from(ROUND_TRIP_PREFIXES),
+                                        st.sampled_from(ROUND_TRIP_URIS), max_size=2))
+        scope.update(declared)
+        return "".join(f' xmlns:{p}="{uri}"' if p else f' xmlns="{uri}"'
+                       for p, uri in declared.items())
+
+    def content(scope, depth):
+        nodes = []
+        for kind in draw(st.lists(st.sampled_from(
+                ["text", "cdata", "misc", "element"] if depth < 3 else ["text", "misc"]),
+                max_size=4)):
+            if kind == "text":
+                nodes.append(text())
+            elif kind == "cdata":
+                nodes.append(f"<![CDATA[{text(CDATA_PIECES)}]]>")
+            elif kind == "misc":
+                nodes.append(misc())
+            else:
+                inner = dict(scope)
+                attrs = declarations(inner)
+                prefix = draw(st.sampled_from(ROUND_TRIP_PREFIXES))
+                if prefix and prefix not in inner:
+                    inner[prefix] = draw(st.sampled_from(ROUND_TRIP_URIS))
+                    attrs += f' xmlns:{prefix}="{inner[prefix]}"'
+                name = f"{prefix}:e{depth}" if prefix else f"e{depth}"
+                usable = ["v", *(f"{p}:v" for p in ("a", "sawsdl") if p in inner)]
+                for attr in draw(st.lists(st.sampled_from(usable), max_size=2, unique=True)):
+                    attrs += f' {attr}="{text()}"'.replace("<", "&lt;")
+                nodes.append(f"<{name}{attrs}>{''.join(content(inner, depth + 1))}</{name}>")
+        return nodes
+
+    scope = {"w": WSDL_NAMESPACE}
+    root_attrs = declarations(scope)
+    body = "".join(content(scope, 0))
+    document = (
+        draw(st.sampled_from(XML_DECLARATIONS))
+        + "".join(misc() for _ in range(draw(st.integers(0, 2))))
+        + f'<w:definitions xmlns:w="{WSDL_NAMESPACE}" targetNamespace="urn:t"{root_attrs}>'
+        + '<w:message name="In"><w:part name="q" type="x"/></w:message>'
+        + body + "</w:definitions>"
+        + "".join(misc() for _ in range(draw(st.integers(0, 2)))))
+    line_end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return document.replace("\n", line_end).encode()
+
+
+def expat_events(data):
+    """Namespace-aware expat's events, adjacent text runs merged."""
+    events = []
+
+    def text(data):
+        if events and events[-1][0] == "text":
+            events[-1] = ("text", events[-1][1] + data)
+        else:
+            events.append(("text", data))
+
+    parser = xml.parsers.expat.ParserCreate(namespace_separator=" ")
+    parser.ordered_attributes = True
+    parser.StartElementHandler = lambda name, attrs: events.append(("start", name, attrs))
+    parser.EndElementHandler = lambda name: events.append(("end", name))
+    parser.CharacterDataHandler = text
+    parser.CommentHandler = lambda data: events.append(("comment", data))
+    parser.ProcessingInstructionHandler = lambda target, data: events.append(
+        ("pi", target, data))
+    parser.Parse(data, True)
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_trip_documents())
+def test_unannotated_copy_keeps_the_document(data):
+    try:
+        source = expat_events(data)
+    except xml.parsers.expat.ExpatError:
+        assume(False)
+    desc = parse_wsdl("doc.wsdl", data)
+    copy = write_sawsdl(parse_wsdl_tree("doc.wsdl", data), desc, [])
+    assert expat_events(copy) == source
+    assert write(copy, parse_wsdl("doc.wsdl", copy), []) == copy
+
+
 def test_mismatched_description_is_rejected():
     data, desc = load("music_catalog.wsdl")
     other_data, _ = load("auth_service.wsdl")
     with pytest.raises(StructureMismatch):
-        write_sawsdl(other_data, desc, [])
-    with pytest.raises(StructureMismatch):
-        write_sawsdl(b"<not-wsdl/>", desc, [])
+        write(other_data, desc, [])
+    with pytest.raises(MalformedXml):
+        parse_wsdl_tree(desc.source_id, b"<not-wsdl/>")
 
 
 def test_retained_tree_of_another_document_is_rejected():
@@ -231,7 +345,7 @@ def test_custom_uri_prefix():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [entry("Class", "category")])
     config = WriterConfig(uri_prefix="https://onto.example/x#")
-    output = write_sawsdl(data, desc, [ann], config)
+    output = write(data, desc, [ann], config)
     assert b"https://onto.example/x#Class" in output
     with pytest.raises(ValueError):
         WriterConfig(uri_prefix="no-scheme")
@@ -277,11 +391,3 @@ def test_report_bytes_are_deterministic():
     annotations = [Annotation(p.param_id) for p in desc.parameters()]
     assert write_report(annotations, [desc]) == write_report(annotations, [desc])
 
-
-def test_pretty_report_carries_the_same_payload():
-    _, desc = load("music_catalog.wsdl")
-    annotations = [Annotation(p.param_id) for p in desc.parameters()]
-    compact = write_report(annotations, [desc])
-    pretty = write_report(annotations, [desc], config=WriterConfig(report_pretty=True))
-    assert pretty != compact
-    assert json.loads(pretty) == json.loads(compact)
