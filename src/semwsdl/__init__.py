@@ -15,9 +15,9 @@ from .explore import (
 from .ingest import (
     Corpus,
     EmptyCorpus,
+    ParsedWsdl,
     load_corpus,
     parse_wsdl,
-    parse_wsdl_tree,
     resolve_type,
 )
 from .lexicon import (
@@ -60,7 +60,7 @@ from .preprocess import (
     normalize,
     preprocess,
 )
-from .writer import StructureMismatch, WriterConfig, write_report, write_sawsdl
+from .writer import WriterConfig, write_report, write_sawsdl
 from .xmlio import MalformedXml
 
 __version__ = "0.1.0"
@@ -81,10 +81,10 @@ __all__ = [
     "Operation",
     "OverrideMap",
     "Parameter",
+    "ParsedWsdl",
     "PreprocessConfig",
     "QName",
     "Stage",
-    "StructureMismatch",
     "SubParameter",
     "TypeDefinition",
     "TypeKind",
@@ -106,7 +106,6 @@ __all__ = [
     "load_overrides",
     "normalize",
     "parse_wsdl",
-    "parse_wsdl_tree",
     "preprocess",
     "resolve_type",
     "run_ablation",

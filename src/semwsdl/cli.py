@@ -85,12 +85,13 @@ def _parse_stages(text: str | None) -> tuple[frozenset[Stage], bool]:
         return ALL_STAGES, True
     if text.strip().lower() == "none":
         return frozenset(), False
+    tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
+    if not tokens:
+        raise ConfigError(f"--stages {text!r} names no stage; expected a comma list of "
+                          "decompose, normalize, filter, explore, or none")
     stages = set()
     explore = False
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
+    for token in tokens:
         if token == "explore":
             explore = True
         elif token in _STAGE_TOKENS:
@@ -126,17 +127,17 @@ def _build_setup(args):
     abbreviations, stop_words = defaults.abbreviations, defaults.stop_words
     if args.abbreviations_path:
         abbreviations = parse_abbreviations(
-            Path(args.abbreviations_path).read_text("utf-8"), args.abbreviations_path)
+            Path(args.abbreviations_path).read_text("utf-8-sig"), args.abbreviations_path)
     if args.stopwords_path:
         stop_words = parse_stop_words(
-            Path(args.stopwords_path).read_text("utf-8"), args.stopwords_path)
+            Path(args.stopwords_path).read_text("utf-8-sig"), args.stopwords_path)
     preprocess_config = PreprocessConfig(abbreviations, stop_words, stage_set)
     explorer_config = ExplorerConfig(max_depth=args.max_depth,
                                      type_explorer_enabled=explore)
     lexicon = load_lexicon(Path(args.lexicon_path).read_bytes(),
                            source=args.lexicon_path)
     if args.overrides_path:
-        overrides = load_overrides(Path(args.overrides_path).read_text("utf-8"),
+        overrides = load_overrides(Path(args.overrides_path).read_text("utf-8-sig"),
                                    source=args.overrides_path)
     else:
         overrides = EMPTY_OVERRIDES
@@ -144,10 +145,14 @@ def _build_setup(args):
     return preprocess_config, explorer_config, lexicon, overrides, writer_config
 
 
+def _print_skipped(skipped: list[SkippedFile]) -> None:
+    for skip in skipped:
+        print(f"skipped {skip.path}: {skip.error}", file=sys.stderr)
+
+
 def _load_inputs(args) -> Corpus:
     corpus = load_corpus(_gather_inputs(args.input_paths))
-    for skip in corpus.skipped:
-        print(f"skipped {skip.path}: {skip.error}", file=sys.stderr)
+    _print_skipped(corpus.skipped)
     for description in corpus.descriptions:
         for warning in description.warnings:
             print(f"{description.source_id}: {warning}", file=sys.stderr)
@@ -177,18 +182,20 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
     names = _output_names([d.source_id for d in corpus.descriptions])
     all_annotations = []
     written = []
-    for description in corpus.descriptions:
+    # the corpus gives its documents up, so each tree is freed once written
+    documents, corpus.documents = corpus.documents[::-1], []
+    while documents:
+        parsed = documents.pop()
+        description = parsed.description
         annotations = annotate_description(description, explorer_config,
                                            preprocess_config, lexicon, overrides)
-        # popping releases each tree once written, which keeps memory flat
-        output = write_sawsdl(corpus.trees.pop(description.source_id),
-                              description, annotations, writer_config)
+        output = write_sawsdl(parsed, annotations, writer_config)
         try:
             (output_dir / names[description.source_id]).write_bytes(output)
         except OSError as exc:
             skip = SkippedFile(description.source_id, f"write error: {exc}")
             corpus.skipped.append(skip)
-            print(f"skipped {skip.path}: {skip.error}", file=sys.stderr)
+            _print_skipped([skip])
             continue
         written.append(description)
         all_annotations.extend(annotations)
@@ -201,7 +208,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
 
 def _run_ablate(args, corpus: Corpus, setup) -> None:
     preprocess_config, explorer_config, lexicon, overrides, _ = setup
-    report = run_ablation(corpus, preprocess_config, explorer_config,
+    report = run_ablation(corpus.descriptions, preprocess_config, explorer_config,
                           lexicon, overrides)
     (Path(args.output_dir) / "ablation.json").write_bytes(ablation_to_json(report))
     sys.stdout.write(render_ablation_table(report))
@@ -209,7 +216,7 @@ def _run_ablate(args, corpus: Corpus, setup) -> None:
 
 def _run_wordfreq(args, corpus: Corpus, setup) -> None:
     preprocess_config, explorer_config, lexicon, overrides, _ = setup
-    rows = word_frequency(corpus, preprocess_config, explorer_config,
+    rows = word_frequency(corpus.descriptions, preprocess_config, explorer_config,
                           lexicon, overrides)
     (Path(args.output_dir) / "words.csv").write_bytes(word_frequency_to_csv(rows))
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
@@ -245,6 +252,7 @@ def _run_command(args) -> int:
     try:
         corpus = _load_inputs(args)
     except EmptyCorpus as exc:
+        _print_skipped(exc.skipped)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -3,9 +3,9 @@
 Only the structural subset needed for annotation is modeled: portType
 operations, their messages and parts, and the inline XSD schemas that
 define parameter types.  Bindings, services and policy elements are
-parsed past without complaint.  Each document's parsed tree is kept
-alongside, with the node that declares each parameter, so the writer
-can inject attributes without parsing the document again.
+parsed past without complaint.  One parse and one walk give both the
+description and the document's tree, with the node that declares each
+parameter, so the writer can inject attributes without parsing again.
 """
 
 from __future__ import annotations
@@ -37,34 +37,44 @@ _ANY_TYPE = QName(XSD_NAMESPACE, "anyType")
 _OTHER_MODELS = ("choice", "all", "group", "complexContent", "simpleContent")
 
 
-class EmptyCorpus(ValueError):
-    """No description in the whole batch could be parsed."""
-
-
 @dataclass(frozen=True)
 class SkippedFile:
     path: str
     error: str
 
 
-@dataclass
-class WsdlTree:
-    """A parsed WSDL document and its parameters' declaring nodes, in order.
+class EmptyCorpus(ValueError):
+    """No description in the whole batch could be parsed; `skipped` says why."""
 
-    Several parameters may share one node (element-style parts).
+    def __init__(self, skipped: list[SkippedFile]):
+        super().__init__("no parseable WSDL description in input")
+        self.skipped = skipped
+
+
+@dataclass
+class ParsedWsdl:
+    """One WSDL document: its description, its tree and each parameter's node.
+
+    `nodes` maps every param_id of the description, in order, to the
+    element that declares it; several parameters may share one node
+    (element-style parts).
     """
 
+    description: WsDescription
     document: XmlDocument
     nodes: dict[str, XmlElement]
 
 
 @dataclass
 class Corpus:
-    """Parsed descriptions plus their document trees, keyed by source id."""
+    """The parsed documents of a batch, in input order, and the skipped files."""
 
-    descriptions: list[WsDescription]
-    trees: dict[str, WsdlTree]
+    documents: list[ParsedWsdl]
     skipped: list[SkippedFile] = field(default_factory=list)
+
+    @property
+    def descriptions(self) -> list[WsDescription]:
+        return [parsed.description for parsed in self.documents]
 
 
 @dataclass
@@ -214,9 +224,8 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     return Parameter(name, direction, type_ref, param_id)
 
 
-def _analyze(source_id: str,
-             document: XmlDocument) -> tuple[WsDescription, dict[str, XmlElement], list[str]]:
-    """One walk: the description, its param_id -> node map and its import locations."""
+def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[str]]:
+    """One walk: the parsed document and its import locations."""
     root = document.root
     if root.qname() != (WSDL_NAMESPACE, "definitions"):
         raise MalformedXml(f"{source_id}: root element is not wsdl:definitions")
@@ -267,18 +276,12 @@ def _analyze(source_id: str,
             operations.append(Operation(op_name, params.get(Direction.INPUT, ()),
                                         params.get(Direction.OUTPUT, ())))
     description = WsDescription(source_id, tuple(operations), index.types, tuple(warnings))
-    return description, nodes, import_locations
+    return ParsedWsdl(description, document, nodes), import_locations
 
 
-def parse_wsdl(source_id: str, document: bytes) -> WsDescription:
+def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
-    return _analyze(source_id, xmlio.parse_xml(document))[0]
-
-
-def parse_wsdl_tree(source_id: str, document: bytes) -> WsdlTree:
-    """Parse one WSDL document into its tree.  Raises MalformedXml on unusable input."""
-    xdoc = xmlio.parse_xml(document)
-    return WsdlTree(xdoc, _analyze(source_id, xdoc)[1])
+    return _analyze(source_id, xmlio.parse_xml(data))[0]
 
 
 def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition:
@@ -301,12 +304,12 @@ def load_corpus(paths: list) -> Corpus:
     that cannot be resolved (a symlink loop) is ignored like one outside
     it.  Each closure is computed once per directory and list of
     locations; descriptions without types of their own share the
-    closure's dict as their `types`, which therefore must not be mutated.
-    A file named more than once, in any spelling, is loaded once, under
-    its first.
+    closure's dict as their `types`, which therefore must not be mutated;
+    merging it rebinds a document's description, never its tree.  A file
+    named more than once, in any spelling, is loaded once, under its
+    first.  Raises EmptyCorpus, with the skipped files, when no WSDL parses.
     """
-    descriptions: list[WsDescription] = []
-    trees: dict[str, WsdlTree] = {}
+    documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
     schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str], Path]] = {}
     import_keys: list[tuple[Path, tuple[str, ...]]] = []
@@ -332,24 +335,24 @@ def load_corpus(paths: list) -> Corpus:
             schema_files[resolved] = (index.types, locations, resolved.parent)
             continue
         try:
-            description, nodes, locations = _analyze(source_id, xdoc)
+            parsed, locations = _analyze(source_id, xdoc)
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
-        descriptions.append(description)
-        trees[source_id] = WsdlTree(xdoc, nodes)
+        documents.append(parsed)
         import_keys.append((resolved.parent, tuple(locations)))
     closures: dict[tuple[Path, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
-    for position, (description, key) in enumerate(zip(descriptions, import_keys)):
+    for parsed, key in zip(documents, import_keys):
         imported = closures.get(key)
         if imported is None:
             imported = closures[key] = _imported_types(*key, schema_files)
         if imported:
-            types = {**imported, **description.types} if description.types else imported
-            descriptions[position] = replace(description, types=types)
-    if not descriptions:
-        raise EmptyCorpus("no parseable WSDL description in input")
-    return Corpus(descriptions, trees, skipped)
+            own = parsed.description.types
+            parsed.description = replace(parsed.description,
+                                         types={**imported, **own} if own else imported)
+    if not documents:
+        raise EmptyCorpus(skipped)
+    return Corpus(documents, skipped)
 
 
 def _imported_types(base_dir: Path, locations: tuple[str, ...],

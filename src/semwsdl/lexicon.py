@@ -66,7 +66,7 @@ def _as_text(document: bytes | str, source: str) -> str:
     if isinstance(document, str):
         return document
     try:
-        return document.decode("utf-8")
+        return document.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedLexiconLine(f"{source}: not UTF-8 text: {exc}") from None
 

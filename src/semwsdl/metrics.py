@@ -19,9 +19,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .explore import ExplorerConfig, annotate_description, annotate_parameter_with_trace
-from .ingest import Corpus
 from .lexicon import EMPTY_OVERRIDES, Lexicon, OverrideMap, associate
-from .model import Concept, Word, annotation_rate
+from .model import Concept, Word, WsDescription, annotation_rate
 from .preprocess import ALL_STAGES, PreprocessConfig, Stage
 
 STAGE_NAMES = (
@@ -91,15 +90,15 @@ def stage_configurations(preprocess_config: PreprocessConfig,
     ]
 
 
-def run_ablation(corpus: Corpus, preprocess_config: PreprocessConfig,
+def run_ablation(descriptions: list[WsDescription], preprocess_config: PreprocessConfig,
                  explorer_config: ExplorerConfig, lexicon: Lexicon,
                  overrides: OverrideMap = EMPTY_OVERRIDES) -> AblationReport:
-    """Annotate the corpus once per cumulative configuration and count."""
-    total = sum(1 for desc in corpus.descriptions for _ in desc.parameters())
+    """Annotate the descriptions once per cumulative configuration and count."""
+    total = sum(1 for desc in descriptions for _ in desc.parameters())
     rows = []
     for name, pcfg, ecfg in stage_configurations(preprocess_config, explorer_config):
         annotated = 0
-        for description in corpus.descriptions:
+        for description in descriptions:
             for annotation in annotate_description(description, ecfg, pcfg,
                                                    lexicon, overrides):
                 annotated += bool(annotation.entries)
@@ -107,7 +106,7 @@ def run_ablation(corpus: Corpus, preprocess_config: PreprocessConfig,
     return AblationReport(tuple(rows))
 
 
-def word_frequency(corpus: Corpus, preprocess_config: PreprocessConfig,
+def word_frequency(descriptions: list[WsDescription], preprocess_config: PreprocessConfig,
                    explorer_config: ExplorerConfig, lexicon: Lexicon,
                    overrides: OverrideMap = EMPTY_OVERRIDES) -> list[WordFrequencyRow]:
     """Count every word the full pipeline emitted while searching.
@@ -120,7 +119,7 @@ def word_frequency(corpus: Corpus, preprocess_config: PreprocessConfig,
     _, _, full_explorer = stage_configurations(preprocess_config, explorer_config)[-1]
     full_preprocess = replace(preprocess_config, enabled_stages=ALL_STAGES)
     counts: Counter[str] = Counter()
-    for description in corpus.descriptions:
+    for description in descriptions:
         for param in description.parameters():
             _, trace = annotate_parameter_with_trace(
                 param, description, full_explorer, full_preprocess, lexicon, overrides)

@@ -15,15 +15,11 @@ from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from . import xmlio
-from .ingest import SkippedFile, WsdlTree, WsDescription
+from .ingest import ParsedWsdl, SkippedFile, WsDescription
 from .model import Annotation, annotation_rate
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
-
-
-class StructureMismatch(ValueError):
-    """The description does not match the document it claims to describe."""
 
 
 @dataclass(frozen=True)
@@ -81,35 +77,29 @@ def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) 
     node.attrs[attr_name] = " ".join(merged)
 
 
-def write_sawsdl(tree: WsdlTree, desc: WsDescription,
-                 annotations: list[Annotation],
+def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
                  config: WriterConfig | None = None) -> bytes:
-    """Annotate the tree in place with modelReference attributes; serialize it.
+    """Annotate parsed.document in place with modelReference attributes; serialize it.
 
-    The tree is one kept in Corpus.trees, or, to annotate an already
-    written copy again, one from ingest.parse_wsdl_tree.  Raises
-    StructureMismatch when its parameters do not line up with the
-    description's.
+    The document is one from Corpus.documents or, to annotate an
+    already written copy again, from ingest.parse_wsdl.  Annotations
+    reach the document through parsed.nodes, by param_id.
     """
     config = config or WriterConfig()
-    if list(tree.nodes) != [param.param_id for param in desc.parameters()]:
-        raise StructureMismatch(
-            f"{desc.source_id}: document declares {len(tree.nodes)} parameters "
-            f"that do not match the description")
     by_id = {annotation.param_id: annotation for annotation in annotations}
     # group URI lists per target node (hashed by identity); one node can
     # declare several parameters
     uris_for: dict[XmlElement, list[str]] = {}
-    for param_id, node in tree.nodes.items():
+    for param_id, node in parsed.nodes.items():
         annotation = by_id.get(param_id)
         if annotation is None or not annotation.entries:
             continue
         uris_for.setdefault(node, []).extend(
             config.uri_prefix + entry.concept.id for entry in annotation.entries)
-    root_prefix = _ensure_root_declaration(tree.document.root)
+    root_prefix = _ensure_root_declaration(parsed.document.root)
     for node, uris in uris_for.items():
         _merge_model_reference(node, uris, root_prefix)
-    return xmlio.serialize(tree.document)
+    return xmlio.serialize(parsed.document)
 
 
 def _direction_summary(annotated: int, total: int) -> dict:

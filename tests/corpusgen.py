@@ -2,7 +2,6 @@
 
 import random
 
-from semwsdl.ingest import Corpus
 from semwsdl.model import (
     XSD_NAMESPACE,
     Direction,
@@ -82,5 +81,4 @@ def random_corpus(seed, size=None):
     rng = random.Random(seed)
     if size is None:
         size = rng.randint(1, 3)
-    descriptions = [random_description(rng, i) for i in range(size)]
-    return Corpus(descriptions, {}, [])
+    return [random_description(rng, i) for i in range(size)]

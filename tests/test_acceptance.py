@@ -36,7 +36,6 @@ from semwsdl import (
     default_lexicon,
     load_corpus,
     parse_wsdl,
-    parse_wsdl_tree,
     preprocess,
     run_ablation,
     write_report,
@@ -91,7 +90,7 @@ def test_criterion_2_worked_example_trace():
 def test_criterion_3_structure_exploration_scenario():
     def check():
         data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
-        desc = parse_wsdl("music_catalog.wsdl", data)
+        desc = parse_wsdl("music_catalog.wsdl", data).description
         param = next(p for p in desc.parameters() if p.name == "category")
         lexicon = default_lexicon()
         explorer = ExplorerConfig()
@@ -126,7 +125,7 @@ def test_criterion_5_staged_evaluation_against_reference(fixture_corpus):
         started = time.perf_counter()
         config = default_config()
         lexicon = default_lexicon()
-        report = run_ablation(fixture_corpus, config, ExplorerConfig(), lexicon)
+        report = run_ablation(fixture_corpus.descriptions, config, ExplorerConfig(), lexicon)
         rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
         expected = bruteforce.oracle_ablation(
             fixture_corpus.descriptions, config.abbreviations,
@@ -168,12 +167,11 @@ def test_criterion_7_round_trip_and_idempotence(fixture_corpus):
         for desc in fixture_corpus.descriptions:
             data = Path(desc.source_id).read_bytes()
             annotations = annotate_description(desc, explorer, config, lexicon)
-            first = write_sawsdl(parse_wsdl_tree(desc.source_id, data), desc, annotations)
+            first = write_sawsdl(parse_wsdl(desc.source_id, data), annotations)
             again = parse_wsdl(desc.source_id, first)
-            assert again.operations == desc.operations
-            assert again.types == desc.types
-            second = write_sawsdl(parse_wsdl_tree(desc.source_id, first), again, annotations)
-            assert second == first, desc.source_id
+            assert again.description.operations == desc.operations
+            assert again.description.types == desc.types
+            assert write_sawsdl(again, annotations) == first, desc.source_id
     _verdict(7, "annotated copies re-ingest equal and re-inject byte-identical", check)
 
 
@@ -227,8 +225,7 @@ def test_criterion_9_module_invariant_properties():
     @settings(max_examples=1000, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def annotations_stay_level_pure(seed):
-        corpus = random_corpus(seed, size=1)
-        for desc in corpus.descriptions:
+        for desc in random_corpus(seed, size=1):
             for annotation in annotate_description(
                     desc, ExplorerConfig(), config, lexicon):
                 assert len({(e.source, e.depth) for e in annotation.entries}) <= 1

@@ -3,7 +3,7 @@ import os
 import shutil
 from pathlib import Path
 
-from semwsdl import annotate_description, cli, parse_wsdl_tree, write_sawsdl
+from semwsdl import annotate_description, cli, parse_wsdl, write_sawsdl
 from semwsdl.xmlio import parse_xml
 
 from conftest import CORPUS_DIR, LEXICON_PATH, SPECIAL_DIR
@@ -215,8 +215,8 @@ def test_written_copies_equal_annotating_the_file_bytes(tmp_path, fixture_corpus
     for desc in fixture_corpus.descriptions:
         annotations = annotate_description(desc, explorer_config, preprocess_config,
                                            demo_lexicon)
-        tree = parse_wsdl_tree(desc.source_id, Path(desc.source_id).read_bytes())
-        expected = write_sawsdl(tree, desc, annotations)
+        parsed = parse_wsdl(desc.source_id, Path(desc.source_id).read_bytes())
+        expected = write_sawsdl(parsed, annotations)
         written = out / f"{Path(desc.source_id).stem}.sawsdl.wsdl"
         assert written.read_bytes() == expected, desc.source_id
 
@@ -280,14 +280,47 @@ def test_fatal_errors_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.run(base_args("annotate", [empty], out)) == 2
-    assert cli.run(base_args("annotate", [CORPUS_DIR], out)
-                   + ["--stages", "shuffle"]) == 2
+    # an unknown stage, and lists that name no stage at all
+    for stages in ("shuffle", "", ","):
+        assert cli.run(base_args("annotate", [CORPUS_DIR], out)
+                       + ["--stages", stages]) == 2
     missing = tmp_path / "missing.tsv"
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR),
                     "--output-dir", str(out), "--lexicon-path", str(missing)]) == 2
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR)]) == 2
     assert cli.run([]) == 2
     capsys.readouterr()
+
+
+def test_nothing_parseable_still_reports_why(tmp_path, capsys):
+    truncated = tmp_path / "cut.wsdl"
+    truncated.write_text(MINIMAL[:120])
+    assert cli.run(base_args("annotate", [truncated], tmp_path / "out")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith(f"skipped {truncated}: ")
+    assert lines[1] == "error: no parseable WSDL description in input"
+
+
+def test_byte_order_mark_in_text_inputs_is_ignored(tmp_path):
+    data = LEXICON_PATH.parent
+    sources = {"--lexicon-path": data / "lexicon.tsv",
+               "--abbreviations-path": data / "abbreviations.txt",
+               "--stopwords-path": data / "stopwords.txt",
+               "--overrides-path": tmp_path / "overrides.txt"}
+    sources["--overrides-path"].write_text("play=RecreationOrExercise\n")
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        copies, out = tmp_path / f"in{len(bom)}", tmp_path / f"out{len(bom)}"
+        copies.mkdir()
+        args = ["annotate", "--input-paths", str(CORPUS_DIR), "--output-dir", str(out)]
+        for flag, source in sources.items():
+            copy = copies / source.name
+            copy.write_bytes(bom + source.read_bytes())
+            args += [flag, str(copy)]
+        assert cli.run(args) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_internal_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,6 @@ from semwsdl.ingest import (
     EmptyCorpus,
     load_corpus,
     parse_wsdl,
-    parse_wsdl_tree,
     resolve_type,
 )
 from semwsdl.model import Direction, QName, SubParameter, TypeKind, XSD_NAMESPACE
@@ -38,7 +37,7 @@ MINIMAL = wsdl("""
 
 
 def test_parse_minimal_document():
-    desc = parse_wsdl("mini.wsdl", MINIMAL)
+    desc = parse_wsdl("mini.wsdl", MINIMAL).description
     assert desc.source_id == "mini.wsdl"
     assert len(desc.operations) == 1
     op = desc.operations[0]
@@ -55,7 +54,7 @@ def test_parse_minimal_document():
 
 def test_parse_catalog_fixture():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
-    desc = parse_wsdl("music_catalog.wsdl", data)
+    desc = parse_wsdl("music_catalog.wsdl", data).description
     op = desc.operations[0]
     assert op.name == "GetCategory"
     category = op.inputs[0]
@@ -73,7 +72,7 @@ def test_parse_catalog_fixture():
 
 def test_parse_is_deterministic():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
-    assert parse_wsdl("x", data) == parse_wsdl("x", data)
+    assert parse_wsdl("x", data).description == parse_wsdl("x", data).description
 
 
 def test_truncated_document_raises():
@@ -94,7 +93,7 @@ def test_operation_with_undeclared_message_is_skipped():
     <wsdl:operation name="Broken"><wsdl:input message="tns:Missing"/></wsdl:operation>
   </wsdl:portType>
 """)
-    desc = parse_wsdl("s", doc)
+    desc = parse_wsdl("s", doc).description
     assert [op.name for op in desc.operations] == ["Good"]
     assert len(desc.warnings) == 1
     assert "Broken" in desc.warnings[0]
@@ -114,14 +113,15 @@ def test_duplicate_part_names_get_distinct_ids():
     <wsdl:operation name="Op"><wsdl:input message="tns:In"/></wsdl:operation>
   </wsdl:portType>
 """)
-        ids = [p.param_id for p in parse_wsdl("d", doc).parameters()]
+        parsed = parse_wsdl("d", doc)
+        ids = [p.param_id for p in parsed.description.parameters()]
         assert ids == [f"d::Op::input::{suffix}" for suffix in suffixes]
-        assert list(parse_wsdl_tree("d", doc).nodes) == ids
+        assert list(parsed.nodes) == ids
 
 
 def test_element_style_parts():
     data = (CORPUS_DIR / "bank_transfer.wsdl").read_bytes()
-    desc = parse_wsdl("bank_transfer.wsdl", data)
+    desc = parse_wsdl("bank_transfer.wsdl", data).description
     params = list(desc.parameters())
     # part name "body" is replaced by the referenced element's name
     assert [p.name for p in params] == ["TransferRequest", "DepositNote"]
@@ -140,7 +140,7 @@ def test_element_style_parts():
 
 def test_type_kind_classification():
     data = (CORPUS_DIR / "registry_types.wsdl").read_bytes()
-    desc = parse_wsdl("registry_types.wsdl", data)
+    desc = parse_wsdl("registry_types.wsdl", data).description
     tns = "http://example.com/registry-types"
     assert desc.types[QName(tns, "ColorCode")].kind is TypeKind.CUSTOM_SIMPLE
     assert desc.types[QName(tns, "MiscUnion")].kind is TypeKind.COMPLEX_OTHER
@@ -155,14 +155,14 @@ def test_empty_sequence_means_empty_complex():
     </xsd:schema>
   </wsdl:types>
 """)
-    desc = parse_wsdl("e", doc)
+    desc = parse_wsdl("e", doc).description
     assert desc.types[QName("urn:test", "Hollow")].kind is TypeKind.EMPTY_COMPLEX
     assert desc.types[QName("urn:test", "Bare")].kind is TypeKind.EMPTY_COMPLEX
 
 
 def test_resolve_type_is_total():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
-    desc = parse_wsdl("m", data)
+    desc = parse_wsdl("m", data).description
     builtin = resolve_type(desc, QName(XSD_NAMESPACE, "string"))
     assert builtin.kind is TypeKind.BUILTIN
     local = resolve_type(desc, QName(TNS, "categoryDetail"))
@@ -173,7 +173,7 @@ def test_resolve_type_is_total():
 
 
 def test_bom_prefixed_document():
-    desc = parse_wsdl("bom", b"\xef\xbb\xbf" + MINIMAL)
+    desc = parse_wsdl("bom", b"\xef\xbb\xbf" + MINIMAL).description
     assert desc.operations[0].name == "Ask"
 
 
@@ -185,7 +185,6 @@ def test_load_corpus_records_failures(tmp_path):
     corpus = load_corpus([good, bad])
     assert len(corpus.descriptions) == 1
     assert corpus.descriptions[0].source_id == str(good)
-    assert list(corpus.trees) == [str(good)]
     assert len(corpus.skipped) == 1
     assert corpus.skipped[0].path == str(bad)
     assert corpus.skipped[0].error
@@ -199,8 +198,10 @@ def test_load_corpus_empty_input():
 def test_load_corpus_nothing_parseable(tmp_path):
     bad = tmp_path / "only.wsdl"
     bad.write_bytes(b"not xml at all")
-    with pytest.raises(EmptyCorpus):
+    with pytest.raises(EmptyCorpus) as caught:
         load_corpus([bad])
+    # the exception carries the reasons, since no corpus is returned
+    assert [skip.path for skip in caught.value.skipped] == [str(bad)]
 
 
 def test_load_corpus_over_fixture_directory(fixture_corpus):
@@ -208,11 +209,9 @@ def test_load_corpus_over_fixture_directory(fixture_corpus):
     assert fixture_corpus.skipped == []
     total = sum(len(list(d.parameters())) for d in fixture_corpus.descriptions)
     assert total == 27
-    # every description keeps its tree, with one node per parameter in order
-    assert list(fixture_corpus.trees) == [d.source_id for d in fixture_corpus.descriptions]
-    for desc in fixture_corpus.descriptions:
-        nodes = fixture_corpus.trees[desc.source_id].nodes
-        assert list(nodes) == [param.param_id for param in desc.parameters()]
+    # every document keeps its tree, with one node per parameter in order
+    for parsed in fixture_corpus.documents:
+        assert list(parsed.nodes) == [p.param_id for p in parsed.description.parameters()]
 
 
 def test_corrupt_fixture_is_skipped():
@@ -244,8 +243,9 @@ def test_schema_import_ignored_outside_batch():
 
 
 def test_corpus_is_plain_data():
-    corpus = Corpus(descriptions=[], trees={}, skipped=[])
-    assert corpus.descriptions == []
+    parsed = parse_wsdl("mini.wsdl", MINIMAL)
+    corpus = Corpus(documents=[parsed])
+    assert corpus.descriptions == [parsed.description]
     assert corpus.skipped == []
 
 
@@ -380,7 +380,6 @@ def test_file_named_twice_is_loaded_once(tmp_path):
     for paths in ([source, source], [source, tmp_path / "link.wsdl"]):
         corpus = load_corpus(paths)
         assert [d.source_id for d in corpus.descriptions] == [str(source)]
-        assert list(corpus.trees) == [str(source)]
 
 
 def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from semwsdl.explore import ExplorerConfig, annotate_description, annotate_parameter
-from semwsdl.ingest import Corpus
 from semwsdl.metrics import (
     AblationReport,
     AblationRow,
@@ -41,10 +40,10 @@ EXPECTED_FIXTURE_COUNTS = (8, 13, 14, 13, 19)
 FIXTURE_TOTAL = 27
 
 
-def oracle_rows(corpus, preprocess_config, overrides=None):
+def oracle_rows(descriptions, preprocess_config, overrides=None):
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
     return bruteforce.oracle_ablation(
-        corpus.descriptions, preprocess_config.abbreviations,
+        descriptions, preprocess_config.abbreviations,
         preprocess_config.stop_words, rank1, overrides or {})
 
 
@@ -53,20 +52,20 @@ def name_only_corpus(names):
         Parameter(name, Direction.INPUT, XSD_STRING, f"t::Op{i}::input::{name}")
         for i, name in enumerate(names))
     desc = WsDescription("t", (Operation("Op", params, ()),))
-    return Corpus([desc], {}, [])
+    return [desc]
 
 
 def test_fixture_ablation_matches_reference_search(fixture_corpus, preprocess_config,
                                                    explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
-    expected = oracle_rows(fixture_corpus, preprocess_config)
+    expected = oracle_rows(fixture_corpus.descriptions, preprocess_config)
     assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
 
 
 def test_fixture_ablation_counts_are_stable(fixture_corpus, preprocess_config,
                                             explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     assert tuple(r.annotated for r in report.rows) == EXPECTED_FIXTURE_COUNTS
     assert all(r.total == FIXTURE_TOTAL for r in report.rows)
@@ -77,7 +76,7 @@ def test_fixture_ablation_counts_are_stable(fixture_corpus, preprocess_config,
 def test_filtering_can_cost_and_explorer_always_gains(fixture_corpus,
                                                       preprocess_config,
                                                       explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     by_name = {row.stage_name: row for row in report.rows}
     assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
@@ -118,7 +117,7 @@ def test_all_stages_hit_on_plain_names(preprocess_config, explorer_config,
 
 def test_empty_corpus_gives_zero_rows(preprocess_config, explorer_config,
                                       demo_lexicon):
-    report = run_ablation(Corpus([], {}, []), preprocess_config, explorer_config,
+    report = run_ablation([], preprocess_config, explorer_config,
                           demo_lexicon)
     assert all((row.annotated, row.total, row.rate) == (0, 0, 0.0)
                for row in report.rows)
@@ -126,7 +125,7 @@ def test_empty_corpus_gives_zero_rows(preprocess_config, explorer_config,
 
 def test_final_row_equals_standard_annotation(fixture_corpus, preprocess_config,
                                               explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     annotated = sum(
         annotation.annotated
@@ -168,7 +167,7 @@ def test_word_frequency_includes_failed_search_words(preprocess_config,
 
 def test_word_frequency_matches_reference_counts(fixture_corpus, preprocess_config,
                                                  explorer_config, demo_lexicon):
-    rows = word_frequency(fixture_corpus, preprocess_config, explorer_config,
+    rows = word_frequency(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     counted = {row.word.text: row.occurrences for row in rows}
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
@@ -183,7 +182,7 @@ def test_word_frequency_matches_reference_counts(fixture_corpus, preprocess_conf
 
 def test_word_frequency_empty_corpus(preprocess_config, explorer_config,
                                      demo_lexicon):
-    assert word_frequency(Corpus([], {}, []), preprocess_config, explorer_config,
+    assert word_frequency([], preprocess_config, explorer_config,
                           demo_lexicon) == []
 
 
@@ -204,7 +203,7 @@ def test_csv_format():
 
 def test_ablation_json_round_trip(fixture_corpus, preprocess_config,
                                   explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     payload = json.loads(ablation_to_json(report))
     assert [row["stage"] for row in payload["rows"]] == list(STAGE_NAMES)
@@ -215,7 +214,7 @@ def test_ablation_json_round_trip(fixture_corpus, preprocess_config,
 
 def test_table_rendering(fixture_corpus, preprocess_config, explorer_config,
                          demo_lexicon):
-    report = run_ablation(fixture_corpus, preprocess_config, explorer_config,
+    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
                           demo_lexicon)
     table = render_ablation_table(report)
     for name in STAGE_NAMES:

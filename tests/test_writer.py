@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from semwsdl.explore import ExplorerConfig, annotate_description
-from semwsdl.ingest import SkippedFile, load_corpus, parse_wsdl, parse_wsdl_tree
+from semwsdl.ingest import SkippedFile, parse_wsdl
 from semwsdl.model import (
     Annotation,
     AnnotationEntry,
@@ -16,12 +16,11 @@ from semwsdl.model import (
 )
 from semwsdl.writer import (
     SAWSDL_NAMESPACE,
-    StructureMismatch,
     WriterConfig,
     write_report,
     write_sawsdl,
 )
-from semwsdl.xmlio import MalformedXml, parse_xml
+from semwsdl.xmlio import parse_xml
 
 from conftest import CORPUS_DIR
 
@@ -34,11 +33,11 @@ def entry(concept, word, source=AnnotationSource.PARAMETER_NAME, path=(), depth=
 
 def load(name):
     data = (CORPUS_DIR / name).read_bytes()
-    return data, parse_wsdl(name, data)
+    return data, parse_wsdl(name, data).description
 
 
-def write(data, desc, annotations, config=None):
-    return write_sawsdl(parse_wsdl_tree(desc.source_id, data), desc, annotations, config)
+def write(data, source_id, annotations, config=None):
+    return write_sawsdl(parse_wsdl(source_id, data), annotations, config)
 
 
 def annotation_for(desc, param_name, entries):
@@ -65,7 +64,7 @@ def test_injects_multiple_uris_space_separated():
         entry("ComposingMusic", "composer", AnnotationSource.SUBPARAMETER_NAME,
               ("composer",), 1),
     ])
-    output = write(data, desc, [ann])
+    output = write(data, desc.source_id, [ann])
     doc = parse_xml(output)
     assert any(v == SAWSDL_NAMESPACE for k, v in doc.root.attrs.items()
                if k.startswith("xmlns:"))
@@ -83,7 +82,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
         entry("Class", "category"),
         entry("Class", "category", AnnotationSource.TYPE_NAME),
     ])
-    output = write(data, desc, [ann])
+    output = write(data, desc.source_id, [ann])
     part = find_part(parse_xml(output).root, "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class"
 
@@ -91,7 +90,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
 def test_no_annotations_changes_only_the_declaration():
     data, desc = load("music_catalog.wsdl")
     empty = [Annotation(p.param_id) for p in desc.parameters()]
-    output = write(data, desc, empty)
+    output = write(data, desc.source_id, empty)
     assert b"modelReference" not in output
     doc = parse_xml(output)
     assert doc.root.attrs["xmlns:sawsdl"] == SAWSDL_NAMESPACE
@@ -99,18 +98,17 @@ def test_no_annotations_changes_only_the_declaration():
 
 def test_unannotated_parameters_need_no_annotation_objects():
     data, desc = load("music_catalog.wsdl")
-    assert write(data, desc, []) == write(
-        data, desc, [Annotation(p.param_id) for p in desc.parameters()])
+    assert write(data, desc.source_id, []) == write(
+        data, desc.source_id, [Annotation(p.param_id) for p in desc.parameters()])
 
 
 def test_injection_is_idempotent():
     data, desc = load("user_service.wsdl")
     ann = annotation_for(desc, "UserName", [entry("HoldsRight", "name")])
-    first = write(data, desc, [ann])
+    first = write(data, desc.source_id, [ann])
     # the annotated copy still parses as the same service, so a second
     # pass over it must change nothing
-    desc2 = parse_wsdl("user_service.wsdl", first)
-    second = write(first, desc2, [ann])
+    second = write(first, desc.source_id, [ann])
     assert first == second
 
 
@@ -120,8 +118,8 @@ def test_annotated_copy_reingests_identically(fixture_corpus, preprocess_config,
         data = Path(desc.source_id).read_bytes()
         annotations = annotate_description(
             desc, explorer_config, preprocess_config, demo_lexicon)
-        output = write(data, desc, annotations)
-        again = parse_wsdl(desc.source_id, output)
+        output = write(data, desc.source_id, annotations)
+        again = parse_wsdl(desc.source_id, output).description
         assert again.operations == desc.operations
         assert again.types == desc.types
 
@@ -131,7 +129,7 @@ def test_element_style_annotation_lands_on_the_element():
     ann = annotation_for(desc, "TransferRequest", [
         entry("CurrencyMeasure", "amount", AnnotationSource.SUBPARAMETER_NAME,
               ("amount",), 1)])
-    doc = parse_xml(write(data, desc, [ann]))
+    doc = parse_xml(write(data, desc.source_id, [ann]))
     carriers = [
         element for element in _walk(doc.root)
         if any("modelReference" in name for name in element.attrs)
@@ -151,10 +149,10 @@ def _walk(element):
 def test_existing_model_reference_is_merged():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [entry("Class", "category")])
-    first = write(data, desc, [ann])
-    desc2 = parse_wsdl("music_catalog.wsdl", first)
+    first = write(data, desc.source_id, [ann])
+    desc2 = parse_wsdl("music_catalog.wsdl", first).description
     ann2 = annotation_for(desc2, "category", [entry("Collection", "category")])
-    second = write(first, desc2, [ann2])
+    second = write(first, desc2.source_id, [ann2])
     part = find_part(parse_xml(second).root, "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class {PREFIX}Collection"
 
@@ -173,9 +171,9 @@ def test_foreign_prefix_for_sawsdl_is_reused():
     <wsdl:operation name="Go"><wsdl:input message="tns:In"/></wsdl:operation>
   </wsdl:portType>
 </wsdl:definitions>""".encode()
-    desc = parse_wsdl("pre.wsdl", data)
+    desc = parse_wsdl("pre.wsdl", data).description
     ann = annotation_for(desc, "city", [entry("City", "city")])
-    output = write(data, desc, [ann])
+    output = write(data, desc.source_id, [ann])
     part = find_part(parse_xml(output).root, "city")
     assert part.attrs["sem:modelReference"] == f"urn:old#Kept {PREFIX}City"
     assert "sawsdl:modelReference" not in part.attrs
@@ -205,12 +203,11 @@ SHADOWING = """<?xml version="1.0"?>
 def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     data = SHADOWING.format(sawsdl=SAWSDL_NAMESPACE, message_attrs=message_attrs,
                             part_attrs=part_attrs).encode()
-    desc = parse_wsdl("shadow.wsdl", data)
-    ann = annotation_for(desc, "city", [entry("City", "city")])
-    tree = parse_wsdl_tree("shadow.wsdl", data)
-    first = write_sawsdl(tree, desc, [ann])
-    assert write_sawsdl(tree, desc, [ann]) == first
-    assert write(first, parse_wsdl("shadow.wsdl", first), [ann]) == first
+    parsed = parse_wsdl("shadow.wsdl", data)
+    ann = annotation_for(parsed.description, "city", [entry("City", "city")])
+    first = write_sawsdl(parsed, [ann])
+    assert write_sawsdl(parsed, [ann]) == first
+    assert write(first, "shadow.wsdl", [ann]) == first
     part = find_part(parse_xml(first).root, "city")
     references = [name for name in part.attrs if name.endswith(":modelReference")
                   and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
@@ -319,33 +316,16 @@ def test_unannotated_copy_keeps_the_document(data):
         source = expat_events(data)
     except xml.parsers.expat.ExpatError:
         assume(False)
-    desc = parse_wsdl("doc.wsdl", data)
-    copy = write_sawsdl(parse_wsdl_tree("doc.wsdl", data), desc, [])
+    copy = write_sawsdl(parse_wsdl("doc.wsdl", data), [])
     assert expat_events(copy) == source
-    assert write(copy, parse_wsdl("doc.wsdl", copy), []) == copy
-
-
-def test_mismatched_description_is_rejected():
-    data, desc = load("music_catalog.wsdl")
-    other_data, _ = load("auth_service.wsdl")
-    with pytest.raises(StructureMismatch):
-        write(other_data, desc, [])
-    with pytest.raises(MalformedXml):
-        parse_wsdl_tree(desc.source_id, b"<not-wsdl/>")
-
-
-def test_retained_tree_of_another_document_is_rejected():
-    _, desc = load("music_catalog.wsdl")
-    other = load_corpus([CORPUS_DIR / "auth_service.wsdl"])
-    with pytest.raises(StructureMismatch):
-        write_sawsdl(other.trees[str(CORPUS_DIR / "auth_service.wsdl")], desc, [])
+    assert write(copy, "doc.wsdl", []) == copy
 
 
 def test_custom_uri_prefix():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [entry("Class", "category")])
     config = WriterConfig(uri_prefix="https://onto.example/x#")
-    output = write(data, desc, [ann], config)
+    output = write(data, desc.source_id, [ann], config)
     assert b"https://onto.example/x#Class" in output
     with pytest.raises(ValueError):
         WriterConfig(uri_prefix="no-scheme")
