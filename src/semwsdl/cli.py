@@ -8,6 +8,7 @@ internal error).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -102,23 +103,26 @@ def _parse_stages(text: str | None) -> tuple[frozenset[Stage], bool]:
     return frozenset(stages), explore
 
 
-def _gather_inputs(paths: list[str]) -> list[str]:
+def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
-    Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated.
-    A file named twice is left in twice; load_corpus loads it once.
+    Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated;
+    the second value counts the copies passed over.  A file named twice is
+    left in twice; load_corpus loads it once.
     """
     files: list[str] = []
+    copies = 0
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            files.extend(sorted(
-                str(child) for child in path.iterdir()
-                if child.is_file() and child.suffix in (".wsdl", ".xsd")
-                and not child.name.endswith(".sawsdl.wsdl")))
+            listed = sorted(str(child) for child in path.iterdir()
+                            if child.is_file() and child.suffix in (".wsdl", ".xsd"))
+            kept = [name for name in listed if not name.endswith(".sawsdl.wsdl")]
+            copies += len(listed) - len(kept)
+            files.extend(kept)
         else:
             files.append(raw)
-    return files
+    return files, copies
 
 
 def _build_setup(args):
@@ -150,8 +154,8 @@ def _print_skipped(skipped: list[SkippedFile]) -> None:
         print(f"skipped {skip.path}: {skip.error}", file=sys.stderr)
 
 
-def _load_inputs(args) -> Corpus:
-    corpus = load_corpus(_gather_inputs(args.input_paths))
+def _load_inputs(files: list[str]) -> Corpus:
+    corpus = load_corpus(files)
     _print_skipped(corpus.skipped)
     for description in corpus.descriptions:
         for warning in description.warnings:
@@ -249,11 +253,17 @@ def _run_command(args) -> int:
     except (OSError, ConfigError, LexiconError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    files, copies = _gather_inputs(args.input_paths)
     try:
-        corpus = _load_inputs(args)
+        corpus = _load_inputs(files)
     except EmptyCorpus as exc:
         _print_skipped(exc.skipped)
-        print(f"error: {exc}", file=sys.stderr)
+        passed_over = ""
+        if copies:
+            written = "copy" if copies == 1 else "copies"
+            passed_over = (f"; passed over {copies} written {written} (*.sawsdl.wsdl) "
+                           "in directory listings")
+        print(f"error: {exc}{passed_over}", file=sys.stderr)
         return 2
     try:
         Path(args.output_dir).mkdir(parents=True, exist_ok=True)
@@ -265,6 +275,10 @@ def _run_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A run builds large acyclic tables and exits; the few cycles it leaves
+    # (argparse's, not one per input file) die with the process.  run()
+    # keeps the collector for callers that live on.
+    gc.disable()
     return run(sys.argv[1:] if argv is None else argv)
 
 

@@ -46,8 +46,13 @@ class SkippedFile:
 class EmptyCorpus(ValueError):
     """No description in the whole batch could be parsed; `skipped` says why."""
 
-    def __init__(self, skipped: list[SkippedFile]):
-        super().__init__("no parseable WSDL description in input")
+    def __init__(self, skipped: list[SkippedFile], schemas: int = 0):
+        message = "no parseable WSDL description in input"
+        if schemas:
+            files = "file" if schemas == 1 else "files"
+            message += (f"; read {schemas} schema {files} (schema files are import "
+                        "targets, not descriptions)")
+        super().__init__(message)
         self.skipped = skipped
 
 
@@ -351,7 +356,7 @@ def load_corpus(paths: list) -> Corpus:
             parsed.description = replace(parsed.description,
                                          types={**imported, **own} if own else imported)
     if not documents:
-        raise EmptyCorpus(skipped)
+        raise EmptyCorpus(skipped, len(schema_files))
     return Corpus(documents, skipped)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain, compress, repeat
+from operator import add, eq, mul, not_
 
 from .model import Concept, Word
 
@@ -77,10 +79,94 @@ def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
     Blank lines and '#' comments are ignored.  Ranks per word must form
     1..k with no gaps or duplicates.  Words that name the same concept id
     share one Concept object.
+
+    A canonical document (see _load_canonical) is read column by column;
+    any other document goes through the line loop, which accepts every
+    form and reports the first error with its line number.  Both give the
+    same entries in the same order.
     """
+    text = _as_text(document, source)
+    entries = _load_canonical(text)
+    if entries is None:
+        entries = _load_lines(text, source)
+    return Lexicon(entries=entries)
+
+
+# every line break str.splitlines honours, except \n
+_OTHER_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+_SPACE_RE = re.compile(r"\s")
+# only one block's field strings are alive at a time
+_BLOCK_CHARS = 1 << 18
+
+
+def _blocks(text: str):
+    r"""Slices of whole lines, about _BLOCK_CHARS each; text ends in \n."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", min(start + _BLOCK_CHARS, len(text)) - 1) + 1
+        yield text[start:end]
+        start = end
+
+
+def _load_canonical(text: str) -> dict[str, tuple[Concept, ...]] | None:
+    r"""The entries of a canonical document, else None; never raises.
+
+    Canonical: every line ends in \n and no other line break appears; each
+    line is empty, a '#' comment from column 0, or word<TAB>rank<TAB>concept
+    with no other whitespace; each word's lines are consecutive with ranks
+    1..k in order, and no word has a second run of lines.  The checks and
+    the build work on whole columns of a block at a time, with string and
+    iterator operations that loop in C.
+    """
+    if text and not text.endswith("\n") or _OTHER_BREAKS.search(text):
+        return None
+    concepts: dict[str, Concept] = {}
+    senses: list[Concept] = []
+    starts: list[int] = []
+    heads: list[str] = []
+    word, rank = "", 0  # before the first line: it must start a word at rank 1
+    for block in _blocks(text):
+        lines = [line for line in block.split("\n") if line and line[0] != "#"]
+        if not lines:
+            continue
+        if set(map(str.count, lines, repeat("\t"))) != {2}:
+            return None
+        fields = "\t".join(lines).split("\t")
+        words, rank_texts, ids = fields[0::3], fields[1::3], fields[2::3]
+        letters, digits = "".join(words), "".join(rank_texts)
+        if not (letters.isascii() and letters.isalpha() and letters.islower()
+                and digits.isascii() and digits.isdigit()):
+            return None
+        # the joined columns hide an empty field
+        if "" in words or "" in rank_texts or "" in ids or _SPACE_RE.search("".join(ids)):
+            return None
+        try:
+            ranks = list(map(int, rank_texts))
+        except ValueError:  # more digits than int() converts
+            return None
+        continues = list(map(eq, words, chain((word,), words)))
+        # a line continuing its word has the previous rank + 1, any other rank 1
+        if list(map(add, map(mul, chain((rank,), ranks), continues), repeat(1))) != ranks:
+            return None
+        new_words = list(map(not_, continues))
+        starts.extend(compress(range(len(senses), len(senses) + len(words)), new_words))
+        heads.extend(compress(words, new_words))
+        for concept_id in set(ids).difference(concepts):
+            concepts[concept_id] = Concept(concept_id)
+        senses.extend(map(concepts.__getitem__, ids))
+        word, rank = words[-1], ranks[-1]
+    runs = map(slice, starts, chain(starts[1:], (len(senses),)))
+    entries = dict(zip(heads, map(tuple, map(senses.__getitem__, runs))))
+    if len(entries) != len(heads):  # a word with a second run of lines
+        return None
+    return entries
+
+
+def _load_lines(text: str, source: str) -> dict[str, tuple[Concept, ...]]:
+    """Line by line, for any document; raises on the first bad line."""
     senses: dict[str, dict[int, Concept]] = {}
     concepts: dict[str, Concept] = {}
-    for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -115,7 +201,7 @@ def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
             raise NonContiguousRanks(
                 f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {sorted(ranks)}")
         entries[word] = tuple(ranks[rank] for rank in expected)
-    return Lexicon(entries=entries)
+    return entries
 
 
 def load_overrides(document: bytes | str, source: str = "<overrides>") -> OverrideMap:

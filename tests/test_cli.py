@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -6,7 +7,7 @@ from pathlib import Path
 from semwsdl import annotate_description, cli, parse_wsdl, write_sawsdl
 from semwsdl.xmlio import parse_xml
 
-from conftest import CORPUS_DIR, LEXICON_PATH, SPECIAL_DIR
+from conftest import CORPUS_DIR, IMPORTS_DIR, LEXICON_PATH, SPECIAL_DIR
 
 MINIMAL = """<?xml version="1.0"?>
 <wsdl:definitions targetNamespace="urn:t"
@@ -302,6 +303,23 @@ def test_nothing_parseable_still_reports_why(tmp_path, capsys):
     assert lines[1] == "error: no parseable WSDL description in input"
 
 
+def test_schema_only_batch_says_schemas_are_not_descriptions(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [IMPORTS_DIR / "common.xsd"], out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no parseable WSDL description in input; read 1 schema file "
+        "(schema files are import targets, not descriptions)"]
+
+
+def test_directory_of_written_copies_says_they_were_passed_over(tmp_path, capsys):
+    for name in ("a.sawsdl.wsdl", "b.sawsdl.wsdl"):
+        shutil.copy(CORPUS_DIR / "music_catalog.wsdl", tmp_path / name)
+    assert cli.run(base_args("annotate", [tmp_path], tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no parseable WSDL description in input; passed over 2 written copies "
+        "(*.sawsdl.wsdl) in directory listings"]
+
+
 def test_byte_order_mark_in_text_inputs_is_ignored(tmp_path):
     data = LEXICON_PATH.parent
     sources = {"--lexicon-path": data / "lexicon.tsv",
@@ -354,3 +372,31 @@ def test_short_flag_aliases(tmp_path):
                     "--lexicon", str(LEXICON_PATH)])
     assert code == 0
     assert (out / "music_catalog.sawsdl.wsdl").exists()
+
+
+def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys):
+    """main() turns the cyclic collector off: the garbage a run leaves must
+    not grow with the number of input files."""
+    fixtures = sorted(CORPUS_DIR.glob("*.wsdl"))
+
+    def garbage_after_run(copies):
+        batch = tmp_path / f"in{copies}"
+        batch.mkdir()
+        for copy in range(copies):
+            for fixture in fixtures:
+                shutil.copy(fixture, batch / f"{copy}-{fixture.name}")
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.run(base_args("annotate", [batch], tmp_path / f"out{copies}")) == 0
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    assert garbage_after_run(10) == garbage_after_run(30)
+    try:
+        assert cli.main(base_args("annotate", [tmp_path / "in10"], tmp_path / "out")) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    capsys.readouterr()

@@ -1,14 +1,21 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+import random
+from importlib.resources import files
+from unittest.mock import patch
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from semwsdl import lexicon
 from semwsdl.lexicon import (
     DuplicateSense,
     EMPTY_OVERRIDES,
     Lexicon,
+    LexiconError,
     MalformedLexiconLine,
     MalformedOverrideLine,
     NonContiguousRanks,
     OverrideMap,
+    _load_lines,
     associate,
     associate_words,
     default_lexicon,
@@ -190,3 +197,181 @@ def test_line_errors_name_the_offending_line(text, error, message):
     with pytest.raises(error) as raised:
         load_lexicon(text, source="demo.tsv")
     assert str(raised.value) == f"demo.tsv:{message}"
+
+
+# -- the column-wise path against the line loop ------------------------------
+
+_IDS = st.sampled_from(["Human", "City", "Process", "C#", "Área", "a\x00b"])
+_EXTRAS = st.sampled_from(["", "#", "# note", "#\ttabbed\tcomment", "# ünïcode"])
+
+
+@st.composite
+def canonical_lines(draw):
+    """Lines of a canonical document: sorted or not, with comments and blanks."""
+    senses = draw(st.dictionaries(st.from_regex(r"[a-z]{1,6}", fullmatch=True),
+                                  st.lists(_IDS, min_size=1, max_size=4),
+                                  min_size=1, max_size=10))
+    lines = [f"{word}\t{rank}\t{concept_id}"
+             for word, ids in senses.items()
+             for rank, concept_id in enumerate(ids, start=1)]
+    for extra in draw(st.lists(_EXTRAS, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return lines
+
+
+def _data_indexes(lines):
+    return [i for i, line in enumerate(lines)
+            if line.count("\t") == 2 and not line.startswith("#")]
+
+
+def _data_index(draw, lines):
+    data = _data_indexes(lines)
+    return draw(st.sampled_from(data)) if data else None
+
+
+def _crlf(draw, lines):
+    if lines:
+        lines[draw(st.integers(0, len(lines) - 1))] += "\r"
+
+
+def _break_in_comment(draw, lines):
+    mark = draw(st.sampled_from(["\x0b", "\x0c", "\x1c", "\x85", " ", " ", "\r"]))
+    lines.insert(draw(st.integers(0, len(lines))), f"# before{mark}after")
+
+
+def _pad(draw, lines):
+    i = _data_index(draw, lines)
+    pad = draw(st.sampled_from([" ", "　", "\x1f"]))
+    if i is None:
+        lines.append(f"{pad}# indented")
+        return
+    fields = lines[i].split("\t")
+    field = draw(st.integers(0, 2))
+    fields[field] = draw(st.sampled_from([pad + fields[field], fields[field] + pad]))
+    lines[i] = "\t".join(fields)
+
+
+def _odd_rank(draw, lines):
+    i = _data_index(draw, lines)
+    if i is not None:
+        word, rank, concept_id = lines[i].split("\t")
+        odd = draw(st.sampled_from(["0" + rank, "0", "+1", "١", "", "9" * 5000]))
+        lines[i] = f"{word}\t{odd}\t{concept_id}"
+
+
+def _swap(draw, lines):
+    if len(lines) >= 2:
+        i = draw(st.integers(0, len(lines) - 2))
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+
+
+def _second_run(draw, lines):
+    i = _data_index(draw, lines)
+    if i is not None:
+        lines.insert(draw(st.integers(0, len(lines))), lines.pop(i))
+
+
+def _repeat_line(draw, lines):
+    i = _data_index(draw, lines)
+    if i is not None:
+        lines.insert(draw(st.integers(0, len(lines))), lines[i])
+
+
+def _shift_field(draw, lines):
+    # a line short of its concept, the next one starting with it: the
+    # columns of the block are those of the document before
+    data = _data_indexes(lines)
+    if len(data) >= 2:
+        k = draw(st.integers(0, len(data) - 2))
+        i, j = data[k], data[k + 1]
+        lines[i], moved = lines[i].rsplit("\t", 1)
+        lines[j] = f"{moved}\t{lines[j]}"
+
+
+def _bad_field(draw, lines):
+    i = _data_index(draw, lines)
+    if i is not None:
+        fields = lines[i].split("\t")
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "Up", "a b", "   "]))
+        lines[i] = "\t".join(fields)
+
+
+_MUTATIONS = [_crlf, _break_in_comment, _pad, _odd_rank, _swap, _second_run,
+              _repeat_line, _shift_field, _bad_field]
+
+
+@st.composite
+def near_canonical_documents(draw):
+    """(text, mutated): a canonical document, or one bent by a few mutations."""
+    lines = draw(canonical_lines())
+    mutations = draw(st.lists(st.sampled_from(_MUTATIONS), max_size=2))
+    for mutate in mutations:
+        mutate(draw, lines)
+    text = "".join(line + "\n" for line in lines)
+    if draw(st.integers(0, 9)) == 9:
+        text, mutations = text[:-1], [*mutations, "no final newline"]
+    return text, bool(mutations)
+
+
+def _outcome(load, text):
+    try:
+        return load(text)
+    except LexiconError as exc:
+        return type(exc), str(exc)
+
+
+def _one_object_per_id(entries):
+    objects = {}
+    for concepts in entries.values():
+        for concept in concepts:
+            assert objects.setdefault(concept.id, concept) is concept
+
+
+@settings(max_examples=600, deadline=None)
+@given(near_canonical_documents(), st.integers(1, 40))
+@example(("ab\t1\tX\nab\t2\tY\ncd\t1\tZ\n", False), 1)
+@example(("\t1\tX\nab\t1\tY\n", True), 40)
+@example(("ab\t1\nX\tcd\t1\tY\n", True), 40)
+@example(("ab\t1\tX\ncd\t1\tY\nab\t1\tZ\n", True), 40)
+@example(("ab\t01\tX\nab\t2\tY\n", True), 40)
+@example(("ab\t" + "9" * 5000 + "\tX\n", True), 40)
+@example(("# note\x85more\nab\t1\tX\n", True), 40)
+@example(("ab\t1\tX\r\n", True), 40)
+@example(("ab\t1\t X\n", True), 40)
+def test_column_path_matches_line_loop(document, block_chars):
+    text, mutated = document
+    expected = _outcome(lambda t: _load_lines(t, "demo.tsv"), text)
+    # a few characters per block, so word runs straddle block boundaries
+    with patch.object(lexicon, "_BLOCK_CHARS", block_chars):
+        fast = lexicon._load_canonical(text)
+        loaded = _outcome(lambda t: load_lexicon(t, "demo.tsv").entries, text)
+    if not mutated:
+        assert fast is not None
+    if fast is not None:
+        assert fast == expected and list(fast) == list(expected)
+        _one_object_per_id(fast)
+    assert loaded == expected
+    if isinstance(expected, dict):
+        assert list(loaded) == list(expected)
+        _one_object_per_id(loaded)
+
+
+def _sorted_lexicon(words):
+    rng = random.Random(0)
+    lines = ["# generated: word<TAB>rank<TAB>concept", ""]
+    for word in sorted(words):
+        lines += [f"{word}\t{rank}\tConcept{rng.randrange(300)}"
+                  for rank in range(1, rng.randint(1, 3) + 1)]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_column_path_takes_the_shipped_and_a_generated_lexicon():
+    shipped = (files("semwsdl.data") / "lexicon.tsv").read_text("utf-8")
+    letters = "abcdefgh"
+    words = {"".join(letters[(n >> shift) & 7] for shift in (0, 3, 6, 9, 12))
+             for n in range(12_000)}
+    # about 24k lines, so the default block size splits it
+    for text in (shipped, _sorted_lexicon(words)):
+        entries = lexicon._load_canonical(text)
+        assert entries is not None
+        assert entries == _load_lines(text, "x") and list(entries) == list(_load_lines(text, "x"))
