@@ -6,12 +6,7 @@ complex-type structure when names alone say nothing, and writes SAWSDL
 modelReference attributes back into copies of the originals.
 """
 
-from .explore import (
-    ExplorerConfig,
-    annotate_description,
-    annotate_parameter,
-    annotate_parameter_with_trace,
-)
+from .explore import annotate_description, annotate_parameter, annotate_parameter_with_trace
 from .ingest import (
     Corpus,
     EmptyCorpus,
@@ -52,7 +47,7 @@ from .model import (
     WsDescription,
 )
 from .preprocess import (
-    PreprocessConfig,
+    SearchConfig,
     Stage,
     decompose,
     default_config,
@@ -75,15 +70,14 @@ __all__ = [
     "Corpus",
     "Direction",
     "EmptyCorpus",
-    "ExplorerConfig",
     "Lexicon",
     "MalformedXml",
     "Operation",
     "OverrideMap",
     "Parameter",
     "ParsedWsdl",
-    "PreprocessConfig",
     "QName",
+    "SearchConfig",
     "Stage",
     "SubParameter",
     "TypeDefinition",

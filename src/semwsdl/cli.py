@@ -12,14 +12,9 @@ import gc
 import sys
 from pathlib import Path
 
-from .explore import ExplorerConfig, annotate_description
+from .explore import annotate_description
 from .ingest import Corpus, EmptyCorpus, SkippedFile, load_corpus
-from .lexicon import (
-    EMPTY_OVERRIDES,
-    LexiconError,
-    load_lexicon,
-    load_overrides,
-)
+from .lexicon import EMPTY_OVERRIDES, load_lexicon, load_overrides
 from .metrics import (
     ablation_to_json,
     render_ablation_table,
@@ -30,20 +25,13 @@ from .metrics import (
 from .preprocess import (
     ALL_STAGES,
     ConfigError,
-    PreprocessConfig,
+    SearchConfig,
     Stage,
     default_config,
     parse_abbreviations,
     parse_stop_words,
 )
 from .writer import WriterConfig, write_report, write_sawsdl
-
-_STAGE_TOKENS = {
-    "decompose": Stage.DECOMPOSE,
-    "normalize": Stage.NORMALIZE,
-    "filter": Stage.FILTER,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -68,12 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="prefix for concept URIs in modelReference values")
     common.add_argument("--max-depth", dest="max_depth", type=int, default=8,
                         help="maximum exploration depth (default 8)")
-    common.add_argument("--stages", dest="stages",
-                        help="comma list of decompose,normalize,filter,explore "
-                             "or 'none' (default: all)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("annotate", parents=[common],
-                          help="write .sawsdl.wsdl copies plus report.json")
+    annotate = subparsers.add_parser("annotate", parents=[common],
+                                     help="write .sawsdl.wsdl copies plus report.json")
+    # ablate and wordfreq set the stages themselves
+    annotate.add_argument("--stages", dest="stages",
+                          help="comma list of decompose,normalize,filter,explore "
+                               "or 'none' (default: all)")
     subparsers.add_parser("ablate", parents=[common],
                           help="run the five-stage evaluation, write ablation.json")
     subparsers.add_parser("wordfreq", parents=[common],
@@ -81,26 +70,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_stages(text: str | None) -> tuple[frozenset[Stage], bool]:
+def _parse_stages(text: str | None) -> frozenset[Stage]:
     if text is None:
-        return ALL_STAGES, True
+        return ALL_STAGES
     if text.strip().lower() == "none":
-        return frozenset(), False
+        return frozenset()
     tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
     if not tokens:
         raise ConfigError(f"--stages {text!r} names no stage; expected a comma list of "
                           "decompose, normalize, filter, explore, or none")
     stages = set()
-    explore = False
     for token in tokens:
-        if token == "explore":
-            explore = True
-        elif token in _STAGE_TOKENS:
-            stages.add(_STAGE_TOKENS[token])
-        else:
+        try:
+            stages.add(Stage(token))
+        except ValueError:
             raise ConfigError(f"unknown stage {token!r}; expected "
-                              "decompose, normalize, filter, explore, or none")
-    return frozenset(stages), explore
+                              "decompose, normalize, filter, explore, or none") from None
+    return frozenset(stages)
 
 
 def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
@@ -126,7 +112,7 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
 
 
 def _build_setup(args):
-    stage_set, explore = _parse_stages(args.stages)
+    stages = _parse_stages(getattr(args, "stages", None))
     defaults = default_config()
     abbreviations, stop_words = defaults.abbreviations, defaults.stop_words
     if args.abbreviations_path:
@@ -135,9 +121,7 @@ def _build_setup(args):
     if args.stopwords_path:
         stop_words = parse_stop_words(
             Path(args.stopwords_path).read_text("utf-8-sig"), args.stopwords_path)
-    preprocess_config = PreprocessConfig(abbreviations, stop_words, stage_set)
-    explorer_config = ExplorerConfig(max_depth=args.max_depth,
-                                     type_explorer_enabled=explore)
+    config = SearchConfig(abbreviations, stop_words, stages, args.max_depth)
     lexicon = load_lexicon(Path(args.lexicon_path).read_bytes(),
                            source=args.lexicon_path)
     if args.overrides_path:
@@ -146,7 +130,7 @@ def _build_setup(args):
     else:
         overrides = EMPTY_OVERRIDES
     writer_config = WriterConfig(uri_prefix=args.uri_prefix)
-    return preprocess_config, explorer_config, lexicon, overrides, writer_config
+    return config, lexicon, overrides, writer_config
 
 
 def _print_skipped(skipped: list[SkippedFile]) -> None:
@@ -181,7 +165,7 @@ def _output_names(source_ids: list[str]) -> dict[str, str]:
 
 def _run_annotate(args, corpus: Corpus, setup) -> None:
     """Write each copy; one that cannot be written becomes a skipped entry."""
-    preprocess_config, explorer_config, lexicon, overrides, writer_config = setup
+    config, lexicon, overrides, writer_config = setup
     output_dir = Path(args.output_dir)
     names = _output_names([d.source_id for d in corpus.descriptions])
     all_annotations = []
@@ -191,8 +175,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
     while documents:
         parsed = documents.pop()
         description = parsed.description
-        annotations = annotate_description(description, explorer_config,
-                                           preprocess_config, lexicon, overrides)
+        annotations = annotate_description(description, config, lexicon, overrides)
         output = write_sawsdl(parsed, annotations, writer_config)
         try:
             (output_dir / names[description.source_id]).write_bytes(output)
@@ -211,17 +194,15 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
 
 
 def _run_ablate(args, corpus: Corpus, setup) -> None:
-    preprocess_config, explorer_config, lexicon, overrides, _ = setup
-    report = run_ablation(corpus.descriptions, preprocess_config, explorer_config,
-                          lexicon, overrides)
+    config, lexicon, overrides, _ = setup
+    report = run_ablation(corpus.descriptions, config, lexicon, overrides)
     (Path(args.output_dir) / "ablation.json").write_bytes(ablation_to_json(report))
     sys.stdout.write(render_ablation_table(report))
 
 
 def _run_wordfreq(args, corpus: Corpus, setup) -> None:
-    preprocess_config, explorer_config, lexicon, overrides, _ = setup
-    rows = word_frequency(corpus.descriptions, preprocess_config, explorer_config,
-                          lexicon, overrides)
+    config, lexicon, overrides, _ = setup
+    rows = word_frequency(corpus.descriptions, config, lexicon, overrides)
     (Path(args.output_dir) / "words.csv").write_bytes(word_frequency_to_csv(rows))
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
 
@@ -239,18 +220,26 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:
         return exit_request.code if isinstance(exit_request.code, int) else 2
+    # A command builds large acyclic tables; the few cycles it leaves
+    # (argparse's, not one per input file) wait for the caller's collector,
+    # whose setting comes back on the way out.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _run_command(args)
     except Exception as exc:  # a bug, not a bad input: one line, never exit 1
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         print(f"error: internal: {message}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _run_command(args) -> int:
     try:
         setup = _build_setup(args)
-    except (OSError, ConfigError, LexiconError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and LexiconError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     files, copies = _gather_inputs(args.input_paths)
@@ -275,10 +264,6 @@ def _run_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A run builds large acyclic tables and exits; the few cycles it leaves
-    # (argparse's, not one per input file) die with the process.  run()
-    # keeps the collector for callers that live on.
-    gc.disable()
     return run(sys.argv[1:] if argv is None else argv)
 
 

@@ -11,7 +11,8 @@ stage that produces at least one (word, concept) pair:
 Within a level all candidate names are pooled, so an annotation can carry
 several concepts, but always from a single stage (level purity).  Descent
 only follows sequence-style complex types, keeps a visited set so cyclic
-schemas terminate, and gives up below max_depth.
+schemas terminate, and gives up below max_depth.  Everything from (0b) on
+runs only while Stage.EXPLORE is among the config's enabled stages.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .model import (
     Word,
     WsDescription,
 )
-from .preprocess import PreprocessConfig, preprocess
+from .preprocess import SearchConfig, Stage, preprocess
 
 # kinds whose names are worth mining at the type-name stages
 _NAMED_CUSTOM_KINDS = (
@@ -38,23 +39,6 @@ _NAMED_CUSTOM_KINDS = (
     TypeKind.COMPLEX_OTHER,
     TypeKind.EMPTY_COMPLEX,
 )
-
-
-@dataclass(frozen=True)
-class ExplorerConfig:
-    """Switches for the type-information fallbacks.
-
-    type_explorer_enabled gates the type-name stage (0b) and the structural
-    descent together; the staged evaluation turns it off for its name-only
-    rows and on for its final row.
-    """
-
-    max_depth: int = 8
-    type_explorer_enabled: bool = True
-
-    def __post_init__(self):
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -69,30 +53,28 @@ class StageVisit:
 
 def _stage(source: AnnotationSource, depth: int,
            names: list[tuple[str, tuple[str, ...]]],
-           preprocess_config: PreprocessConfig, lexicon: Lexicon,
-           overrides: OverrideMap) -> StageVisit:
+           config: SearchConfig, lexicon: Lexicon, overrides: OverrideMap) -> StageVisit:
     words: list[Word] = []
     entries: list[AnnotationEntry] = []
     for raw_name, path in names:
-        stage_words = preprocess(raw_name, preprocess_config)
+        stage_words = preprocess(raw_name, config)
         words.extend(stage_words)
         for word, concept in associate_words(stage_words, lexicon, overrides):
             entries.append(AnnotationEntry(concept, word, source, path, depth))
     return StageVisit(source, depth, tuple(words), tuple(entries))
 
 
-def _visits(param: Parameter, desc: WsDescription, config: ExplorerConfig,
-            preprocess_config: PreprocessConfig, lexicon: Lexicon,
-            overrides: OverrideMap):
+def _visits(param: Parameter, desc: WsDescription, config: SearchConfig,
+            lexicon: Lexicon, overrides: OverrideMap):
     """Yield StageVisits in search order; the caller decides when to stop."""
     yield _stage(AnnotationSource.PARAMETER_NAME, 0, [(param.name, ())],
-                 preprocess_config, lexicon, overrides)
-    if not config.type_explorer_enabled:
+                 config, lexicon, overrides)
+    if Stage.EXPLORE not in config.enabled_stages:
         return
     root_type = resolve_type(desc, param.type_ref)
     if root_type.kind in _NAMED_CUSTOM_KINDS and not root_type.anonymous:
         yield _stage(AnnotationSource.TYPE_NAME, 0, [(root_type.name.local_name, ())],
-                     preprocess_config, lexicon, overrides)
+                     config, lexicon, overrides)
     visited = {root_type.name}
     if root_type.kind is TypeKind.COMPLEX_SEQUENCE:
         frontier = [(sub, (sub.name,)) for sub in root_type.subparameters]
@@ -102,7 +84,7 @@ def _visits(param: Parameter, desc: WsDescription, config: ExplorerConfig,
     while frontier and depth <= config.max_depth:
         names = [(sub.name, path) for sub, path in frontier if sub.name]
         yield _stage(AnnotationSource.SUBPARAMETER_NAME, depth, names,
-                     preprocess_config, lexicon, overrides)
+                     config, lexicon, overrides)
         member_types = [(sub, path, resolve_type(desc, sub.type_ref))
                         for sub, path in frontier]
         type_names = [
@@ -111,7 +93,7 @@ def _visits(param: Parameter, desc: WsDescription, config: ExplorerConfig,
             if definition.kind in _NAMED_CUSTOM_KINDS and not definition.anonymous
         ]
         yield _stage(AnnotationSource.SUBPARAMETER_TYPE_NAME, depth, type_names,
-                     preprocess_config, lexicon, overrides)
+                     config, lexicon, overrides)
         next_frontier = []
         for sub, path, definition in member_types:
             if definition.kind is not TypeKind.COMPLEX_SEQUENCE:
@@ -126,8 +108,7 @@ def _visits(param: Parameter, desc: WsDescription, config: ExplorerConfig,
 
 
 def annotate_parameter_with_trace(
-        param: Parameter, desc: WsDescription, config: ExplorerConfig,
-        preprocess_config: PreprocessConfig, lexicon: Lexicon,
+        param: Parameter, desc: WsDescription, config: SearchConfig, lexicon: Lexicon,
         overrides: OverrideMap = EMPTY_OVERRIDES,
 ) -> tuple[Annotation, tuple[StageVisit, ...]]:
     """Like annotate_parameter, also returning every stage actually consulted.
@@ -136,27 +117,22 @@ def annotate_parameter_with_trace(
     exhausted search.  Word-frequency reporting feeds on it.
     """
     trace: list[StageVisit] = []
-    for visit in _visits(param, desc, config, preprocess_config, lexicon, overrides):
+    for visit in _visits(param, desc, config, lexicon, overrides):
         trace.append(visit)
         if visit.entries:
             return Annotation(param.param_id, visit.entries), tuple(trace)
     return Annotation(param.param_id, ()), tuple(trace)
 
 
-def annotate_parameter(param: Parameter, desc: WsDescription, config: ExplorerConfig,
-                       preprocess_config: PreprocessConfig, lexicon: Lexicon,
-                       overrides: OverrideMap = EMPTY_OVERRIDES) -> Annotation:
+def annotate_parameter(param: Parameter, desc: WsDescription, config: SearchConfig,
+                       lexicon: Lexicon, overrides: OverrideMap = EMPTY_OVERRIDES) -> Annotation:
     """Run the staged search for one parameter; empty entries mean failure."""
-    annotation, _ = annotate_parameter_with_trace(
-        param, desc, config, preprocess_config, lexicon, overrides)
+    annotation, _ = annotate_parameter_with_trace(param, desc, config, lexicon, overrides)
     return annotation
 
 
-def annotate_description(desc: WsDescription, config: ExplorerConfig,
-                         preprocess_config: PreprocessConfig, lexicon: Lexicon,
+def annotate_description(desc: WsDescription, config: SearchConfig, lexicon: Lexicon,
                          overrides: OverrideMap = EMPTY_OVERRIDES) -> list[Annotation]:
     """One Annotation per parameter, in document order."""
-    return [
-        annotate_parameter(param, desc, config, preprocess_config, lexicon, overrides)
-        for param in desc.parameters()
-    ]
+    return [annotate_parameter(param, desc, config, lexicon, overrides)
+            for param in desc.parameters()]

@@ -129,33 +129,37 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
                 qn = QName(tns, name)
                 index.types[qn] = TypeDefinition(qn, TypeKind.CUSTOM_SIMPLE)
             elif local == "element":
-                _register_element(child, QName(tns, name), tns, index, pending)
+                qn = QName(tns, name)
+                index.element_node[qn] = child
+                index.element_type[qn] = _declared_type(child, f"{name}$anon", tns,
+                                                        index, pending)
     while pending:
         qname, node, tns, anonymous = pending.popleft()
         index.types[qname] = _classify_complex(qname, node, tns, anonymous, index, pending)
     return index, import_locations
 
 
-def _register_element(element: XmlElement, qn: QName, tns: str,
-                      index: _SchemaIndex, pending: deque) -> None:
-    index.element_node[qn] = element
-    type_attr = element.attrs.get("type", "")
+def _declared_type(node: XmlElement, synthetic: str, tns: str,
+                   index: _SchemaIndex, pending: deque) -> QName:
+    """The type an element declares, in order of precedence.
+
+    A `type=` attribute (anyType when unusable), else an inline
+    complexType (queued), else an inline simpleType, else anyType.  An
+    inline type is named (tns, synthetic) and marked anonymous.
+    """
+    type_attr = node.attrs.get("type", "")
     if type_attr.strip():
-        type_ref = _attr_qname(element, type_attr)
-        index.element_type[qn] = type_ref if type_ref else _ANY_TYPE
-        return
-    inline_complex = element.first_child(XSD_NAMESPACE, "complexType")
-    inline_simple = element.first_child(XSD_NAMESPACE, "simpleType")
+        return _attr_qname(node, type_attr) or _ANY_TYPE
+    inline_complex = node.first_child(XSD_NAMESPACE, "complexType")
     if inline_complex is not None:
-        synthetic = QName(tns, f"{qn.local_name}$anon")
-        pending.append((synthetic, inline_complex, tns, True))
-        index.element_type[qn] = synthetic
-    elif inline_simple is not None:
-        synthetic = QName(tns, f"{qn.local_name}$anon")
-        index.types[synthetic] = TypeDefinition(synthetic, TypeKind.CUSTOM_SIMPLE, anonymous=True)
-        index.element_type[qn] = synthetic
-    else:
-        index.element_type[qn] = _ANY_TYPE
+        qname = QName(tns, synthetic)
+        pending.append((qname, inline_complex, tns, True))
+        return qname
+    if node.first_child(XSD_NAMESPACE, "simpleType") is not None:
+        qname = QName(tns, synthetic)
+        index.types[qname] = TypeDefinition(qname, TypeKind.CUSTOM_SIMPLE, anonymous=True)
+        return qname
+    return _ANY_TYPE
 
 
 def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
@@ -176,24 +180,8 @@ def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
                 continue
             members.append(SubParameter(ref.local_name, index.element_type.get(ref, _ANY_TYPE)))
             continue
-        member_name = member.attrs.get("name", "")
-        type_attr = member.attrs.get("type", "")
-        if type_attr.strip():
-            type_ref = _attr_qname(member, type_attr)
-            members.append(SubParameter(member_name, type_ref if type_ref else _ANY_TYPE))
-            continue
-        inline_complex = member.first_child(XSD_NAMESPACE, "complexType")
-        inline_simple = member.first_child(XSD_NAMESPACE, "simpleType")
-        if inline_complex is not None:
-            synthetic = QName(tns, f"{base}.{position}$anon")
-            pending.append((synthetic, inline_complex, tns, True))
-            members.append(SubParameter(member_name, synthetic))
-        elif inline_simple is not None:
-            synthetic = QName(tns, f"{base}.{position}$anon")
-            index.types[synthetic] = TypeDefinition(synthetic, TypeKind.CUSTOM_SIMPLE, anonymous=True)
-            members.append(SubParameter(member_name, synthetic))
-        else:
-            members.append(SubParameter(member_name, _ANY_TYPE))
+        member_type = _declared_type(member, f"{base}.{position}$anon", tns, index, pending)
+        members.append(SubParameter(member.attrs.get("name", ""), member_type))
     if not members:
         return TypeDefinition(qname, TypeKind.EMPTY_COMPLEX, anonymous=anonymous)
     return TypeDefinition(qname, TypeKind.COMPLEX_SEQUENCE, tuple(members), anonymous=anonymous)
@@ -332,14 +320,10 @@ def load_corpus(paths: list) -> Corpus:
         seen.add(resolved)
         try:
             xdoc = xmlio.parse_xml(data)
-        except MalformedXml as exc:
-            skipped.append(SkippedFile(source_id, str(exc)))
-            continue
-        if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
-            index, locations = _index_schemas([xdoc.root])
-            schema_files[resolved] = (index.types, locations, resolved.parent)
-            continue
-        try:
+            if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
+                index, locations = _index_schemas([xdoc.root])
+                schema_files[resolved] = (index.types, locations, resolved.parent)
+                continue
             parsed, locations = _analyze(source_id, xdoc)
         except MalformedXml as exc:
             skipped.append(SkippedFile(source_id, str(exc)))

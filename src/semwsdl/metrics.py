@@ -18,10 +18,10 @@ import json
 from collections import Counter
 from dataclasses import dataclass, replace
 
-from .explore import ExplorerConfig, annotate_description, annotate_parameter_with_trace
+from .explore import annotate_description, annotate_parameter_with_trace
 from .lexicon import EMPTY_OVERRIDES, Lexicon, OverrideMap, associate
 from .model import Concept, Word, WsDescription, annotation_rate
-from .preprocess import ALL_STAGES, PreprocessConfig, Stage
+from .preprocess import ALL_STAGES, SearchConfig, Stage
 
 STAGE_NAMES = (
     "NoPreprocessing",
@@ -68,46 +68,35 @@ class WordFrequencyRow:
             raise ValueError("occurrences must be >= 1")
 
 
-def stage_configurations(preprocess_config: PreprocessConfig,
-                         explorer_config: ExplorerConfig):
-    """The five cumulative (name, preprocess, explorer) configurations.
+def stage_configurations(config: SearchConfig) -> list[tuple[str, SearchConfig]]:
+    """The five cumulative (name, config) rows; only the enabled stages differ.
 
-    The first four rows measure parameter-name processing only, so both
-    type fallbacks are off; the last row switches on the type-name stage
-    and the structural descent together.
+    The first four rows measure parameter-name processing only; the last
+    adds type exploration (the type-name stage and the structural descent).
     """
-    no_types = replace(explorer_config, type_explorer_enabled=False)
-    with_types = replace(explorer_config, type_explorer_enabled=True)
-    return [
-        (STAGE_NAMES[0], replace(preprocess_config, enabled_stages=frozenset()), no_types),
-        (STAGE_NAMES[1],
-         replace(preprocess_config, enabled_stages=frozenset({Stage.DECOMPOSE})), no_types),
-        (STAGE_NAMES[2],
-         replace(preprocess_config,
-                 enabled_stages=frozenset({Stage.DECOMPOSE, Stage.NORMALIZE})), no_types),
-        (STAGE_NAMES[3], replace(preprocess_config, enabled_stages=ALL_STAGES), no_types),
-        (STAGE_NAMES[4], replace(preprocess_config, enabled_stages=ALL_STAGES), with_types),
-    ]
+    decompose = frozenset({Stage.DECOMPOSE})
+    normalize = decompose | {Stage.NORMALIZE}
+    stage_sets = (frozenset(), decompose, normalize, normalize | {Stage.FILTER}, ALL_STAGES)
+    return [(name, replace(config, enabled_stages=stages))
+            for name, stages in zip(STAGE_NAMES, stage_sets)]
 
 
-def run_ablation(descriptions: list[WsDescription], preprocess_config: PreprocessConfig,
-                 explorer_config: ExplorerConfig, lexicon: Lexicon,
+def run_ablation(descriptions: list[WsDescription], config: SearchConfig, lexicon: Lexicon,
                  overrides: OverrideMap = EMPTY_OVERRIDES) -> AblationReport:
     """Annotate the descriptions once per cumulative configuration and count."""
     total = sum(1 for desc in descriptions for _ in desc.parameters())
     rows = []
-    for name, pcfg, ecfg in stage_configurations(preprocess_config, explorer_config):
+    for name, stage_config in stage_configurations(config):
         annotated = 0
         for description in descriptions:
-            for annotation in annotate_description(description, ecfg, pcfg,
+            for annotation in annotate_description(description, stage_config,
                                                    lexicon, overrides):
                 annotated += bool(annotation.entries)
         rows.append(AblationRow(name, annotated, total, annotation_rate(annotated, total)))
     return AblationReport(tuple(rows))
 
 
-def word_frequency(descriptions: list[WsDescription], preprocess_config: PreprocessConfig,
-                   explorer_config: ExplorerConfig, lexicon: Lexicon,
+def word_frequency(descriptions: list[WsDescription], config: SearchConfig, lexicon: Lexicon,
                    overrides: OverrideMap = EMPTY_OVERRIDES) -> list[WordFrequencyRow]:
     """Count every word the full pipeline emitted while searching.
 
@@ -116,13 +105,12 @@ def word_frequency(descriptions: list[WsDescription], preprocess_config: Preproc
     its whole exhausted search.  Sorted by occurrences descending, ties
     by word ascending.
     """
-    _, _, full_explorer = stage_configurations(preprocess_config, explorer_config)[-1]
-    full_preprocess = replace(preprocess_config, enabled_stages=ALL_STAGES)
+    full = replace(config, enabled_stages=ALL_STAGES)
     counts: Counter[str] = Counter()
     for description in descriptions:
         for param in description.parameters():
-            _, trace = annotate_parameter_with_trace(
-                param, description, full_explorer, full_preprocess, lexicon, overrides)
+            _, trace = annotate_parameter_with_trace(param, description, full,
+                                                     lexicon, overrides)
             for visit in trace:
                 for word in visit.words:
                     counts[word.text] += 1

@@ -1,10 +1,11 @@
-"""Turning raw identifier names into clean lowercase words.
+"""Turning raw identifier names into clean lowercase words, and the search config.
 
-The pipeline has three stages that can be switched off independently for
-the staged evaluation: decomposition (splitting on case changes and
-non-letter separators), normalization (abbreviation expansion), and
-filtering (stop-word removal).  Lowercasing is not a stage; it always
-happens, otherwise the output would not be made of valid Words.
+The search has four stages that can be switched off independently for
+the staged evaluation.  Three act here: decomposition (splitting on case
+changes and non-letter separators), normalization (abbreviation
+expansion), and filtering (stop-word removal).  The fourth, type
+exploration, is read by `explore`.  Lowercasing is not a stage; it
+always happens, otherwise the output would not be made of valid Words.
 """
 
 from __future__ import annotations
@@ -34,16 +35,24 @@ class Stage(Enum):
     DECOMPOSE = "decompose"
     NORMALIZE = "normalize"
     FILTER = "filter"
+    EXPLORE = "explore"
 
 
 ALL_STAGES = frozenset(Stage)
 
 
 @dataclass(frozen=True)
-class PreprocessConfig:
+class SearchConfig:
+    """Everything the annotation search can be told.
+
+    Stage.EXPLORE gates the type-name stage and the structural descent
+    together; max_depth bounds that descent.
+    """
+
     abbreviations: dict[str, str] = field(default_factory=dict)
     stop_words: frozenset[str] = frozenset()
     enabled_stages: frozenset[Stage] = ALL_STAGES
+    max_depth: int = 8
 
     def __post_init__(self):
         for key, value in self.abbreviations.items():
@@ -54,6 +63,8 @@ class PreprocessConfig:
         for entry in self.stop_words:
             if not _LOWER_WORD_RE.fullmatch(entry):
                 raise ConfigError(f"stop word must be lowercase letters: {entry!r}")
+        if self.max_depth < 0:
+            raise ConfigError("max_depth must be >= 0")
 
 
 def _fold_to_letters(raw: str) -> str:
@@ -78,7 +89,7 @@ def decompose(raw: str) -> list[str]:
     return tokens
 
 
-def normalize(tokens: list[str], config: PreprocessConfig) -> list[Word]:
+def normalize(tokens: list[str], config: SearchConfig) -> list[Word]:
     """Lowercase and expand abbreviations (whole token, exactly once)."""
     words = []
     for token in tokens:
@@ -87,12 +98,12 @@ def normalize(tokens: list[str], config: PreprocessConfig) -> list[Word]:
     return words
 
 
-def filter_words(words: list[Word], config: PreprocessConfig) -> list[Word]:
+def filter_words(words: list[Word], config: SearchConfig) -> list[Word]:
     """Drop stop words; order of the survivors is unchanged."""
     return [word for word in words if word.text not in config.stop_words]
 
 
-def preprocess(raw: str, config: PreprocessConfig) -> list[Word]:
+def preprocess(raw: str, config: SearchConfig) -> list[Word]:
     """Run the enabled stages over one raw name.
 
     With decomposition off the name collapses to a single letters-only
@@ -149,9 +160,9 @@ def _data_text(filename: str) -> str:
     return resources.files("semwsdl.data").joinpath(filename).read_text("utf-8")
 
 
-def default_config(enabled_stages: frozenset[Stage] = ALL_STAGES) -> PreprocessConfig:
+def default_config(enabled_stages: frozenset[Stage] = ALL_STAGES) -> SearchConfig:
     """Config backed by the packaged abbreviation and stop-word files."""
-    return PreprocessConfig(
+    return SearchConfig(
         abbreviations=parse_abbreviations(_data_text("abbreviations.txt"), "abbreviations.txt"),
         stop_words=parse_stop_words(_data_text("stopwords.txt"), "stopwords.txt"),
         enabled_stages=enabled_stages,

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from semwsdl import ExplorerConfig, default_config, default_lexicon, load_corpus
+from semwsdl import default_config, default_lexicon, load_corpus
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "fixtures" / "corpus"
@@ -22,13 +22,8 @@ def fixture_corpus(corpus_paths):
 
 
 @pytest.fixture(scope="session")
-def preprocess_config():
+def search_config():
     return default_config()
-
-
-@pytest.fixture(scope="session")
-def explorer_config():
-    return ExplorerConfig()
 
 
 @pytest.fixture(scope="session")

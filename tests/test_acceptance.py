@@ -19,7 +19,6 @@ from semwsdl import (
     AnnotationSource,
     Concept,
     Direction,
-    ExplorerConfig,
     Lexicon,
     Operation,
     OverrideMap,
@@ -93,18 +92,15 @@ def test_criterion_3_structure_exploration_scenario():
         desc = parse_wsdl("music_catalog.wsdl", data).description
         param = next(p for p in desc.parameters() if p.name == "category")
         lexicon = default_lexicon()
-        explorer = ExplorerConfig()
         plain = default_config()
         blocked = replace(plain, stop_words=plain.stop_words | {"category"})
-        annotation, trace = annotate_parameter_with_trace(
-            param, desc, explorer, blocked, lexicon)
+        annotation, trace = annotate_parameter_with_trace(param, desc, blocked, lexicon)
         assert {e.source for e in annotation.entries} == {
             AnnotationSource.SUBPARAMETER_NAME}
         assert {e.depth for e in annotation.entries} == {1}
         assert {e.concept.id for e in annotation.entries} == {
             "Musician", "ComposingMusic"}
-        annotation, trace = annotate_parameter_with_trace(
-            param, desc, explorer, plain, lexicon)
+        annotation, trace = annotate_parameter_with_trace(param, desc, plain, lexicon)
         assert {e.depth for e in annotation.entries} == {0}
         assert len(trace) == 1
         assert trace[0].source is AnnotationSource.PARAMETER_NAME
@@ -125,7 +121,7 @@ def test_criterion_5_staged_evaluation_against_reference(fixture_corpus):
         started = time.perf_counter()
         config = default_config()
         lexicon = default_lexicon()
-        report = run_ablation(fixture_corpus.descriptions, config, ExplorerConfig(), lexicon)
+        report = run_ablation(fixture_corpus.descriptions, config, lexicon)
         rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
         expected = bruteforce.oracle_ablation(
             fixture_corpus.descriptions, config.abbreviations,
@@ -141,8 +137,7 @@ def test_criterion_5_staged_evaluation_against_reference(fixture_corpus):
 
         order_holds(report)
         for seed in range(200):
-            order_holds(run_ablation(random_corpus(seed), config,
-                                     ExplorerConfig(), lexicon))
+            order_holds(run_ablation(random_corpus(seed), config, lexicon))
         assert time.perf_counter() - started < 10.0
     _verdict(5, "staged evaluation equals exhaustive recount, order laws hold", check)
 
@@ -152,8 +147,7 @@ def test_criterion_6_cyclic_type_terminates():
         corpus = load_corpus([SPECIAL_DIR / "cyclic.wsdl"])
         started = time.perf_counter()
         annotations = annotate_description(
-            corpus.descriptions[0], ExplorerConfig(), default_config(),
-            default_lexicon())
+            corpus.descriptions[0], default_config(), default_lexicon())
         assert time.perf_counter() - started < 1.0
         assert all(isinstance(a, Annotation) for a in annotations)
     _verdict(6, "self-referential type terminates within the depth bound", check)
@@ -163,10 +157,9 @@ def test_criterion_7_round_trip_and_idempotence(fixture_corpus):
     def check():
         config = default_config()
         lexicon = default_lexicon()
-        explorer = ExplorerConfig()
         for desc in fixture_corpus.descriptions:
             data = Path(desc.source_id).read_bytes()
-            annotations = annotate_description(desc, explorer, config, lexicon)
+            annotations = annotate_description(desc, config, lexicon)
             first = write_sawsdl(parse_wsdl(desc.source_id, data), annotations)
             again = parse_wsdl(desc.source_id, first)
             assert again.description.operations == desc.operations
@@ -226,8 +219,7 @@ def test_criterion_9_module_invariant_properties():
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def annotations_stay_level_pure(seed):
         for desc in random_corpus(seed, size=1):
-            for annotation in annotate_description(
-                    desc, ExplorerConfig(), config, lexicon):
+            for annotation in annotate_description(desc, config, lexicon):
                 assert len({(e.source, e.depth) for e in annotation.entries}) <= 1
 
     @settings(max_examples=1000, deadline=None)

@@ -209,13 +209,11 @@ def test_output_dir_equal_to_input_dir_is_stable(tmp_path, capsys):
 
 
 def test_written_copies_equal_annotating_the_file_bytes(tmp_path, fixture_corpus,
-                                                        preprocess_config, explorer_config,
-                                                        demo_lexicon):
+                                                        search_config, demo_lexicon):
     out = tmp_path / "out"
     assert cli.run(base_args("annotate", [CORPUS_DIR], out)) == 0
     for desc in fixture_corpus.descriptions:
-        annotations = annotate_description(desc, explorer_config, preprocess_config,
-                                           demo_lexicon)
+        annotations = annotate_description(desc, search_config, demo_lexicon)
         parsed = parse_wsdl(desc.source_id, Path(desc.source_id).read_bytes())
         expected = write_sawsdl(parsed, annotations)
         written = out / f"{Path(desc.source_id).stem}.sawsdl.wsdl"
@@ -233,6 +231,11 @@ def test_stage_flag_matches_staged_evaluation(tmp_path):
     assert read_report(out_none)["summary"]["annotated"] == 8
     assert read_report(out_split)["summary"]["annotated"] == 13
     assert read_report(out_all)["summary"]["annotated"] == 19
+    # explore is a stage like the others: it adds the type fallbacks to a split
+    out_explore = tmp_path / "explore"
+    cli.run(base_args("annotate", [CORPUS_DIR], out_explore)
+            + ["--stages", "decompose,explore"])
+    assert read_report(out_explore)["summary"]["annotated"] == 19
 
 
 def test_ablate_writes_json_and_prints_table(tmp_path, capsys):
@@ -285,6 +288,9 @@ def test_fatal_errors_exit_2(tmp_path, capsys):
     for stages in ("shuffle", "", ","):
         assert cli.run(base_args("annotate", [CORPUS_DIR], out)
                        + ["--stages", stages]) == 2
+    # ablate and wordfreq set the stages themselves, so the flag is refused
+    for command in ("ablate", "wordfreq"):
+        assert cli.run(base_args(command, [CORPUS_DIR], out) + ["--stages", "none"]) == 2
     missing = tmp_path / "missing.tsv"
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR),
                     "--output-dir", str(out), "--lexicon-path", str(missing)]) == 2
@@ -374,9 +380,10 @@ def test_short_flag_aliases(tmp_path):
     assert (out / "music_catalog.sawsdl.wsdl").exists()
 
 
-def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys):
-    """main() turns the cyclic collector off: the garbage a run leaves must
-    not grow with the number of input files."""
+def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys, monkeypatch):
+    """run() turns the cyclic collector off: the garbage a run leaves must
+    not grow with the number of input files, and the caller's setting comes
+    back afterwards."""
     fixtures = sorted(CORPUS_DIR.glob("*.wsdl"))
 
     def garbage_after_run(copies):
@@ -394,9 +401,24 @@ def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys):
             gc.enable()
 
     assert garbage_after_run(10) == garbage_after_run(30)
+    collecting_inside = []
+    load_corpus = cli.load_corpus
+
+    def watched_load_corpus(paths):
+        collecting_inside.append(gc.isenabled())
+        return load_corpus(paths)
+
+    monkeypatch.setattr(cli, "load_corpus", watched_load_corpus)
+    args = base_args("annotate", [tmp_path / "in10"], tmp_path / "out")
     try:
-        assert cli.main(base_args("annotate", [tmp_path / "in10"], tmp_path / "out")) == 0
-        assert not gc.isenabled()
+        for collecting in (True, False):
+            if not collecting:
+                gc.disable()
+            assert cli.run(args) == 0
+            assert gc.isenabled() is collecting
+            assert cli.main(args) == 0
+            assert gc.isenabled() is collecting
     finally:
         gc.enable()
+    assert collecting_inside == [False] * 4
     capsys.readouterr()

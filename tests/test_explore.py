@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 
 from semwsdl.explore import (
-    ExplorerConfig,
     annotate_description,
     annotate_parameter,
     annotate_parameter_with_trace,
@@ -24,6 +23,7 @@ from semwsdl.model import (
     XSD_NAMESPACE,
 )
 from semwsdl.ingest import load_corpus
+from semwsdl.preprocess import SearchConfig, Stage
 
 from conftest import SPECIAL_DIR
 
@@ -53,25 +53,22 @@ def chain_description(type_names, leaf_member="price"):
     return WsDescription("c", (Operation("Op", (param,), ()),), types), param
 
 
-def test_name_stage_wins_when_word_is_known(fixture_corpus, preprocess_config,
-                                            explorer_config, demo_lexicon):
+def test_name_stage_wins_when_word_is_known(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "category")
     annotation, trace = annotate_parameter_with_trace(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert len(trace) == 1
     assert trace[0].source is AnnotationSource.PARAMETER_NAME
     assert [(e.concept.id, e.word.text, e.depth, e.path) for e in annotation.entries] == [
         ("Class", "category", 0, ())]
 
 
-def test_descent_reaches_sequence_members(fixture_corpus, preprocess_config,
-                                          explorer_config, demo_lexicon):
+def test_descent_reaches_sequence_members(fixture_corpus, search_config, demo_lexicon):
     # with the parameter's own word suppressed the search walks into the type
     desc, param = find_param(fixture_corpus, "category")
-    blocked = replace(preprocess_config,
-                      stop_words=preprocess_config.stop_words | {"category"})
+    blocked = replace(search_config, stop_words=search_config.stop_words | {"category"})
     annotation, trace = annotate_parameter_with_trace(
-        param, desc, explorer_config, blocked, demo_lexicon)
+        param, desc, blocked, demo_lexicon)
     assert [v.source for v in trace] == [
         AnnotationSource.PARAMETER_NAME,
         AnnotationSource.TYPE_NAME,
@@ -83,22 +80,20 @@ def test_descent_reaches_sequence_members(fixture_corpus, preprocess_config,
     ]
 
 
-def test_simple_name_annotates_at_depth_zero(fixture_corpus, preprocess_config,
-                                             explorer_config, demo_lexicon):
+def test_simple_name_annotates_at_depth_zero(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "Password")
     annotation = annotate_parameter(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert annotation.annotated
     entry = annotation.entries[0]
     assert entry.concept == Concept("LinguisticExpression")
     assert entry.depth == 0
 
 
-def test_builtin_type_offers_no_fallback(fixture_corpus, preprocess_config,
-                                         explorer_config, demo_lexicon):
+def test_builtin_type_offers_no_fallback(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "result")
     annotation, trace = annotate_parameter_with_trace(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert not annotation.annotated
     assert annotation.entries == ()
     # xsd:string has no name worth mining and nothing to descend into
@@ -106,22 +101,21 @@ def test_builtin_type_offers_no_fallback(fixture_corpus, preprocess_config,
 
 
 def test_type_name_stage_runs_after_fruitless_name_words(
-        fixture_corpus, preprocess_config, explorer_config, demo_lexicon):
+        fixture_corpus, search_config, demo_lexicon):
     # "shade" produces a word but no concept; the type name still gets a turn
     desc, param = find_param(fixture_corpus, "shade")
     annotation, trace = annotate_parameter_with_trace(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert trace[0].words and not trace[0].entries
     assert trace[-1].source is AnnotationSource.TYPE_NAME
     assert {e.concept.id for e in annotation.entries} == {"ColorAttribute", "Procedure"}
     assert {e.depth for e in annotation.entries} == {0}
 
 
-def test_anonymous_type_names_are_never_mined(fixture_corpus, preprocess_config,
-                                              explorer_config, demo_lexicon):
+def test_anonymous_type_names_are_never_mined(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "DepositNote")
     annotation, trace = annotate_parameter_with_trace(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert AnnotationSource.TYPE_NAME not in {v.source for v in trace}
     for visit in trace:
         for word in visit.words:
@@ -130,11 +124,10 @@ def test_anonymous_type_names_are_never_mined(fixture_corpus, preprocess_config,
         ("FinancialAccount", 1)]
 
 
-def test_level_pools_all_member_hits(fixture_corpus, preprocess_config,
-                                     explorer_config, demo_lexicon):
+def test_level_pools_all_member_hits(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "arg01")
     annotation = annotate_parameter(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert [(e.concept.id, e.path) for e in annotation.entries] == [
         ("CurrencyMeasure", ("itemblock", "price")),
         ("CurrencyMeasure", ("itemblock", "currency")),
@@ -143,40 +136,37 @@ def test_level_pools_all_member_hits(fixture_corpus, preprocess_config,
     assert {e.source for e in annotation.entries} == {AnnotationSource.SUBPARAMETER_NAME}
 
 
-def test_every_annotation_is_level_pure(fixture_corpus, preprocess_config,
-                                        explorer_config, demo_lexicon):
+def test_every_annotation_is_level_pure(fixture_corpus, search_config, demo_lexicon):
     for desc in fixture_corpus.descriptions:
         for annotation in annotate_description(
-                desc, explorer_config, preprocess_config, demo_lexicon):
+                desc, search_config, demo_lexicon):
             stamps = {(e.source, e.depth) for e in annotation.entries}
             assert len(stamps) <= 1, annotation.param_id
 
 
-def test_cyclic_schema_terminates_quickly(preprocess_config, explorer_config,
-                                          demo_lexicon):
+def test_cyclic_schema_terminates_quickly(search_config, demo_lexicon):
     corpus = load_corpus([SPECIAL_DIR / "cyclic.wsdl"])
     desc = corpus.descriptions[0]
     started = time.perf_counter()
     annotations = annotate_description(
-        desc, explorer_config, preprocess_config, demo_lexicon)
+        desc, search_config, demo_lexicon)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     assert all(not a.annotated for a in annotations)
 
 
-def test_max_depth_bounds_the_search(preprocess_config, demo_lexicon):
+def test_max_depth_bounds_the_search(search_config, demo_lexicon):
     desc, param = chain_description(["L1", "L2", "L3"])
     shallow = annotate_parameter(
-        param, desc, ExplorerConfig(max_depth=2), preprocess_config, demo_lexicon)
+        param, desc, replace(search_config, max_depth=2), demo_lexicon)
     assert not shallow.annotated
     deep = annotate_parameter(
-        param, desc, ExplorerConfig(max_depth=3), preprocess_config, demo_lexicon)
+        param, desc, replace(search_config, max_depth=3), demo_lexicon)
     assert [(e.concept.id, e.depth, e.path) for e in deep.entries] == [
         ("CurrencyMeasure", 3, ("a", "a", "price"))]
 
 
-def test_unnamed_member_is_skipped_but_descended(preprocess_config, explorer_config,
-                                                 demo_lexicon):
+def test_unnamed_member_is_skipped_but_descended(search_config, demo_lexicon):
     ns = "urn:x"
     inner = TypeDefinition(QName(ns, "Inner"), TypeKind.COMPLEX_SEQUENCE,
                            (SubParameter("singer", XSD_STRING),))
@@ -186,13 +176,12 @@ def test_unnamed_member_is_skipped_but_descended(preprocess_config, explorer_con
     desc = WsDescription("u", (Operation("Op", (param,), ()),),
                          {outer.name: outer, inner.name: inner})
     annotation = annotate_parameter(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert [(e.concept.id, e.depth, e.path) for e in annotation.entries] == [
         ("Musician", 2, ("", "singer"))]
 
 
-def test_shared_member_type_is_expanded_once(preprocess_config, explorer_config,
-                                             demo_lexicon):
+def test_shared_member_type_is_expanded_once(search_config, demo_lexicon):
     ns = "urn:x"
     dup = TypeDefinition(QName(ns, "Dup"), TypeKind.COMPLEX_SEQUENCE,
                          (SubParameter("price", XSD_STRING),))
@@ -203,63 +192,58 @@ def test_shared_member_type_is_expanded_once(preprocess_config, explorer_config,
     desc = WsDescription("u", (Operation("Op", (param,), ()),),
                          {dup.name: dup, pair.name: pair})
     annotation = annotate_parameter(
-        param, desc, explorer_config, preprocess_config, demo_lexicon)
+        param, desc, search_config, demo_lexicon)
     assert [(e.concept.id, e.path) for e in annotation.entries] == [
         ("CurrencyMeasure", ("x", "price"))]
 
 
-def test_disabling_descent_never_adds_successes(fixture_corpus, preprocess_config,
+def test_disabling_descent_never_adds_successes(fixture_corpus, search_config,
                                                 demo_lexicon):
-    off = ExplorerConfig(type_explorer_enabled=False)
-    on = ExplorerConfig()
+    off = replace(search_config,
+                  enabled_stages=search_config.enabled_stages - {Stage.EXPLORE})
+    on = search_config
     for desc in fixture_corpus.descriptions:
         for param in desc.parameters():
-            a_off = annotate_parameter(param, desc, off, preprocess_config, demo_lexicon)
-            a_on = annotate_parameter(param, desc, on, preprocess_config, demo_lexicon)
+            a_off = annotate_parameter(param, desc, off, demo_lexicon)
+            a_on = annotate_parameter(param, desc, on, demo_lexicon)
             if a_off.annotated:
                 assert a_on.annotated
                 assert a_off.entries == a_on.entries
 
 
-def test_overrides_rewrite_the_winning_concept(fixture_corpus, preprocess_config,
-                                               explorer_config, demo_lexicon):
+def test_overrides_rewrite_the_winning_concept(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "Password")
     overrides = OverrideMap({"password": Concept("SecurityToken")})
     annotation = annotate_parameter(
-        param, desc, explorer_config, preprocess_config, demo_lexicon, overrides)
+        param, desc, search_config, demo_lexicon, overrides)
     assert annotation.entries[0].concept == Concept("SecurityToken")
 
 
-def test_override_can_rescue_a_failure(fixture_corpus, preprocess_config,
-                                       explorer_config, demo_lexicon):
+def test_override_can_rescue_a_failure(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "PlayList_2")
-    plain = annotate_parameter(param, desc, explorer_config, preprocess_config,
-                               demo_lexicon)
+    plain = annotate_parameter(param, desc, search_config, demo_lexicon)
     assert not plain.annotated
     overrides = OverrideMap({"play": Concept("RecreationOrExercise")})
-    rescued = annotate_parameter(param, desc, explorer_config, preprocess_config,
-                                 demo_lexicon, overrides)
+    rescued = annotate_parameter(param, desc, search_config, demo_lexicon, overrides)
     assert rescued.entries[0].concept == Concept("RecreationOrExercise")
     assert rescued.entries[0].word.text == "play"
 
 
-def test_annotate_description_order(fixture_corpus, preprocess_config,
-                                    explorer_config, demo_lexicon):
+def test_annotate_description_order(fixture_corpus, search_config, demo_lexicon):
     desc = fixture_corpus.descriptions[0]
     annotations = annotate_description(
-        desc, explorer_config, preprocess_config, demo_lexicon)
+        desc, search_config, demo_lexicon)
     assert [a.param_id for a in annotations] == [p.param_id for p in desc.parameters()]
 
 
-def test_empty_lexicon_annotates_nothing(fixture_corpus, preprocess_config,
-                                         explorer_config):
+def test_empty_lexicon_annotates_nothing(fixture_corpus, search_config):
     empty = load_lexicon(b"")
     for desc in fixture_corpus.descriptions:
         for annotation in annotate_description(
-                desc, explorer_config, preprocess_config, empty):
+                desc, search_config, empty):
             assert not annotation.annotated
 
 
 def test_negative_max_depth_rejected():
     with pytest.raises(ValueError):
-        ExplorerConfig(max_depth=-1)
+        SearchConfig(max_depth=-1)

@@ -160,6 +160,57 @@ def test_empty_sequence_means_empty_complex():
     assert desc.types[QName("urn:test", "Bare")].kind is TypeKind.EMPTY_COMPLEX
 
 
+# what an element declares (attributes, content) -> the local name of its
+# type, that type's kind, and whether it is anonymous; "{anon}" stands for
+# the name synthesized for an inline type
+DECLARED_TYPES = {
+    "type_attr": ('type="tns:Code"', "", "Code", TypeKind.CUSTOM_SIMPLE, False),
+    "unusable_type_attr": ('type="tns:"', "", "anyType", TypeKind.UNKNOWN, False),
+    "inline_complex": ("", '<xsd:complexType><xsd:sequence><xsd:element name="v" '
+                           'type="xsd:int"/></xsd:sequence></xsd:complexType>',
+                       "{anon}", TypeKind.COMPLEX_SEQUENCE, True),
+    "inline_simple": ("", '<xsd:simpleType><xsd:restriction base="xsd:string"/>'
+                          '</xsd:simpleType>', "{anon}", TypeKind.CUSTOM_SIMPLE, True),
+    "nothing": ("", "", "anyType", TypeKind.UNKNOWN, False),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(DECLARED_TYPES))
+@pytest.mark.parametrize("place", ["top_level", "sequence_member"])
+def test_declared_type_precedence(branch, place):
+    attrs, content, local, kind, anonymous = DECLARED_TYPES[branch]
+    element = f'<xsd:element name="X" {attrs}>{content}</xsd:element>'
+    top_level = place == "top_level"
+    doc = wsdl(f"""
+  <wsdl:types>
+    <xsd:schema targetNamespace="urn:test">
+      <xsd:simpleType name="Code"><xsd:restriction base="xsd:string"/></xsd:simpleType>
+      {element if top_level else ""}
+      <xsd:complexType name="Base"><xsd:sequence>
+        <xsd:element name="first" type="xsd:int"/>{"" if top_level else element}
+      </xsd:sequence></xsd:complexType>
+    </xsd:schema>
+  </wsdl:types>
+  <wsdl:message name="In">
+    <wsdl:part name="p" {'element="tns:X"' if top_level else 'type="tns:Base"'}/>
+  </wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+""")
+    desc = parse_wsdl("d", doc).description
+    if top_level:
+        type_ref, anon = desc.operations[0].inputs[0].type_ref, "X$anon"
+    else:
+        members = desc.types[QName("urn:test", "Base")].subparameters
+        assert [m.name for m in members] == ["first", "X"]
+        type_ref, anon = members[1].type_ref, "Base.2$anon"
+    namespace = XSD_NAMESPACE if local == "anyType" else "urn:test"
+    assert type_ref == QName(namespace, local.format(anon=anon))
+    definition = resolve_type(desc, type_ref)
+    assert (definition.kind, definition.anonymous) == (kind, anonymous)
+
+
 def test_resolve_type_is_total():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
     desc = parse_wsdl("m", data).description

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
-from semwsdl.explore import ExplorerConfig, annotate_description, annotate_parameter
+from semwsdl.explore import annotate_description, annotate_parameter
 from semwsdl.metrics import (
     AblationReport,
     AblationRow,
@@ -27,6 +28,7 @@ from semwsdl.model import (
     WsDescription,
     XSD_NAMESPACE,
 )
+from semwsdl.preprocess import ALL_STAGES, Stage
 
 import bruteforce
 from corpusgen import random_corpus
@@ -40,11 +42,11 @@ EXPECTED_FIXTURE_COUNTS = (8, 13, 14, 13, 19)
 FIXTURE_TOTAL = 27
 
 
-def oracle_rows(descriptions, preprocess_config, overrides=None):
+def oracle_rows(descriptions, search_config, overrides=None):
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
     return bruteforce.oracle_ablation(
-        descriptions, preprocess_config.abbreviations,
-        preprocess_config.stop_words, rank1, overrides or {})
+        descriptions, search_config.abbreviations,
+        search_config.stop_words, rank1, overrides or {})
 
 
 def name_only_corpus(names):
@@ -55,18 +57,14 @@ def name_only_corpus(names):
     return [desc]
 
 
-def test_fixture_ablation_matches_reference_search(fixture_corpus, preprocess_config,
-                                                   explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
-    expected = oracle_rows(fixture_corpus.descriptions, preprocess_config)
+def test_fixture_ablation_matches_reference_search(fixture_corpus, search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    expected = oracle_rows(fixture_corpus.descriptions, search_config)
     assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
 
 
-def test_fixture_ablation_counts_are_stable(fixture_corpus, preprocess_config,
-                                            explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_fixture_ablation_counts_are_stable(fixture_corpus, search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     assert tuple(r.annotated for r in report.rows) == EXPECTED_FIXTURE_COUNTS
     assert all(r.total == FIXTURE_TOTAL for r in report.rows)
     assert report.rows[0].rate == pytest.approx(8 / 27)
@@ -74,115 +72,102 @@ def test_fixture_ablation_counts_are_stable(fixture_corpus, preprocess_config,
 
 
 def test_filtering_can_cost_and_explorer_always_gains(fixture_corpus,
-                                                      preprocess_config,
-                                                      explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+                                                      search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     by_name = {row.stage_name: row for row in report.rows}
     assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
     assert by_name["+TypeExplorer"].annotated >= by_name["+Filtering"].annotated
 
 
-def test_collapsed_name_can_beat_decomposition(fixture_corpus, preprocess_config,
-                                               demo_lexicon):
+def test_collapsed_name_can_beat_decomposition(fixture_corpus, search_config, demo_lexicon):
     # "PlayList_2" collapses to the known word "playlist"; splitting it
     # yields "play" and "list", which the lexicon does not know
     desc = next(d for d in fixture_corpus.descriptions
                 for p in d.parameters() if p.name == "PlayList_2")
     param = next(p for p in desc.parameters() if p.name == "PlayList_2")
-    configs = stage_configurations(preprocess_config, ExplorerConfig())
-    _, collapsed_cfg, no_types = configs[0]
-    _, split_cfg, _ = configs[1]
-    assert annotate_parameter(param, desc, no_types, collapsed_cfg, demo_lexicon).annotated
-    assert not annotate_parameter(param, desc, no_types, split_cfg, demo_lexicon).annotated
+    (_, collapsed_cfg), (_, split_cfg), *_ = stage_configurations(search_config)
+    assert annotate_parameter(param, desc, collapsed_cfg, demo_lexicon).annotated
+    assert not annotate_parameter(param, desc, split_cfg, demo_lexicon).annotated
 
 
-def test_stage_configurations_shape(preprocess_config, explorer_config):
-    configs = stage_configurations(preprocess_config, explorer_config)
-    assert [name for name, _, _ in configs] == list(STAGE_NAMES)
-    for _, _, ecfg in configs[:4]:
-        assert not ecfg.type_explorer_enabled
-    final = configs[4][2]
-    assert final.type_explorer_enabled
-    assert all(ecfg.max_depth == explorer_config.max_depth for _, _, ecfg in configs)
+def test_stage_configurations_shape(search_config):
+    # only the stage set differs between rows, and it grows by one stage a row
+    config = replace(search_config, max_depth=3,
+                     enabled_stages=frozenset({Stage.FILTER}))
+    configs = stage_configurations(config)
+    assert [name for name, _ in configs] == list(STAGE_NAMES)
+    D, N, F = Stage.DECOMPOSE, Stage.NORMALIZE, Stage.FILTER
+    assert [row.enabled_stages for _, row in configs] == [
+        frozenset(), {D}, {D, N}, {D, N, F}, ALL_STAGES]
+    assert ALL_STAGES == {D, N, F, Stage.EXPLORE}
+    for _, row in configs:
+        assert replace(row, enabled_stages=config.enabled_stages) == config
 
 
-def test_all_stages_hit_on_plain_names(preprocess_config, explorer_config,
-                                       demo_lexicon):
+def test_all_stages_hit_on_plain_names(search_config, demo_lexicon):
     corpus = name_only_corpus(["city", "customer", "password"])
-    report = run_ablation(corpus, preprocess_config, explorer_config, demo_lexicon)
+    report = run_ablation(corpus, search_config, demo_lexicon)
     assert all(row.annotated == 3 and row.total == 3 and row.rate == 1.0
                for row in report.rows)
 
 
-def test_empty_corpus_gives_zero_rows(preprocess_config, explorer_config,
-                                      demo_lexicon):
-    report = run_ablation([], preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_empty_corpus_gives_zero_rows(search_config, demo_lexicon):
+    report = run_ablation([], search_config, demo_lexicon)
     assert all((row.annotated, row.total, row.rate) == (0, 0, 0.0)
                for row in report.rows)
 
 
-def test_final_row_equals_standard_annotation(fixture_corpus, preprocess_config,
-                                              explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_final_row_equals_standard_annotation(fixture_corpus, search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     annotated = sum(
         annotation.annotated
         for desc in fixture_corpus.descriptions
-        for annotation in annotate_description(desc, explorer_config,
-                                               preprocess_config, demo_lexicon))
+        for annotation in annotate_description(desc, search_config, demo_lexicon))
     assert report.rows[4].annotated == annotated
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 7))
-def test_generated_corpora_match_reference_search(seed, preprocess_config,
-                                                  explorer_config, demo_lexicon):
+def test_generated_corpora_match_reference_search(seed, search_config, demo_lexicon):
     corpus = random_corpus(seed)
-    report = run_ablation(corpus, preprocess_config, explorer_config, demo_lexicon)
-    expected = oracle_rows(corpus, preprocess_config)
+    report = run_ablation(corpus, search_config, demo_lexicon)
+    expected = oracle_rows(corpus, search_config)
     assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
     by_name = {row.stage_name: row for row in report.rows}
     assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
     assert by_name["+TypeExplorer"].annotated >= by_name["+Filtering"].annotated
 
 
-def test_word_frequency_counts_and_order(preprocess_config, explorer_config,
-                                         demo_lexicon):
+def test_word_frequency_counts_and_order(search_config, demo_lexicon):
     corpus = name_only_corpus(["userId", "userId", "userId"])
-    rows = word_frequency(corpus, preprocess_config, explorer_config, demo_lexicon)
+    rows = word_frequency(corpus, search_config, demo_lexicon)
     assert [(r.word.text, r.occurrences) for r in rows] == [
         ("identity", 3), ("user", 3)]
     assert rows[0].concept == Concept("TraitAttribute")
     assert rows[1].concept == Concept("DiseaseOrSyndrome")
 
 
-def test_word_frequency_includes_failed_search_words(preprocess_config,
-                                                     explorer_config, demo_lexicon):
+def test_word_frequency_includes_failed_search_words(search_config, demo_lexicon):
     corpus = name_only_corpus(["xyzzy"])
-    rows = word_frequency(corpus, preprocess_config, explorer_config, demo_lexicon)
+    rows = word_frequency(corpus, search_config, demo_lexicon)
     assert [(r.word.text, r.occurrences, r.concept) for r in rows] == [
         ("xyzzy", 1, None)]
 
 
-def test_word_frequency_matches_reference_counts(fixture_corpus, preprocess_config,
-                                                 explorer_config, demo_lexicon):
-    rows = word_frequency(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_word_frequency_matches_reference_counts(fixture_corpus, search_config, demo_lexicon):
+    rows = word_frequency(fixture_corpus.descriptions, search_config, demo_lexicon)
     counted = {row.word.text: row.occurrences for row in rows}
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
     expected = bruteforce.oracle_word_counts(
-        fixture_corpus.descriptions, preprocess_config.abbreviations,
-        preprocess_config.stop_words, rank1, {})
+        fixture_corpus.descriptions, search_config.abbreviations,
+        search_config.stop_words, rank1, {})
     assert counted == expected
     # descending occurrences, ties broken alphabetically
     keys = [(-row.occurrences, row.word.text) for row in rows]
     assert keys == sorted(keys)
 
 
-def test_word_frequency_empty_corpus(preprocess_config, explorer_config,
-                                     demo_lexicon):
-    assert word_frequency([], preprocess_config, explorer_config,
+def test_word_frequency_empty_corpus(search_config, demo_lexicon):
+    assert word_frequency([], search_config,
                           demo_lexicon) == []
 
 
@@ -201,10 +186,8 @@ def test_csv_format():
     assert word_frequency_to_csv(rows) == data
 
 
-def test_ablation_json_round_trip(fixture_corpus, preprocess_config,
-                                  explorer_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_ablation_json_round_trip(fixture_corpus, search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     payload = json.loads(ablation_to_json(report))
     assert [row["stage"] for row in payload["rows"]] == list(STAGE_NAMES)
     assert payload["rows"][4]["annotated"] == 19
@@ -212,10 +195,8 @@ def test_ablation_json_round_trip(fixture_corpus, preprocess_config,
     assert ablation_to_json(report) == ablation_to_json(report)
 
 
-def test_table_rendering(fixture_corpus, preprocess_config, explorer_config,
-                         demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, preprocess_config, explorer_config,
-                          demo_lexicon)
+def test_table_rendering(fixture_corpus, search_config, demo_lexicon):
+    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     table = render_ablation_table(report)
     for name in STAGE_NAMES:
         assert name in table

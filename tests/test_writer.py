@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from semwsdl.explore import ExplorerConfig, annotate_description
+from semwsdl.explore import annotate_description
 from semwsdl.ingest import SkippedFile, parse_wsdl
 from semwsdl.model import (
     Annotation,
@@ -112,12 +112,11 @@ def test_injection_is_idempotent():
     assert first == second
 
 
-def test_annotated_copy_reingests_identically(fixture_corpus, preprocess_config,
-                                              explorer_config, demo_lexicon):
+def test_annotated_copy_reingests_identically(fixture_corpus, search_config, demo_lexicon):
     for desc in fixture_corpus.descriptions:
         data = Path(desc.source_id).read_bytes()
         annotations = annotate_description(
-            desc, explorer_config, preprocess_config, demo_lexicon)
+            desc, search_config, demo_lexicon)
         output = write(data, desc.source_id, annotations)
         again = parse_wsdl(desc.source_id, output).description
         assert again.operations == desc.operations
