@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from pathlib import Path
 
@@ -147,6 +148,27 @@ def _load_inputs(files: list[str]) -> Corpus:
     return corpus
 
 
+_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def _write_output(path: Path, data: bytes) -> None:
+    """Write `data` to `path`, rewriting an existing file in place.
+
+    Truncating a file to zero frees its blocks only for the write to
+    allocate them again, and ext4 flushes a file truncated and rewritten
+    that way when it is closed; a rerun into the same output directory
+    mostly writes outputs of the same size.  So an existing file keeps its
+    inode and mode and is cut only when it used to be longer than `data`.
+    A new file gets 0o666 less the umask.
+    """
+    fd = os.open(path, _OUTPUT_FLAGS, 0o666)
+    with open(fd, "wb") as file:  # the buffered writer retries short writes
+        longer = os.fstat(fd).st_size > len(data)
+        file.write(data)
+        if longer:
+            file.truncate()
+
+
 def _output_names(source_ids: list[str]) -> dict[str, str]:
     """Map source ids to distinct output file names."""
     names: dict[str, str] = {}
@@ -178,7 +200,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
         annotations = annotate_description(description, config, lexicon, overrides)
         output = write_sawsdl(parsed, annotations, writer_config)
         try:
-            (output_dir / names[description.source_id]).write_bytes(output)
+            _write_output(output_dir / names[description.source_id], output)
         except OSError as exc:
             skip = SkippedFile(description.source_id, f"write error: {exc}")
             corpus.skipped.append(skip)
@@ -187,7 +209,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
         written.append(description)
         all_annotations.extend(annotations)
     report = write_report(all_annotations, written, corpus.skipped)
-    (output_dir / "report.json").write_bytes(report)
+    _write_output(output_dir / "report.json", report)
     annotated = sum(1 for a in all_annotations if a.entries)
     print(f"annotated {annotated}/{len(all_annotations)} parameters across "
           f"{len(written)} files", file=sys.stderr)
@@ -196,14 +218,14 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
 def _run_ablate(args, corpus: Corpus, setup) -> None:
     config, lexicon, overrides, _ = setup
     report = run_ablation(corpus.descriptions, config, lexicon, overrides)
-    (Path(args.output_dir) / "ablation.json").write_bytes(ablation_to_json(report))
+    _write_output(Path(args.output_dir) / "ablation.json", ablation_to_json(report))
     sys.stdout.write(render_ablation_table(report))
 
 
 def _run_wordfreq(args, corpus: Corpus, setup) -> None:
     config, lexicon, overrides, _ = setup
     rows = word_frequency(corpus.descriptions, config, lexicon, overrides)
-    (Path(args.output_dir) / "words.csv").write_bytes(word_frequency_to_csv(rows))
+    _write_output(Path(args.output_dir) / "words.csv", word_frequency_to_csv(rows))
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
 
 

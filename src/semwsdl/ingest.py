@@ -10,6 +10,7 @@ parameter, so the writer can inject attributes without parsing again.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -307,14 +308,16 @@ def load_corpus(paths: list) -> Corpus:
     schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str], Path]] = {}
     import_keys: list[tuple[Path, tuple[str, ...]]] = []
     seen: set[Path] = set()
+    resolved_dirs: dict[Path, Path] = {}
     for path in paths:
         source_id = str(path)
         try:
-            data = Path(path).read_bytes()
+            with open(path, "rb") as file:
+                data = file.read()
         except OSError as exc:
             skipped.append(SkippedFile(source_id, f"io error: {exc}"))
             continue
-        resolved = Path(path).resolve()
+        resolved = _resolve_read_file(Path(path), resolved_dirs)
         if resolved in seen:
             continue
         seen.add(resolved)
@@ -342,6 +345,22 @@ def load_corpus(paths: list) -> Corpus:
     if not documents:
         raise EmptyCorpus(skipped, len(schema_files))
     return Corpus(documents, skipped)
+
+
+def _resolve_read_file(path: Path, resolved_dirs: dict[Path, Path]) -> Path:
+    """The real path of a file that was just read.
+
+    A file that is not a symlink lives in its directory's real path under
+    its own name, so each directory is resolved once (`resolved_dirs`
+    caches it) instead of every component of every file.  A symlink
+    resolves to its target, whose directory its imports are relative to.
+    """
+    if os.path.islink(path):
+        return path.resolve()
+    parent = resolved_dirs.get(path.parent)
+    if parent is None:
+        parent = resolved_dirs[path.parent] = path.parent.resolve()
+    return parent / path.name
 
 
 def _imported_types(base_dir: Path, locations: tuple[str, ...],

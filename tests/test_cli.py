@@ -208,6 +208,63 @@ def test_output_dir_equal_to_input_dir_is_stable(tmp_path, capsys):
     assert "annotated 1/2 parameters across 1 files" in capsys.readouterr().err
 
 
+def test_rerun_with_shorter_outputs_writes_what_a_fresh_run_writes(tmp_path, capsys):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert cli.run(base_args("annotate", [CORPUS_DIR], out)) == 0
+    copy = out / "auth_service.sawsdl.wsdl"
+    copy.chmod(0o640)
+    before = {p.name: p.stat() for p in out.iterdir()}
+    umask = os.umask(0o027)
+    try:
+        for target in (out, fresh):
+            assert cli.run(base_args("annotate", [CORPUS_DIR], target)
+                           + ["--stages", "none"]) == 0
+    finally:
+        os.umask(umask)
+    written = {p.name: p.read_bytes() for p in fresh.iterdir()}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+    # fewer modelReference values: the old files were longer, so they were cut
+    shorter = {name for name, data in written.items() if before[name].st_size > len(data)}
+    assert {"report.json", copy.name} <= shorter
+    # a rewritten copy keeps its inode and mode, a new one gets 0o666 less the umask
+    assert (copy.stat().st_ino, copy.stat().st_mode) == (before[copy.name].st_ino,
+                                                         before[copy.name].st_mode)
+    assert copy.stat().st_mode & 0o777 == 0o640
+    assert (fresh / copy.name).stat().st_mode & 0o777 == 0o640
+    assert (fresh / "report.json").stat().st_mode & 0o777 == 0o640
+    capsys.readouterr()
+
+
+def test_longer_old_ablation_and_word_lists_are_cut(tmp_path, capsys):
+    for command, name in (("ablate", "ablation.json"), ("wordfreq", "words.csv")):
+        out, fresh = tmp_path / command, tmp_path / f"{command}-fresh"
+        out.mkdir()
+        (out / name).write_bytes(b"x" * 100_000)
+        assert cli.run(base_args(command, [CORPUS_DIR], out)) == 0
+        assert cli.run(base_args(command, [CORPUS_DIR], fresh)) == 0
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
+    capsys.readouterr()
+
+
+def test_output_symlinked_to_dev_null_is_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    os.symlink(os.devnull, out / "words.csv")
+    assert cli.run(base_args("wordfreq", [CORPUS_DIR], out)) == 0
+    assert (out / "words.csv").is_symlink()
+    capsys.readouterr()
+
+
+def test_output_that_cannot_be_written_exits_2(tmp_path, capsys):
+    for command, name in (("annotate", "report.json"), ("ablate", "ablation.json"),
+                          ("wordfreq", "words.csv")):
+        out = tmp_path / command
+        (out / name).mkdir(parents=True)
+        assert cli.run(base_args(command, [CORPUS_DIR], out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: [Errno 21] Is a directory: '{out / name}'\n" in err
+
+
 def test_written_copies_equal_annotating_the_file_bytes(tmp_path, fixture_corpus,
                                                         search_config, demo_lexicon):
     out = tmp_path / "out"

@@ -425,12 +425,30 @@ def test_descriptions_without_own_types_share_the_closure(tmp_path):
 
 
 def test_file_named_twice_is_loaded_once(tmp_path):
-    source = tmp_path / "music_catalog.wsdl"
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    source = folder / "music_catalog.wsdl"
     shutil.copy(CORPUS_DIR / "music_catalog.wsdl", source)
-    os.symlink(source, tmp_path / "link.wsdl")
-    for paths in ([source, source], [source, tmp_path / "link.wsdl"]):
-        corpus = load_corpus(paths)
-        assert [d.source_id for d in corpus.descriptions] == [str(source)]
+    os.symlink(source, folder / "link.wsdl")
+    os.symlink(folder, tmp_path / "linkdir")
+    spellings = [source, folder / "link.wsdl", tmp_path / "linkdir" / source.name,
+                 folder / ".." / "dir" / source.name]
+    for other in spellings:
+        for paths in ([source, other], [other, source]):
+            corpus = load_corpus(paths)
+            assert [d.source_id for d in corpus.descriptions] == [str(paths[0])]
+
+
+def test_imports_of_a_symlinked_file_are_relative_to_its_target(tmp_path):
+    linked, target = tmp_path / "a", tmp_path / "b"
+    linked.mkdir()
+    target.mkdir()
+    shutil.copy(IMPORTS_DIR / "main.wsdl", target)
+    shutil.copy(IMPORTS_DIR / "common.xsd", target)
+    os.symlink(target / "main.wsdl", linked / "main.wsdl")
+    corpus = load_corpus([linked / "main.wsdl", target / "common.xsd"])
+    assert [d.source_id for d in corpus.descriptions] == [str(linked / "main.wsdl")]
+    assert QName("http://example.com/common", "Address") in corpus.descriptions[0].types
 
 
 def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
