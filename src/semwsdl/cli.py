@@ -112,22 +112,27 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     return files, copies
 
 
+def _read_text(path: str) -> str:
+    """A config or lexicon file's text; a decoding error names the file."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _build_setup(args):
     stages = _parse_stages(getattr(args, "stages", None))
     defaults = default_config()
     abbreviations, stop_words = defaults.abbreviations, defaults.stop_words
     if args.abbreviations_path:
-        abbreviations = parse_abbreviations(
-            Path(args.abbreviations_path).read_text("utf-8-sig"), args.abbreviations_path)
+        abbreviations = parse_abbreviations(_read_text(args.abbreviations_path),
+                                            args.abbreviations_path)
     if args.stopwords_path:
-        stop_words = parse_stop_words(
-            Path(args.stopwords_path).read_text("utf-8-sig"), args.stopwords_path)
+        stop_words = parse_stop_words(_read_text(args.stopwords_path), args.stopwords_path)
     config = SearchConfig(abbreviations, stop_words, stages, args.max_depth)
-    lexicon = load_lexicon(Path(args.lexicon_path).read_bytes(),
-                           source=args.lexicon_path)
+    lexicon = load_lexicon(_read_text(args.lexicon_path), source=args.lexicon_path)
     if args.overrides_path:
-        overrides = load_overrides(Path(args.overrides_path).read_text("utf-8-sig"),
-                                   source=args.overrides_path)
+        overrides = load_overrides(_read_text(args.overrides_path), source=args.overrides_path)
     else:
         overrides = EMPTY_OVERRIDES
     writer_config = WriterConfig(uri_prefix=args.uri_prefix)

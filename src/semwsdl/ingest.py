@@ -222,7 +222,7 @@ def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[st
     """One walk: the parsed document and its import locations."""
     root = document.root
     if root.qname() != (WSDL_NAMESPACE, "definitions"):
-        raise MalformedXml(f"{source_id}: root element is not wsdl:definitions")
+        raise MalformedXml("root element is not wsdl:definitions")
     schemas = [
         schema
         for types in root.find_children(WSDL_NAMESPACE, "types")
@@ -305,7 +305,7 @@ def load_corpus(paths: list) -> Corpus:
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
-    schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str], Path]] = {}
+    schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str]]] = {}
     import_keys: list[tuple[Path, tuple[str, ...]]] = []
     seen: set[Path] = set()
     resolved_dirs: dict[Path, Path] = {}
@@ -325,7 +325,7 @@ def load_corpus(paths: list) -> Corpus:
             xdoc = xmlio.parse_xml(data)
             if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
                 index, locations = _index_schemas([xdoc.root])
-                schema_files[resolved] = (index.types, locations, resolved.parent)
+                schema_files[resolved] = (index.types, locations)
                 continue
             parsed, locations = _analyze(source_id, xdoc)
         except MalformedXml as exc:
@@ -383,8 +383,8 @@ def _imported_types(base_dir: Path, locations: tuple[str, ...],
             visited.add(target)
             continue
         visited.add(target)
-        types, further, schema_dir = schema_files[target]
+        types, further = schema_files[target]
         for qn, definition in types.items():
             merged.setdefault(qn, definition)
-        queue.extend((schema_dir, loc) for loc in further)
+        queue.extend((target.parent, loc) for loc in further)
     return merged

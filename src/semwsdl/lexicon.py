@@ -1,9 +1,9 @@
 """Word-to-concept association through a ranked lexicon plus overrides.
 
 The lexicon file carries one sense per line (word, rank, concept); rank 1
-is the preferred sense and the only one consulted automatically.  The
-override map exists because rank-1 senses are sometimes absurd for the
-service domain (a "user" of drugs); an override always wins.
+is the preferred sense, and the only one kept once every line is checked.
+The override map exists because rank-1 senses are sometimes absurd for
+the service domain (a "user" of drugs); an override always wins.
 """
 
 from __future__ import annotations
@@ -41,14 +41,13 @@ class MalformedOverrideLine(LexiconError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """word text -> concepts ordered by ascending sense rank."""
+    """word text -> its rank-1 concept."""
 
-    entries: dict[str, tuple[Concept, ...]] = field(default_factory=dict)
+    entries: dict[str, Concept] = field(default_factory=dict)
 
     def __post_init__(self):
-        for word, concepts in self.entries.items():
-            if not concepts:
-                raise LexiconError(f"lexicon entry {word!r} has no senses")
+        if not all(map(isinstance, self.entries.values(), repeat(Concept))):
+            raise LexiconError("lexicon entries must map each word to one Concept")
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,9 @@ def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
     """Parse the TSV lexicon format: word<TAB>rank<TAB>concept per line.
 
     Blank lines and '#' comments are ignored.  Ranks per word must form
-    1..k with no gaps or duplicates.  Words that name the same concept id
-    share one Concept object.
+    1..k with no gaps or duplicates.  Every line is checked, but only each
+    word's rank-1 concept is kept; words whose rank-1 concepts have the
+    same id share one Concept object.
 
     A canonical document (see _load_canonical) is read column by column;
     any other document goes through the line loop, which accepts every
@@ -108,22 +108,22 @@ def _blocks(text: str):
         start = end
 
 
-def _load_canonical(text: str) -> dict[str, tuple[Concept, ...]] | None:
+def _load_canonical(text: str) -> dict[str, Concept] | None:
     r"""The entries of a canonical document, else None; never raises.
 
     Canonical: every line ends in \n and no other line break appears; each
     line is empty, a '#' comment from column 0, or word<TAB>rank<TAB>concept
     with no other whitespace; each word's lines are consecutive with ranks
-    1..k in order, and no word has a second run of lines.  The checks and
-    the build work on whole columns of a block at a time, with string and
-    iterator operations that loop in C.
+    1..k in order, and no word has a second run of lines.  So the first
+    line of each run is its word's rank-1 line.  The checks and the build
+    work on whole columns of a block at a time, with string and iterator
+    operations that loop in C.
     """
     if text and not text.endswith("\n") or _OTHER_BREAKS.search(text):
         return None
     concepts: dict[str, Concept] = {}
-    senses: list[Concept] = []
-    starts: list[int] = []
-    heads: list[str] = []
+    entries: dict[str, Concept] = {}
+    heads = 0
     word, rank = "", 0  # before the first line: it must start a word at rank 1
     for block in _blocks(text):
         lines = [line for line in block.split("\n") if line and line[0] != "#"]
@@ -149,22 +149,21 @@ def _load_canonical(text: str) -> dict[str, tuple[Concept, ...]] | None:
         if list(map(add, map(mul, chain((rank,), ranks), continues), repeat(1))) != ranks:
             return None
         new_words = list(map(not_, continues))
-        starts.extend(compress(range(len(senses), len(senses) + len(words)), new_words))
-        heads.extend(compress(words, new_words))
-        for concept_id in set(ids).difference(concepts):
+        firsts = list(compress(ids, new_words))
+        for concept_id in set(firsts).difference(concepts):
             concepts[concept_id] = Concept(concept_id)
-        senses.extend(map(concepts.__getitem__, ids))
+        entries.update(zip(compress(words, new_words), map(concepts.__getitem__, firsts)))
+        heads += len(firsts)
         word, rank = words[-1], ranks[-1]
-    runs = map(slice, starts, chain(starts[1:], (len(senses),)))
-    entries = dict(zip(heads, map(tuple, map(senses.__getitem__, runs))))
-    if len(entries) != len(heads):  # a word with a second run of lines
+    if len(entries) != heads:  # a word with a second run of lines
         return None
     return entries
 
 
-def _load_lines(text: str, source: str) -> dict[str, tuple[Concept, ...]]:
+def _load_lines(text: str, source: str) -> dict[str, Concept]:
     """Line by line, for any document; raises on the first bad line."""
-    senses: dict[str, dict[int, Concept]] = {}
+    ranks: dict[str, set[int]] = {}
+    firsts: dict[str, Concept] = {}
     concepts: dict[str, Concept] = {}
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -187,21 +186,17 @@ def _load_lines(text: str, source: str) -> dict[str, tuple[Concept, ...]]:
             raise MalformedLexiconLine(f"{source}:{number}: rank must be >= 1")
         if not concept_id:
             raise MalformedLexiconLine(f"{source}:{number}: concept must be non-empty")
-        concept = concepts.get(concept_id)
-        if concept is None:
-            concept = concepts[concept_id] = Concept(concept_id)
-        ranks = senses.setdefault(word, {})
-        if rank in ranks:
+        seen = ranks.setdefault(word, set())
+        if rank in seen:
             raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
-        ranks[rank] = concept
-    entries: dict[str, tuple[Concept, ...]] = {}
-    for word, ranks in senses.items():
-        expected = list(range(1, len(ranks) + 1))
-        if sorted(ranks) != expected:
+        seen.add(rank)
+        if rank == 1:
+            firsts[word] = concepts.setdefault(concept_id, Concept(concept_id))
+    for word, seen in ranks.items():
+        if max(seen) != len(seen):  # distinct ranks >= 1 are 1..k when the largest is k
             raise NonContiguousRanks(
-                f"{source}: ranks for {word!r} must be 1..{len(ranks)}, got {sorted(ranks)}")
-        entries[word] = tuple(ranks[rank] for rank in expected)
-    return entries
+                f"{source}: ranks for {word!r} must be 1..{len(seen)}, got {sorted(seen)}")
+    return {word: firsts[word] for word in ranks}
 
 
 def load_overrides(document: bytes | str, source: str = "<overrides>") -> OverrideMap:
@@ -228,13 +223,7 @@ def load_overrides(document: bytes | str, source: str = "<overrides>") -> Overri
 def associate(word: Word, lexicon: Lexicon,
               overrides: OverrideMap = EMPTY_OVERRIDES) -> Concept | None:
     """Override concept if present, else the word's rank-1 sense, else None."""
-    override = overrides.entries.get(word.text)
-    if override is not None:
-        return override
-    senses = lexicon.entries.get(word.text)
-    if senses:
-        return senses[0]
-    return None
+    return overrides.entries.get(word.text) or lexicon.entries.get(word.text)
 
 
 def associate_words(words: list[Word], lexicon: Lexicon,

@@ -26,6 +26,7 @@ XSD_BUILTIN_TYPES = frozenset({
 })
 
 _WORD_RE = re.compile(r"[a-z]+")
+ONTOLOGY = "SUMO"  # the ontology every Concept id names
 
 
 class TypeKind(Enum):
@@ -92,7 +93,6 @@ class Concept:
     """An ontology concept identifier, e.g. SUMO's HoofedMammal."""
 
     id: str
-    ontology: str = "SUMO"
 
     def __post_init__(self):
         if not self.id:

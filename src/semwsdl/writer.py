@@ -16,7 +16,7 @@ from urllib.parse import urlparse
 
 from . import xmlio
 from .ingest import ParsedWsdl, SkippedFile, WsDescription
-from .model import Annotation, annotation_rate
+from .model import ONTOLOGY, Annotation, annotation_rate
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
@@ -126,7 +126,7 @@ def write_report(annotations: list[Annotation], descriptions: list[WsDescription
                 "entries": [
                     {
                         "concept": entry.concept.id,
-                        "ontology": entry.concept.ontology,
+                        "ontology": ONTOLOGY,
                         "word": entry.word.text,
                         "source": entry.source.value,
                         "path": list(entry.path),

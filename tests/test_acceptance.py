@@ -209,7 +209,7 @@ def test_criterion_9_module_invariant_properties():
            st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True),
            st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True))
     def overrides_always_win(word, ranked, overriding):
-        lexicon = Lexicon(entries={word: (Concept(ranked),)})
+        lexicon = Lexicon(entries={word: Concept(ranked)})
         overrides = OverrideMap({word: Concept(overriding)})
         assert associate(Word(word), lexicon, overrides) == Concept(overriding)
 

@@ -4,6 +4,8 @@ import os
 import shutil
 from pathlib import Path
 
+import pytest
+
 from semwsdl import annotate_description, cli, parse_wsdl, write_sawsdl
 from semwsdl.xmlio import parse_xml
 
@@ -146,6 +148,17 @@ def test_doctype_input_is_skipped(tmp_path, capsys):
     assert [Path(s["path"]).name for s in skipped] == ["doctype_entity.wsdl"]
     assert "DOCTYPE" in skipped[0]["error"]
     assert "skipped" in capsys.readouterr().err
+
+
+def test_non_wsdl_root_is_reported_with_its_path_once(tmp_path, capsys):
+    other = tmp_path / "other.wsdl"
+    other.write_text("<root/>")
+    out = tmp_path / "out"
+    code = cli.run(base_args("annotate", [CORPUS_DIR / "music_catalog.wsdl", other], out))
+    assert code == 1
+    reason = "root element is not wsdl:definitions"
+    assert f"skipped {other}: {reason}" in capsys.readouterr().err.splitlines()
+    assert read_report(out)["skipped"] == [{"path": str(other), "error": reason}]
 
 
 IMPORTING = MINIMAL.replace(
@@ -425,6 +438,19 @@ def test_malformed_lexicon_exits_2(tmp_path, capsys):
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR),
                     "--output-dir", str(out), "--lexicon-path", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--abbreviations-path", "--stopwords-path",
+                                  "--overrides-path", "--lexicon-path"])
+def test_text_file_that_is_not_utf8_is_named(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"ok\n\xff\n")
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [CORPUS_DIR], out) + [flag, str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+        "in position 3: invalid start byte"]
+    assert not out.exists()
 
 
 def test_short_flag_aliases(tmp_path):

@@ -1,5 +1,6 @@
 import random
 from importlib.resources import files
+from itertools import permutations
 from unittest.mock import patch
 
 import pytest
@@ -29,13 +30,14 @@ from bruteforce import oracle_parse_lexicon
 
 def test_load_single_entry():
     lx = load_lexicon(b"buffalo\t1\tHoofedMammal\n")
-    assert lx.entries["buffalo"] == (Concept("HoofedMammal"),)
+    assert lx.entries["buffalo"] == Concept("HoofedMammal")
 
 
-def test_load_orders_senses_by_rank():
-    lx = load_lexicon("user\t2\tHuman\nuser\t1\tDiseaseOrSyndrome\nuser\t3\tSocialRole\n")
-    assert [c.id for c in lx.entries["user"]] == [
-        "DiseaseOrSyndrome", "Human", "SocialRole"]
+def test_load_keeps_rank_one_whatever_the_line_order():
+    lines = ["user\t1\tDiseaseOrSyndrome\n", "user\t2\tHuman\n", "user\t3\tSocialRole\n"]
+    for order in permutations(lines):
+        lx = load_lexicon("".join(order))
+        assert lx.entries == {"user": Concept("DiseaseOrSyndrome")}
 
 
 def test_load_empty_document_is_valid():
@@ -141,7 +143,7 @@ def test_default_lexicon_loads(demo_lexicon):
        st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True),
        st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True))
 def test_override_precedence_property(word, lexicon_concept, override_concept):
-    lx = Lexicon(entries={word: (Concept(lexicon_concept),)})
+    lx = Lexicon(entries={word: Concept(lexicon_concept)})
     overrides = OverrideMap({word: Concept(override_concept)})
     assert associate(Word(word), lx, overrides) == Concept(override_concept)
     assert associate(Word(word), lx, EMPTY_OVERRIDES) == Concept(lexicon_concept)
@@ -176,14 +178,34 @@ def lexicon_documents(draw):
 def test_load_matches_oracle_on_shuffled_documents(document):
     text, senses = document
     lx = load_lexicon(text)
-    assert {word: concepts[0].id for word, concepts in lx.entries.items()} == \
-        oracle_parse_lexicon(text)
-    assert {word: [c.id for c in concepts] for word, concepts in lx.entries.items()} == senses
+    rank_one = {word: concept.id for word, concept in lx.entries.items()}
+    assert rank_one == oracle_parse_lexicon(text)
+    assert rank_one == {word: concepts[0] for word, concepts in senses.items()}
 
 
 def test_same_concept_id_is_one_object():
-    lx = load_lexicon("city\t1\tRegion\ntown\t2\tRegion\ntown\t1\tCity\n")
-    assert lx.entries["city"][0] is lx.entries["town"][1]
+    for text in ("city\t1\tRegion\ntown\t1\tRegion\ntown\t2\tCity\n",  # canonical
+                 "city\t1\tRegion\ntown\t2\tCity\ntown\t1\tRegion\n"):  # line loop
+        lx = load_lexicon(text)
+        assert lx.entries["city"] is lx.entries["town"]
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("ab\t1\tX\nab\t3\tY\n", NonContiguousRanks,
+     ": ranks for 'ab' must be 1..2, got [1, 3]"),
+    ("ab\t1\tX\nab\t2\tY\nab\t2\tZ\n", DuplicateSense, ":3: duplicate sense 'ab' rank 2"),
+    ("ab\t1\tX\nab\t2\t\n", MalformedLexiconLine, ":2: expected word<TAB>rank<TAB>concept"),
+    ("ab\t1\tX\nab\t2x\tY\n", MalformedLexiconLine, ":2: rank must be an integer: '2x'"),
+    ("ab\t1\tX\n ab\t3\tY\n", NonContiguousRanks,
+     ": ranks for 'ab' must be 1..2, got [1, 3]"),
+    ("ab\t1\tX\nab\t2\tY\nab\t 2\tZ\n", DuplicateSense,
+     ":3: duplicate sense 'ab' rank 2"),
+])
+def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
+    # only rank 1 is kept, but every line is checked
+    with pytest.raises(error) as raised:
+        load_lexicon(text, source="demo.tsv")
+    assert str(raised.value) == f"demo.tsv{message}"
 
 
 @pytest.mark.parametrize("text,error,message", [
@@ -322,9 +344,8 @@ def _outcome(load, text):
 
 def _one_object_per_id(entries):
     objects = {}
-    for concepts in entries.values():
-        for concept in concepts:
-            assert objects.setdefault(concept.id, concept) is concept
+    for concept in entries.values():
+        assert objects.setdefault(concept.id, concept) is concept
 
 
 @settings(max_examples=600, deadline=None)

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
 from semwsdl.model import (
+    ONTOLOGY,
     XSD_NAMESPACE,
     Annotation,
     AnnotationEntry,
@@ -52,7 +55,9 @@ def test_word_valid_inputs_round_trip(text):
 def test_concept_requires_id():
     with pytest.raises(ValueError):
         Concept("")
-    assert Concept("City").ontology == "SUMO"
+    # the ontology is one constant, not a field every concept carries
+    assert [f.name for f in fields(Concept)] == ["id"]
+    assert ONTOLOGY == "SUMO"
 
 
 def test_type_definition_kind_constraints():
