@@ -17,7 +17,6 @@ from .ingest import (
 )
 from .lexicon import (
     Lexicon,
-    OverrideMap,
     associate,
     associate_words,
     default_lexicon,
@@ -73,7 +72,6 @@ __all__ = [
     "Lexicon",
     "MalformedXml",
     "Operation",
-    "OverrideMap",
     "Parameter",
     "ParsedWsdl",
     "QName",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .explore import annotate_description
 from .ingest import Corpus, EmptyCorpus, SkippedFile, load_corpus
-from .lexicon import EMPTY_OVERRIDES, load_lexicon, load_overrides
+from .lexicon import load_lexicon, load_overrides
 from .metrics import (
     ablation_to_json,
     render_ablation_table,
@@ -131,12 +131,10 @@ def _build_setup(args):
         stop_words = parse_stop_words(_read_text(args.stopwords_path), args.stopwords_path)
     config = SearchConfig(abbreviations, stop_words, stages, args.max_depth)
     lexicon = load_lexicon(_read_text(args.lexicon_path), source=args.lexicon_path)
-    if args.overrides_path:
-        overrides = load_overrides(_read_text(args.overrides_path), source=args.overrides_path)
-    else:
-        overrides = EMPTY_OVERRIDES
-    writer_config = WriterConfig(uri_prefix=args.uri_prefix)
-    return config, lexicon, overrides, writer_config
+    if args.overrides_path:  # in place: an override replaces its word's rank-1 concept
+        lexicon.entries.update(
+            load_overrides(_read_text(args.overrides_path), source=args.overrides_path))
+    return config, lexicon, WriterConfig(uri_prefix=args.uri_prefix)
 
 
 def _print_skipped(skipped: list[SkippedFile]) -> None:
@@ -192,7 +190,7 @@ def _output_names(source_ids: list[str]) -> dict[str, str]:
 
 def _run_annotate(args, corpus: Corpus, setup) -> None:
     """Write each copy; one that cannot be written becomes a skipped entry."""
-    config, lexicon, overrides, writer_config = setup
+    config, lexicon, writer_config = setup
     output_dir = Path(args.output_dir)
     names = _output_names([d.source_id for d in corpus.descriptions])
     all_annotations = []
@@ -202,7 +200,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
     while documents:
         parsed = documents.pop()
         description = parsed.description
-        annotations = annotate_description(description, config, lexicon, overrides)
+        annotations = annotate_description(description, config, lexicon)
         output = write_sawsdl(parsed, annotations, writer_config)
         try:
             _write_output(output_dir / names[description.source_id], output)
@@ -221,15 +219,15 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
 
 
 def _run_ablate(args, corpus: Corpus, setup) -> None:
-    config, lexicon, overrides, _ = setup
-    report = run_ablation(corpus.descriptions, config, lexicon, overrides)
+    config, lexicon, _ = setup
+    report = run_ablation(corpus.descriptions, config, lexicon)
     _write_output(Path(args.output_dir) / "ablation.json", ablation_to_json(report))
     sys.stdout.write(render_ablation_table(report))
 
 
 def _run_wordfreq(args, corpus: Corpus, setup) -> None:
-    config, lexicon, overrides, _ = setup
-    rows = word_frequency(corpus.descriptions, config, lexicon, overrides)
+    config, lexicon, _ = setup
+    rows = word_frequency(corpus.descriptions, config, lexicon)
     _write_output(Path(args.output_dir) / "words.csv", word_frequency_to_csv(rows))
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
 

@@ -13,6 +13,9 @@ several concepts, but always from a single stage (level purity).  Descent
 only follows sequence-style complex types, keeps a visited set so cyclic
 schemas terminate, and gives up below max_depth.  Everything from (0b) on
 runs only while Stage.EXPLORE is among the config's enabled stages.
+
+Every function takes the same tail, `config, lexicon`: the lexicon's
+entries already carry any overrides, so a word is one lookup.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ingest import resolve_type
-from .lexicon import EMPTY_OVERRIDES, Lexicon, OverrideMap, associate_words
+from .lexicon import Lexicon, associate_words
 from .model import (
     Annotation,
     AnnotationEntry,
@@ -53,28 +56,26 @@ class StageVisit:
 
 def _stage(source: AnnotationSource, depth: int,
            names: list[tuple[str, tuple[str, ...]]],
-           config: SearchConfig, lexicon: Lexicon, overrides: OverrideMap) -> StageVisit:
+           config: SearchConfig, lexicon: Lexicon) -> StageVisit:
     words: list[Word] = []
     entries: list[AnnotationEntry] = []
     for raw_name, path in names:
         stage_words = preprocess(raw_name, config)
         words.extend(stage_words)
-        for word, concept in associate_words(stage_words, lexicon, overrides):
+        for word, concept in associate_words(stage_words, lexicon):
             entries.append(AnnotationEntry(concept, word, source, path, depth))
     return StageVisit(source, depth, tuple(words), tuple(entries))
 
 
-def _visits(param: Parameter, desc: WsDescription, config: SearchConfig,
-            lexicon: Lexicon, overrides: OverrideMap):
+def _visits(param: Parameter, desc: WsDescription, config: SearchConfig, lexicon: Lexicon):
     """Yield StageVisits in search order; the caller decides when to stop."""
-    yield _stage(AnnotationSource.PARAMETER_NAME, 0, [(param.name, ())],
-                 config, lexicon, overrides)
+    yield _stage(AnnotationSource.PARAMETER_NAME, 0, [(param.name, ())], config, lexicon)
     if Stage.EXPLORE not in config.enabled_stages:
         return
     root_type = resolve_type(desc, param.type_ref)
     if root_type.kind in _NAMED_CUSTOM_KINDS and not root_type.anonymous:
         yield _stage(AnnotationSource.TYPE_NAME, 0, [(root_type.name.local_name, ())],
-                     config, lexicon, overrides)
+                     config, lexicon)
     visited = {root_type.name}
     if root_type.kind is TypeKind.COMPLEX_SEQUENCE:
         frontier = [(sub, (sub.name,)) for sub in root_type.subparameters]
@@ -83,8 +84,7 @@ def _visits(param: Parameter, desc: WsDescription, config: SearchConfig,
     depth = 1
     while frontier and depth <= config.max_depth:
         names = [(sub.name, path) for sub, path in frontier if sub.name]
-        yield _stage(AnnotationSource.SUBPARAMETER_NAME, depth, names,
-                     config, lexicon, overrides)
+        yield _stage(AnnotationSource.SUBPARAMETER_NAME, depth, names, config, lexicon)
         member_types = [(sub, path, resolve_type(desc, sub.type_ref))
                         for sub, path in frontier]
         type_names = [
@@ -93,7 +93,7 @@ def _visits(param: Parameter, desc: WsDescription, config: SearchConfig,
             if definition.kind in _NAMED_CUSTOM_KINDS and not definition.anonymous
         ]
         yield _stage(AnnotationSource.SUBPARAMETER_TYPE_NAME, depth, type_names,
-                     config, lexicon, overrides)
+                     config, lexicon)
         next_frontier = []
         for sub, path, definition in member_types:
             if definition.kind is not TypeKind.COMPLEX_SEQUENCE:
@@ -109,7 +109,6 @@ def _visits(param: Parameter, desc: WsDescription, config: SearchConfig,
 
 def annotate_parameter_with_trace(
         param: Parameter, desc: WsDescription, config: SearchConfig, lexicon: Lexicon,
-        overrides: OverrideMap = EMPTY_OVERRIDES,
 ) -> tuple[Annotation, tuple[StageVisit, ...]]:
     """Like annotate_parameter, also returning every stage actually consulted.
 
@@ -117,7 +116,7 @@ def annotate_parameter_with_trace(
     exhausted search.  Word-frequency reporting feeds on it.
     """
     trace: list[StageVisit] = []
-    for visit in _visits(param, desc, config, lexicon, overrides):
+    for visit in _visits(param, desc, config, lexicon):
         trace.append(visit)
         if visit.entries:
             return Annotation(param.param_id, visit.entries), tuple(trace)
@@ -125,14 +124,13 @@ def annotate_parameter_with_trace(
 
 
 def annotate_parameter(param: Parameter, desc: WsDescription, config: SearchConfig,
-                       lexicon: Lexicon, overrides: OverrideMap = EMPTY_OVERRIDES) -> Annotation:
+                       lexicon: Lexicon) -> Annotation:
     """Run the staged search for one parameter; empty entries mean failure."""
-    annotation, _ = annotate_parameter_with_trace(param, desc, config, lexicon, overrides)
+    annotation, _ = annotate_parameter_with_trace(param, desc, config, lexicon)
     return annotation
 
 
-def annotate_description(desc: WsDescription, config: SearchConfig, lexicon: Lexicon,
-                         overrides: OverrideMap = EMPTY_OVERRIDES) -> list[Annotation]:
+def annotate_description(desc: WsDescription, config: SearchConfig,
+                         lexicon: Lexicon) -> list[Annotation]:
     """One Annotation per parameter, in document order."""
-    return [annotate_parameter(param, desc, config, lexicon, overrides)
-            for param in desc.parameters()]
+    return [annotate_parameter(param, desc, config, lexicon) for param in desc.parameters()]

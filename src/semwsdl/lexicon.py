@@ -1,9 +1,11 @@
-"""Word-to-concept association through a ranked lexicon plus overrides.
+"""Word-to-concept association through a ranked lexicon.
 
 The lexicon file carries one sense per line (word, rank, concept); rank 1
 is the preferred sense, and the only one kept once every line is checked.
-The override map exists because rank-1 senses are sometimes absurd for
-the service domain (a "user" of drugs); an override always wins.
+Overrides exist because rank-1 senses are sometimes absurd for the
+service domain (a "user" of drugs).  They are laid over the lexicon's
+entries when it is built, so an override replaces its word's rank-1
+concept, or adds the word, and a lookup reads one table.
 """
 
 from __future__ import annotations
@@ -41,26 +43,13 @@ class MalformedOverrideLine(LexiconError):
 
 @dataclass(frozen=True)
 class Lexicon:
-    """word text -> its rank-1 concept."""
+    """word text -> its override if it has one, else its rank-1 concept."""
 
     entries: dict[str, Concept] = field(default_factory=dict)
 
     def __post_init__(self):
         if not all(map(isinstance, self.entries.values(), repeat(Concept))):
             raise LexiconError("lexicon entries must map each word to one Concept")
-
-
-@dataclass(frozen=True)
-class OverrideMap:
-    entries: dict[str, Concept] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for word in self.entries:
-            if word != word.lower():
-                raise LexiconError(f"override key must be lowercase: {word!r}")
-
-
-EMPTY_OVERRIDES = OverrideMap()
 
 
 def _as_text(document: bytes | str, source: str) -> str:
@@ -184,8 +173,6 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
                 f"{source}:{number}: rank must be an integer: {rank_text!r}") from None
         if rank < 1:
             raise MalformedLexiconLine(f"{source}:{number}: rank must be >= 1")
-        if not concept_id:
-            raise MalformedLexiconLine(f"{source}:{number}: concept must be non-empty")
         seen = ranks.setdefault(word, set())
         if rank in seen:
             raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
@@ -199,8 +186,12 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
     return {word: firsts[word] for word in ranks}
 
 
-def load_overrides(document: bytes | str, source: str = "<overrides>") -> OverrideMap:
-    """Parse 'word=Concept' lines; '#' comments and blanks ignored."""
+def load_overrides(document: bytes | str,
+                   source: str = "<overrides>") -> dict[str, Concept]:
+    """Parse 'word=Concept' lines into word -> Concept; '#' comments, blanks ignored.
+
+    Lay the result over a lexicon with `lexicon.entries.update(...)`.
+    """
     entries: dict[str, Concept] = {}
     for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
         stripped = line.strip()
@@ -217,24 +208,19 @@ def load_overrides(document: bytes | str, source: str = "<overrides>") -> Overri
         if not concept_id:
             raise MalformedOverrideLine(f"{source}:{number}: concept must be non-empty")
         entries[word] = Concept(concept_id)
-    return OverrideMap(entries=entries)
+    return entries
 
 
-def associate(word: Word, lexicon: Lexicon,
-              overrides: OverrideMap = EMPTY_OVERRIDES) -> Concept | None:
-    """Override concept if present, else the word's rank-1 sense, else None."""
-    return overrides.entries.get(word.text) or lexicon.entries.get(word.text)
+def associate(word: Word, lexicon: Lexicon) -> Concept | None:
+    """The word's concept in the lexicon, else None."""
+    return lexicon.entries.get(word.text)
 
 
-def associate_words(words: list[Word], lexicon: Lexicon,
-                    overrides: OverrideMap = EMPTY_OVERRIDES) -> list[tuple[Word, Concept]]:
+def associate_words(words: list[Word], lexicon: Lexicon) -> list[tuple[Word, Concept]]:
     """Associate each word, keeping hits only; order and duplicates preserved."""
-    pairs = []
-    for word in words:
-        concept = associate(word, lexicon, overrides)
-        if concept is not None:
-            pairs.append((word, concept))
-    return pairs
+    entries = lexicon.entries
+    return [(word, concept) for word in words
+            if (concept := entries.get(word.text)) is not None]
 
 
 def default_lexicon() -> Lexicon:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .explore import annotate_description, annotate_parameter_with_trace
-from .lexicon import EMPTY_OVERRIDES, Lexicon, OverrideMap, associate
+from .lexicon import Lexicon, associate
 from .model import Concept, Word, WsDescription, annotation_rate
 from .preprocess import ALL_STAGES, SearchConfig, Stage
 
@@ -81,23 +81,22 @@ def stage_configurations(config: SearchConfig) -> list[tuple[str, SearchConfig]]
             for name, stages in zip(STAGE_NAMES, stage_sets)]
 
 
-def run_ablation(descriptions: list[WsDescription], config: SearchConfig, lexicon: Lexicon,
-                 overrides: OverrideMap = EMPTY_OVERRIDES) -> AblationReport:
+def run_ablation(descriptions: list[WsDescription], config: SearchConfig,
+                 lexicon: Lexicon) -> AblationReport:
     """Annotate the descriptions once per cumulative configuration and count."""
     total = sum(1 for desc in descriptions for _ in desc.parameters())
     rows = []
     for name, stage_config in stage_configurations(config):
         annotated = 0
         for description in descriptions:
-            for annotation in annotate_description(description, stage_config,
-                                                   lexicon, overrides):
+            for annotation in annotate_description(description, stage_config, lexicon):
                 annotated += bool(annotation.entries)
         rows.append(AblationRow(name, annotated, total, annotation_rate(annotated, total)))
     return AblationReport(tuple(rows))
 
 
-def word_frequency(descriptions: list[WsDescription], config: SearchConfig, lexicon: Lexicon,
-                   overrides: OverrideMap = EMPTY_OVERRIDES) -> list[WordFrequencyRow]:
+def word_frequency(descriptions: list[WsDescription], config: SearchConfig,
+                   lexicon: Lexicon) -> list[WordFrequencyRow]:
     """Count every word the full pipeline emitted while searching.
 
     Stages after a parameter's winning stage are never consulted, so
@@ -109,15 +108,13 @@ def word_frequency(descriptions: list[WsDescription], config: SearchConfig, lexi
     counts: Counter[str] = Counter()
     for description in descriptions:
         for param in description.parameters():
-            _, trace = annotate_parameter_with_trace(param, description, full,
-                                                     lexicon, overrides)
+            _, trace = annotate_parameter_with_trace(param, description, full, lexicon)
             for visit in trace:
                 for word in visit.words:
                     counts[word.text] += 1
     ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     return [
-        WordFrequencyRow(Word(text), occurrences,
-                         associate(Word(text), lexicon, overrides))
+        WordFrequencyRow(Word(text), occurrences, associate(Word(text), lexicon))
         for text, occurrences in ordered
     ]
 

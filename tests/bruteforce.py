@@ -86,6 +86,18 @@ def oracle_parse_lexicon(text):
     return best
 
 
+def oracle_parse_overrides(text):
+    """Parse word=Concept lines into lowercased word -> concept."""
+    pins = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        word, concept = line.split("=", 1)
+        pins[word.strip().lower()] = concept.strip()
+    return pins
+
+
 def oracle_lookup(word, rank1, overrides):
     if word in overrides:
         return overrides[word]

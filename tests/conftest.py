@@ -8,6 +8,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 CORPUS_DIR = REPO_ROOT / "fixtures" / "corpus"
 SPECIAL_DIR = REPO_ROOT / "fixtures" / "special"
 IMPORTS_DIR = REPO_ROOT / "fixtures" / "imports"
+DERIVED_DIR = REPO_ROOT / "fixtures" / "derived"
 LEXICON_PATH = REPO_ROOT / "src" / "semwsdl" / "data" / "lexicon.tsv"
 
 

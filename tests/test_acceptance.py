@@ -21,7 +21,6 @@ from semwsdl import (
     Direction,
     Lexicon,
     Operation,
-    OverrideMap,
     Parameter,
     QName,
     Word,
@@ -34,6 +33,7 @@ from semwsdl import (
     default_config,
     default_lexicon,
     load_corpus,
+    load_overrides,
     parse_wsdl,
     preprocess,
     run_ablation,
@@ -210,8 +210,8 @@ def test_criterion_9_module_invariant_properties():
            st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True))
     def overrides_always_win(word, ranked, overriding):
         lexicon = Lexicon(entries={word: Concept(ranked)})
-        overrides = OverrideMap({word: Concept(overriding)})
-        assert associate(Word(word), lexicon, overrides) == Concept(overriding)
+        lexicon.entries.update(load_overrides(f"{word}={overriding}\n"))
+        assert associate(Word(word), lexicon) == Concept(overriding)
 
     lexicon = default_lexicon()
 

@@ -8,7 +8,7 @@ from semwsdl.explore import (
     annotate_parameter,
     annotate_parameter_with_trace,
 )
-from semwsdl.lexicon import OverrideMap, load_lexicon
+from semwsdl.lexicon import Lexicon, load_lexicon, load_overrides
 from semwsdl.model import (
     AnnotationSource,
     Concept,
@@ -211,11 +211,17 @@ def test_disabling_descent_never_adds_successes(fixture_corpus, search_config,
                 assert a_off.entries == a_on.entries
 
 
+def with_overrides(lexicon, document):
+    """A copy of the lexicon with the override file laid over it."""
+    folded = Lexicon(entries=dict(lexicon.entries))
+    folded.entries.update(load_overrides(document))
+    return folded
+
+
 def test_overrides_rewrite_the_winning_concept(fixture_corpus, search_config, demo_lexicon):
     desc, param = find_param(fixture_corpus, "Password")
-    overrides = OverrideMap({"password": Concept("SecurityToken")})
-    annotation = annotate_parameter(
-        param, desc, search_config, demo_lexicon, overrides)
+    lexicon = with_overrides(demo_lexicon, "password=SecurityToken\n")
+    annotation = annotate_parameter(param, desc, search_config, lexicon)
     assert annotation.entries[0].concept == Concept("SecurityToken")
 
 
@@ -223,8 +229,8 @@ def test_override_can_rescue_a_failure(fixture_corpus, search_config, demo_lexic
     desc, param = find_param(fixture_corpus, "PlayList_2")
     plain = annotate_parameter(param, desc, search_config, demo_lexicon)
     assert not plain.annotated
-    overrides = OverrideMap({"play": Concept("RecreationOrExercise")})
-    rescued = annotate_parameter(param, desc, search_config, demo_lexicon, overrides)
+    lexicon = with_overrides(demo_lexicon, "play=RecreationOrExercise\n")
+    rescued = annotate_parameter(param, desc, search_config, lexicon)
     assert rescued.entries[0].concept == Concept("RecreationOrExercise")
     assert rescued.entries[0].word.text == "play"
 

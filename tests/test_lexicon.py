@@ -9,13 +9,11 @@ from hypothesis import example, given, settings, strategies as st
 from semwsdl import lexicon
 from semwsdl.lexicon import (
     DuplicateSense,
-    EMPTY_OVERRIDES,
     Lexicon,
     LexiconError,
     MalformedLexiconLine,
     MalformedOverrideLine,
     NonContiguousRanks,
-    OverrideMap,
     _load_lines,
     associate,
     associate_words,
@@ -98,11 +96,14 @@ def test_associate_misses_return_none(demo_lexicon):
 
 
 def test_override_beats_lexicon(demo_lexicon):
-    overrides = OverrideMap({"user": Concept("Human")})
-    assert associate(Word("user"), demo_lexicon, overrides) == Concept("Human")
+    lx = Lexicon(entries=dict(demo_lexicon.entries))
+    lx.entries.update(load_overrides("user=Human\nzzzz=Thing\n"))
+    assert associate(Word("user"), lx) == Concept("Human")
     # an override can also introduce a word the lexicon lacks
-    overrides = OverrideMap({"zzzz": Concept("Thing")})
-    assert associate(Word("zzzz"), demo_lexicon, overrides) == Concept("Thing")
+    assert associate(Word("zzzz"), lx) == Concept("Thing")
+    # the other words keep their rank-1 concepts
+    assert associate(Word("talk"), lx) == Concept("Communication")
+    assert associate(Word("user"), demo_lexicon) == Concept("DiseaseOrSyndrome")
 
 
 def test_associate_words_keeps_hits_in_order(demo_lexicon):
@@ -119,7 +120,7 @@ def test_associate_words_keeps_hits_in_order(demo_lexicon):
 
 def test_load_overrides_format():
     overrides = load_overrides("# c\nuser=Human\n CITY = City \n")
-    assert overrides.entries == {"user": Concept("Human"), "city": Concept("City")}
+    assert overrides == {"user": Concept("Human"), "city": Concept("City")}
     with pytest.raises(MalformedOverrideLine):
         load_overrides("user Human\n")
     with pytest.raises(MalformedOverrideLine):
@@ -129,8 +130,6 @@ def test_load_overrides_format():
 def test_lexicon_invariants():
     with pytest.raises(Exception):
         Lexicon(entries={"word": ()})
-    with pytest.raises(Exception):
-        OverrideMap(entries={"Word": Concept("X")})
 
 
 def test_default_lexicon_loads(demo_lexicon):
@@ -143,10 +142,11 @@ def test_default_lexicon_loads(demo_lexicon):
        st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True),
        st.from_regex(r"[A-Za-z]{1,12}", fullmatch=True))
 def test_override_precedence_property(word, lexicon_concept, override_concept):
-    lx = Lexicon(entries={word: Concept(lexicon_concept)})
-    overrides = OverrideMap({word: Concept(override_concept)})
-    assert associate(Word(word), lx, overrides) == Concept(override_concept)
-    assert associate(Word(word), lx, EMPTY_OVERRIDES) == Concept(lexicon_concept)
+    lx = load_lexicon(f"{word}\t1\t{lexicon_concept}\n")
+    assert associate(Word(word), lx) == Concept(lexicon_concept)
+    lx.entries.update(load_overrides(f"{word.upper()}={override_concept}\n"))
+    assert associate(Word(word), lx) == Concept(override_concept)
+    assert lx.entries == {word: Concept(override_concept)}
 
 
 def test_default_lexicon_matches_packaged_file():

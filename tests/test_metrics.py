@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from semwsdl import cli
 from semwsdl.explore import annotate_description, annotate_parameter
 from semwsdl.metrics import (
     AblationReport,
@@ -32,7 +33,7 @@ from semwsdl.preprocess import ALL_STAGES, Stage
 
 import bruteforce
 from corpusgen import random_corpus
-from conftest import LEXICON_PATH
+from conftest import CORPUS_DIR, LEXICON_PATH
 
 XSD_STRING = QName(XSD_NAMESPACE, "string")
 
@@ -41,12 +42,26 @@ XSD_STRING = QName(XSD_NAMESPACE, "string")
 EXPECTED_FIXTURE_COUNTS = (8, 13, 14, 13, 19)
 FIXTURE_TOTAL = 27
 
+# replaces a rank-1 sense, adds a word the lexicon lacks, pads an upper-case key
+OVERRIDES = "# pins\nuser=Human\nplay=RecreationOrExercise\n CITY = City \n"
+
 
 def oracle_rows(descriptions, search_config, overrides=None):
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
     return bruteforce.oracle_ablation(
         descriptions, search_config.abbreviations,
         search_config.stop_words, rank1, overrides or {})
+
+
+def run_with_overrides(command, tmp_path):
+    """Run a command on the fixture corpus with OVERRIDES; its output directory."""
+    overrides = tmp_path / "overrides.txt"
+    overrides.write_text(OVERRIDES, "utf-8")
+    out = tmp_path / "out"
+    assert cli.run([command, "--input-paths", str(CORPUS_DIR), "--output-dir", str(out),
+                    "--lexicon-path", str(LEXICON_PATH),
+                    "--overrides-path", str(overrides)]) == 0
+    return out
 
 
 def name_only_corpus(names):
@@ -57,10 +72,18 @@ def name_only_corpus(names):
     return [desc]
 
 
-def test_fixture_ablation_matches_reference_search(fixture_corpus, search_config, demo_lexicon):
+def test_fixture_ablation_matches_reference_search(fixture_corpus, search_config, demo_lexicon,
+                                                   tmp_path):
     report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     expected = oracle_rows(fixture_corpus.descriptions, search_config)
     assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
+    # with an overrides file, through the command line
+    out = run_with_overrides("ablate", tmp_path)
+    rows = json.loads((out / "ablation.json").read_bytes())["rows"]
+    pinned = oracle_rows(fixture_corpus.descriptions, search_config,
+                         bruteforce.oracle_parse_overrides(OVERRIDES))
+    assert [(row["stage"], row["annotated"], row["total"]) for row in rows] == pinned
+    assert pinned != expected  # "play" rescues a parameter
 
 
 def test_fixture_ablation_counts_are_stable(fixture_corpus, search_config, demo_lexicon):
@@ -153,7 +176,8 @@ def test_word_frequency_includes_failed_search_words(search_config, demo_lexicon
         ("xyzzy", 1, None)]
 
 
-def test_word_frequency_matches_reference_counts(fixture_corpus, search_config, demo_lexicon):
+def test_word_frequency_matches_reference_counts(fixture_corpus, search_config, demo_lexicon,
+                                                  tmp_path):
     rows = word_frequency(fixture_corpus.descriptions, search_config, demo_lexicon)
     counted = {row.word.text: row.occurrences for row in rows}
     rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
@@ -164,6 +188,17 @@ def test_word_frequency_matches_reference_counts(fixture_corpus, search_config, 
     # descending occurrences, ties broken alphabetically
     keys = [(-row.occurrences, row.word.text) for row in rows]
     assert keys == sorted(keys)
+    # with an overrides file, through the command line
+    text = (run_with_overrides("wordfreq", tmp_path) / "words.csv").read_text("utf-8")
+    header, *listed = csv.reader(io.StringIO(text))
+    assert header == ["word", "occurrences", "concept"]
+    pins = bruteforce.oracle_parse_overrides(OVERRIDES)
+    assert {word: int(count) for word, count, _ in listed} == bruteforce.oracle_word_counts(
+        fixture_corpus.descriptions, search_config.abbreviations,
+        search_config.stop_words, rank1, pins)
+    assert [concept for _, _, concept in listed] == [
+        bruteforce.oracle_lookup(word, rank1, pins) or "" for word, _, _ in listed]
+    assert {"user", "play", "city"} <= {word for word, _, _ in listed}
 
 
 def test_word_frequency_empty_corpus(search_config, demo_lexicon):

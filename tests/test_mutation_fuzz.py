@@ -1,0 +1,73 @@
+"""The batch promise under a seeded mutation fuzz.
+
+Copies of the fixture WSDLs get their reference attributes (type,
+element, message, name, ref, schemaLocation, xmlns*) rewritten and some
+lines duplicated; batches of three files go through all three commands.
+A bad file may only become a skipped entry: no run raises an internal
+error, every exit code is 0, 1 or 2, and 2 means nothing parsed.
+"""
+
+import random
+import re
+import shutil
+
+import pytest
+
+from semwsdl import cli
+
+from conftest import CORPUS_DIR, DERIVED_DIR, IMPORTS_DIR, LEXICON_PATH, SPECIAL_DIR
+
+SOURCES = sorted([*CORPUS_DIR.glob("*.wsdl"), *DERIVED_DIR.glob("*.wsdl"),
+                  IMPORTS_DIR / "main.wsdl", SPECIAL_DIR / "cyclic.wsdl"])
+ATTRIBUTE = re.compile(
+    r'\b(type|element|message|name|ref|schemaLocation|xmlns(?::[\w.-]+)?)="([^"]*)"')
+NAMESPACES = ["", "http://schemas.xmlsoap.org/wsdl/", "http://www.w3.org/2001/XMLSchema",
+              "http://www.w3.org/ns/sawsdl", "urn:other"]
+BATCHES = 80
+
+
+def mutated_value(rng, attribute, value, values):
+    if attribute.startswith("xmlns"):
+        return rng.choice(NAMESPACES)
+    if attribute == "schemaLocation":
+        return rng.choice(["", "missing.xsd", "common.xsd", "x0.wsdl", "./", "../common.xsd"])
+    prefix, _, local = value.rpartition(":")
+    return rng.choice([
+        "", " ", ":", "a:b:c", "zz:" + local, local, prefix + ":", value * 2,
+        rng.choice(values), "tns:" + rng.choice(values).rpartition(":")[2],
+    ])
+
+
+def mutate(rng, text):
+    matches = list(ATTRIBUTE.finditer(text))
+    values = [match.group(2) for match in matches]
+    chosen = sorted(rng.sample(matches, min(len(matches), rng.randint(1, 4))),
+                    key=lambda match: match.start(), reverse=True)
+    for match in chosen:
+        attribute = match.group(1)
+        value = mutated_value(rng, attribute, match.group(2), values)
+        text = text[:match.start()] + f'{attribute}="{value}"' + text[match.end():]
+    lines = text.split("\n")
+    if rng.random() < 0.3:  # most duplicated lines break the XML
+        position = rng.randrange(len(lines))
+        lines.insert(position, lines[position])
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("seed", range(BATCHES))
+def test_mutated_batches_keep_the_batch_promise(seed, tmp_path, capsys):
+    rng = random.Random(seed)
+    batch = tmp_path / "in"
+    batch.mkdir()
+    shutil.copy(IMPORTS_DIR / "common.xsd", batch / "common.xsd")
+    for index, source in enumerate(rng.sample(SOURCES, 3)):
+        (batch / f"x{index}.wsdl").write_text(mutate(rng, source.read_text("utf-8")), "utf-8")
+    capsys.readouterr()
+    for command in ("annotate", "ablate", "wordfreq"):
+        code = cli.run([command, "--input-paths", str(batch), "--output-dir",
+                        str(tmp_path / command), "--lexicon-path", str(LEXICON_PATH)])
+        err = capsys.readouterr().err
+        assert "error: internal:" not in err
+        assert code in (0, 1, 2), err
+        if code == 2:
+            assert "no parseable WSDL description" in err

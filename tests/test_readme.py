@@ -3,6 +3,8 @@
 import re
 import shutil
 
+from semwsdl import Concept
+
 from conftest import CORPUS_DIR, IMPORTS_DIR, REPO_ROOT
 
 
@@ -20,6 +22,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     namespace = {}
     exec(library_example(), namespace)
     assert [d.source_id for d in namespace["corpus"].descriptions] == ["a.wsdl", "b.wsdl"]
+    assert namespace["lexicon"].entries["user"] == Concept("Human")
     # re-annotating the written copy changes nothing
     assert b"modelReference" in namespace["annotated"]
     assert namespace["again"] == namespace["annotated"]
