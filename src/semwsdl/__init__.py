@@ -53,6 +53,7 @@ from .preprocess import (
     filter_words,
     normalize,
     preprocess,
+    read_text,
 )
 from .writer import WriterConfig, write_report, write_sawsdl
 from .xmlio import MalformedXml
@@ -99,6 +100,7 @@ __all__ = [
     "normalize",
     "parse_wsdl",
     "preprocess",
+    "read_text",
     "resolve_type",
     "run_ablation",
     "word_frequency",

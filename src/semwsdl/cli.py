@@ -31,6 +31,7 @@ from .preprocess import (
     default_config,
     parse_abbreviations,
     parse_stop_words,
+    read_text,
 )
 from .writer import WriterConfig, write_report, write_sawsdl
 
@@ -52,18 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop-word file (default: packaged list)")
     common.add_argument("--overrides-path", dest="overrides_path",
                         help="word=Concept override file (default: none)")
-    common.add_argument("--uri-prefix", dest="uri_prefix",
-                        default="http://www.ontologyportal.org/SUMO.owl#",
-                        help="prefix for concept URIs in modelReference values")
     common.add_argument("--max-depth", dest="max_depth", type=int, default=8,
                         help="maximum exploration depth (default 8)")
     subparsers = parser.add_subparsers(dest="command", required=True)
     annotate = subparsers.add_parser("annotate", parents=[common],
                                      help="write .sawsdl.wsdl copies plus report.json")
-    # ablate and wordfreq set the stages themselves
+    # ablate and wordfreq set the stages themselves and write no copies
     annotate.add_argument("--stages", dest="stages",
                           help="comma list of decompose,normalize,filter,explore "
                                "or 'none' (default: all)")
+    annotate.add_argument("--uri-prefix", dest="uri_prefix",
+                          default="http://www.ontologyportal.org/SUMO.owl#",
+                          help="prefix for concept URIs in modelReference values")
     subparsers.add_parser("ablate", parents=[common],
                           help="run the five-stage evaluation, write ablation.json")
     subparsers.add_parser("wordfreq", parents=[common],
@@ -112,29 +113,22 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     return files, copies
 
 
-def _read_text(path: str) -> str:
-    """A config or lexicon file's text; a decoding error names the file."""
-    try:
-        return Path(path).read_bytes().decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-
-
 def _build_setup(args):
     stages = _parse_stages(getattr(args, "stages", None))
     defaults = default_config()
     abbreviations, stop_words = defaults.abbreviations, defaults.stop_words
     if args.abbreviations_path:
-        abbreviations = parse_abbreviations(_read_text(args.abbreviations_path),
+        abbreviations = parse_abbreviations(read_text(args.abbreviations_path),
                                             args.abbreviations_path)
     if args.stopwords_path:
-        stop_words = parse_stop_words(_read_text(args.stopwords_path), args.stopwords_path)
+        stop_words = parse_stop_words(read_text(args.stopwords_path), args.stopwords_path)
     config = SearchConfig(abbreviations, stop_words, stages, args.max_depth)
-    lexicon = load_lexicon(_read_text(args.lexicon_path), source=args.lexicon_path)
+    lexicon = load_lexicon(read_text(args.lexicon_path), source=args.lexicon_path)
     if args.overrides_path:  # in place: an override replaces its word's rank-1 concept
         lexicon.entries.update(
-            load_overrides(_read_text(args.overrides_path), source=args.overrides_path))
-    return config, lexicon, WriterConfig(uri_prefix=args.uri_prefix)
+            load_overrides(read_text(args.overrides_path), source=args.overrides_path))
+    # only annotate writes copies; a bad prefix stops it before any input is read
+    return config, lexicon, WriterConfig(args.uri_prefix) if args.command == "annotate" else None
 
 
 def _print_skipped(skipped: list[SkippedFile]) -> None:

@@ -63,7 +63,7 @@ def _stage(source: AnnotationSource, depth: int,
         stage_words = preprocess(raw_name, config)
         words.extend(stage_words)
         for word, concept in associate_words(stage_words, lexicon):
-            entries.append(AnnotationEntry(concept, word, source, path, depth))
+            entries.append(AnnotationEntry(concept, word, source, path))
     return StageVisit(source, depth, tuple(words), tuple(entries))
 
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from itertools import chain, compress, repeat
 from operator import add, eq, mul, not_
 
 from .model import Concept, Word
+from .preprocess import content_lines, read_text
 
 _WORD_RE = re.compile(r"[a-z]+")
 
@@ -52,16 +52,7 @@ class Lexicon:
             raise LexiconError("lexicon entries must map each word to one Concept")
 
 
-def _as_text(document: bytes | str, source: str) -> str:
-    if isinstance(document, str):
-        return document
-    try:
-        return document.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise MalformedLexiconLine(f"{source}: not UTF-8 text: {exc}") from None
-
-
-def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
+def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:
     """Parse the TSV lexicon format: word<TAB>rank<TAB>concept per line.
 
     Blank lines and '#' comments are ignored.  Ranks per word must form
@@ -72,9 +63,9 @@ def load_lexicon(document: bytes | str, source: str = "<lexicon>") -> Lexicon:
     A canonical document (see _load_canonical) is read column by column;
     any other document goes through the line loop, which accepts every
     form and reports the first error with its line number.  Both give the
-    same entries in the same order.
+    same entries in the same order.  `text` is decoded already; read a
+    file with preprocess.read_text.
     """
-    text = _as_text(document, source)
     entries = _load_canonical(text)
     if entries is None:
         entries = _load_lines(text, source)
@@ -154,11 +145,8 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
     ranks: dict[str, set[int]] = {}
     firsts: dict[str, Concept] = {}
     concepts: dict[str, Concept] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        fields = stripped.split("\t")
+    for number, line in content_lines(text):
+        fields = line.split("\t")
         if len(fields) != 3:
             raise MalformedLexiconLine(
                 f"{source}:{number}: expected word<TAB>rank<TAB>concept")
@@ -186,20 +174,17 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
     return {word: firsts[word] for word in ranks}
 
 
-def load_overrides(document: bytes | str,
-                   source: str = "<overrides>") -> dict[str, Concept]:
+def load_overrides(text: str, source: str = "<overrides>") -> dict[str, Concept]:
     """Parse 'word=Concept' lines into word -> Concept; '#' comments, blanks ignored.
 
-    Lay the result over a lexicon with `lexicon.entries.update(...)`.
+    `text` is decoded already, as for load_lexicon.  Lay the result over
+    a lexicon with `lexicon.entries.update(...)`.
     """
     entries: dict[str, Concept] = {}
-    for number, line in enumerate(_as_text(document, source).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
+    for number, line in content_lines(text):
+        if "=" not in line:
             raise MalformedOverrideLine(f"{source}:{number}: expected word=Concept")
-        word, _, concept_id = stripped.partition("=")
+        word, _, concept_id = line.partition("=")
         word = word.strip().lower()
         concept_id = concept_id.strip()
         if not _WORD_RE.fullmatch(word):
@@ -225,5 +210,4 @@ def associate_words(words: list[Word], lexicon: Lexicon) -> list[tuple[Word, Con
 
 def default_lexicon() -> Lexicon:
     """The small demo lexicon shipped with the package."""
-    data = resources.files("semwsdl.data").joinpath("lexicon.tsv").read_bytes()
-    return load_lexicon(data, source="lexicon.tsv")
+    return load_lexicon(read_text("lexicon.tsv", packaged=True), source="lexicon.tsv")

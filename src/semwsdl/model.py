@@ -175,11 +175,12 @@ class AnnotationEntry:
     word: Word
     source: AnnotationSource
     path: tuple[str, ...] = ()
-    depth: int = 0
+
+    @property
+    def depth(self) -> int:  # subparameter levels below the parameter
+        return len(self.path)
 
     def __post_init__(self):
-        if self.depth != len(self.path):
-            raise ValueError("depth must equal the subparameter path length")
         if self.depth == 0 and self.source not in (
             AnnotationSource.PARAMETER_NAME,
             AnnotationSource.TYPE_NAME,

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from pathlib import Path
 
 from .model import Word
 
@@ -124,13 +126,31 @@ def preprocess(raw: str, config: SearchConfig) -> list[Word]:
     return words
 
 
+def read_text(path: str, packaged: bool = False) -> str:
+    """The text of a UTF-8 file, less a leading byte order mark.
+
+    `path` is as the user typed it or, with `packaged`, the name of a file
+    in semwsdl/data.  A file that is not UTF-8 raises ConfigError naming `path`.
+    """
+    file = resources.files("semwsdl.data") / path if packaged else Path(path)
+    try:
+        return file.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is not blank or a '#' comment."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield number, line
+
+
 def parse_abbreviations(text: str, source: str = "<string>") -> dict[str, str]:
     """Parse 'short=expansion' lines; '#' starts a comment, blanks ignored."""
     table: dict[str, str] = {}
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(text):
         if "=" not in line:
             raise ConfigError(f"{source}:{number}: expected 'short=expansion'")
         key, _, value = line.partition("=")
@@ -145,10 +165,7 @@ def parse_abbreviations(text: str, source: str = "<string>") -> dict[str, str]:
 def parse_stop_words(text: str, source: str = "<string>") -> frozenset[str]:
     """Parse one stop word per line; '#' starts a comment, blanks ignored."""
     entries = set()
-    for number, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for number, line in content_lines(text):
         entry = line.lower()
         if not _LOWER_WORD_RE.fullmatch(entry):
             raise ConfigError(f"{source}:{number}: stop words must be letters only")
@@ -156,14 +173,11 @@ def parse_stop_words(text: str, source: str = "<string>") -> frozenset[str]:
     return frozenset(entries)
 
 
-def _data_text(filename: str) -> str:
-    return resources.files("semwsdl.data").joinpath(filename).read_text("utf-8")
-
-
 def default_config(enabled_stages: frozenset[Stage] = ALL_STAGES) -> SearchConfig:
     """Config backed by the packaged abbreviation and stop-word files."""
     return SearchConfig(
-        abbreviations=parse_abbreviations(_data_text("abbreviations.txt"), "abbreviations.txt"),
-        stop_words=parse_stop_words(_data_text("stopwords.txt"), "stopwords.txt"),
+        abbreviations=parse_abbreviations(read_text("abbreviations.txt", packaged=True),
+                                          "abbreviations.txt"),
+        stop_words=parse_stop_words(read_text("stopwords.txt", packaged=True), "stopwords.txt"),
         enabled_stages=enabled_stages,
     )

@@ -9,6 +9,7 @@ CORPUS_DIR = REPO_ROOT / "fixtures" / "corpus"
 SPECIAL_DIR = REPO_ROOT / "fixtures" / "special"
 IMPORTS_DIR = REPO_ROOT / "fixtures" / "imports"
 DERIVED_DIR = REPO_ROOT / "fixtures" / "derived"
+IMPORTED_ELEMENT_DIR = REPO_ROOT / "fixtures" / "imported_element"
 LEXICON_PATH = REPO_ROOT / "src" / "semwsdl" / "data" / "lexicon.tsv"
 
 

@@ -349,6 +349,14 @@ def test_custom_uri_prefix_flag(tmp_path):
     assert b"urn:onto#LinguisticExpression" in annotated
 
 
+def test_bad_uri_prefix_is_refused_before_any_input_is_read(tmp_path, capsys):
+    code = cli.run(base_args("annotate", [tmp_path / "missing.wsdl"], tmp_path / "out")
+                   + ["--uri-prefix", "no-scheme"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: uri_prefix must be an absolute URI: 'no-scheme'"]
+
+
 def test_fatal_errors_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     empty = tmp_path / "empty"
@@ -358,9 +366,11 @@ def test_fatal_errors_exit_2(tmp_path, capsys):
     for stages in ("shuffle", "", ","):
         assert cli.run(base_args("annotate", [CORPUS_DIR], out)
                        + ["--stages", stages]) == 2
-    # ablate and wordfreq set the stages themselves, so the flag is refused
+    # ablate and wordfreq set the stages themselves and write no copies,
+    # so both flags are refused
     for command in ("ablate", "wordfreq"):
-        assert cli.run(base_args(command, [CORPUS_DIR], out) + ["--stages", "none"]) == 2
+        for flag, value in (("--stages", "none"), ("--uri-prefix", "urn:onto#")):
+            assert cli.run(base_args(command, [CORPUS_DIR], out) + [flag, value]) == 2
     missing = tmp_path / "missing.tsv"
     assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR),
                     "--output-dir", str(out), "--lexicon-path", str(missing)]) == 2
@@ -414,7 +424,13 @@ def test_byte_order_mark_in_text_inputs_is_ignored(tmp_path):
             args += [flag, str(copy)]
         assert cli.run(args) == 0
         reports.append((out / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    # the packaged lists, read by the same decoder, give the same report
+    out = tmp_path / "packaged"
+    assert cli.run(["annotate", "--input-paths", str(CORPUS_DIR), "--output-dir", str(out),
+                    "--lexicon-path", str(sources["--lexicon-path"]),
+                    "--overrides-path", str(sources["--overrides-path"])]) == 0
+    reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_internal_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -243,7 +243,7 @@ def test_annotate_description_order(fixture_corpus, search_config, demo_lexicon)
 
 
 def test_empty_lexicon_annotates_nothing(fixture_corpus, search_config):
-    empty = load_lexicon(b"")
+    empty = load_lexicon("")
     for desc in fixture_corpus.descriptions:
         for annotation in annotate_description(
                 desc, search_config, empty):

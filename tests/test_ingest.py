@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from semwsdl.explore import annotate_parameter_with_trace
 from semwsdl.ingest import (
     Corpus,
     EmptyCorpus,
@@ -11,10 +12,10 @@ from semwsdl.ingest import (
     parse_wsdl,
     resolve_type,
 )
-from semwsdl.model import Direction, QName, SubParameter, TypeKind, XSD_NAMESPACE
+from semwsdl.model import AnnotationSource, Direction, QName, SubParameter, TypeKind, XSD_NAMESPACE
 from semwsdl.xmlio import MalformedXml
 
-from conftest import CORPUS_DIR, IMPORTS_DIR, SPECIAL_DIR
+from conftest import CORPUS_DIR, IMPORTED_ELEMENT_DIR, IMPORTS_DIR, SPECIAL_DIR
 
 TNS = "http://example.com/music-catalog"
 
@@ -291,6 +292,28 @@ def test_schema_import_ignored_outside_batch():
     address = QName("http://example.com/common", "Address")
     assert address not in desc.types
     assert resolve_type(desc, address).kind is TypeKind.UNKNOWN
+
+
+def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lexicon):
+    """Only the imports' types are merged, not their global elements.
+
+    So a part naming an imported element keeps the element's own QName as
+    its type_ref, the declared type Parcel and its member `city` (a
+    lexicon word) are never reached, and the parameter fails.  This pins
+    today's behaviour, not the wanted one.
+    """
+    corpus = load_corpus([IMPORTED_ELEMENT_DIR / "svc.wsdl", IMPORTED_ELEMENT_DIR / "lib.xsd"])
+    desc = corpus.descriptions[0]
+    parcel = QName("http://example.com/logistics", "Parcel")
+    assert [m.name for m in desc.types[parcel].subparameters] == ["city"]
+    param = next(desc.parameters())
+    assert param.name == "shipment"
+    assert param.type_ref == QName("http://example.com/logistics", "shipment")
+    assert resolve_type(desc, param.type_ref).kind is TypeKind.UNKNOWN
+    annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
+    assert not annotation.annotated
+    assert [(v.source, [w.text for w in v.words]) for v in trace] == [
+        (AnnotationSource.PARAMETER_NAME, ["shipment"])]
 
 
 def test_corpus_is_plain_data():

@@ -27,7 +27,7 @@ from bruteforce import oracle_parse_lexicon
 
 
 def test_load_single_entry():
-    lx = load_lexicon(b"buffalo\t1\tHoofedMammal\n")
+    lx = load_lexicon("buffalo\t1\tHoofedMammal\n")
     assert lx.entries["buffalo"] == Concept("HoofedMammal")
 
 
@@ -39,7 +39,7 @@ def test_load_keeps_rank_one_whatever_the_line_order():
 
 
 def test_load_empty_document_is_valid():
-    assert load_lexicon(b"").entries == {}
+    assert load_lexicon("").entries == {}
     assert load_lexicon("# only comments\n\n").entries == {}
 
 

@@ -73,16 +73,13 @@ def test_type_definition_kind_constraints():
 
 def test_annotation_entry_depth_must_match_path():
     concept, word = Concept("City"), Word("city")
-    entry = AnnotationEntry(concept, word, AnnotationSource.SUBPARAMETER_NAME,
-                            ("a", "b"), 2)
+    entry = AnnotationEntry(concept, word, AnnotationSource.SUBPARAMETER_NAME, ("a", "b"))
     assert entry.depth == 2
     with pytest.raises(ValueError):
-        AnnotationEntry(concept, word, AnnotationSource.SUBPARAMETER_NAME, ("a",), 2)
-    with pytest.raises(ValueError):
         # depth-0 sources cannot carry a path
-        AnnotationEntry(concept, word, AnnotationSource.PARAMETER_NAME, ("a",), 1)
+        AnnotationEntry(concept, word, AnnotationSource.PARAMETER_NAME, ("a",))
     with pytest.raises(ValueError):
-        AnnotationEntry(concept, word, AnnotationSource.SUBPARAMETER_NAME, (), 0)
+        AnnotationEntry(concept, word, AnnotationSource.SUBPARAMETER_NAME, ())
 
 
 def test_annotation_annotated_flag():

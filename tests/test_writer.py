@@ -27,8 +27,8 @@ from conftest import CORPUS_DIR
 PREFIX = "http://www.ontologyportal.org/SUMO.owl#"
 
 
-def entry(concept, word, source=AnnotationSource.PARAMETER_NAME, path=(), depth=0):
-    return AnnotationEntry(Concept(concept), Word(word), source, path, depth)
+def entry(concept, word, source=AnnotationSource.PARAMETER_NAME, path=()):
+    return AnnotationEntry(Concept(concept), Word(word), source, path)
 
 
 def load(name):
@@ -60,9 +60,9 @@ def find_part(root, part_name):
 def test_injects_multiple_uris_space_separated():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [
-        entry("Musician", "singer", AnnotationSource.SUBPARAMETER_NAME, ("singer",), 1),
+        entry("Musician", "singer", AnnotationSource.SUBPARAMETER_NAME, ("singer",)),
         entry("ComposingMusic", "composer", AnnotationSource.SUBPARAMETER_NAME,
-              ("composer",), 1),
+              ("composer",)),
     ])
     output = write(data, desc.source_id, [ann])
     doc = parse_xml(output)
@@ -127,7 +127,7 @@ def test_element_style_annotation_lands_on_the_element():
     data, desc = load("bank_transfer.wsdl")
     ann = annotation_for(desc, "TransferRequest", [
         entry("CurrencyMeasure", "amount", AnnotationSource.SUBPARAMETER_NAME,
-              ("amount",), 1)])
+              ("amount",))])
     doc = parse_xml(write(data, desc.source_id, [ann]))
     carriers = [
         element for element in _walk(doc.root)
