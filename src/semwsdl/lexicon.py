@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
-from operator import add, eq, mul, not_
+from operator import eq, mul, not_
 
 from .model import Concept, Word
 from .preprocess import content_lines, read_text
@@ -60,11 +60,12 @@ def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:
     word's rank-1 concept is kept; words whose rank-1 concepts have the
     same id share one Concept object.
 
-    A canonical document (see _load_canonical) is read column by column;
-    any other document goes through the line loop, which accepts every
-    form and reports the first error with its line number.  Both give the
-    same entries in the same order.  `text` is decoded already; read a
-    file with preprocess.read_text.
+    A canonical document (see _load_canonical) is checked with one
+    pattern per block of lines and split into fields; any other document
+    goes through the line loop, which accepts every form and reports the
+    first error with its line number.  Both give the same entries in the
+    same order.  `text` is decoded already; read a file with
+    preprocess.read_text.
     """
     entries = _load_canonical(text)
     if entries is None:
@@ -72,11 +73,15 @@ def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:
     return Lexicon(entries=entries)
 
 
-# every line break str.splitlines honours, except \n
-_OTHER_BREAKS = re.compile("[\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
-_SPACE_RE = re.compile(r"\s")
-# only one block's field strings are alive at a time
-_BLOCK_CHARS = 1 << 18
+# lines of three kinds, each ending in \n: word<TAB>rank<TAB>concept with a
+# rank free of leading zeros, a '#' comment free of every line break
+# str.splitlines honours other than \n, and an empty line
+_CANONICAL_BLOCK = re.compile(
+    r"(?:[a-z]+\t[1-9][0-9]*\t\S+\n|#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n|\n)*")
+# the rank text of a word's next line; "" stands before a word's first line
+_NEXT_RANK = {"": "1", **{str(rank): str(rank + 1) for rank in range(1, 100)}}
+# the text one fullmatch covers; see _load_canonical
+_BLOCK_CHARS = 1 << 16
 
 
 def _blocks(text: str):
@@ -91,42 +96,37 @@ def _blocks(text: str):
 def _load_canonical(text: str) -> dict[str, Concept] | None:
     r"""The entries of a canonical document, else None; never raises.
 
-    Canonical: every line ends in \n and no other line break appears; each
-    line is empty, a '#' comment from column 0, or word<TAB>rank<TAB>concept
-    with no other whitespace; each word's lines are consecutive with ranks
-    1..k in order, and no word has a second run of lines.  So the first
-    line of each run is its word's rank-1 line.  The checks and the build
-    work on whole columns of a block at a time, with string and iterator
-    operations that loop in C.
+    Canonical: every line ends in \n, and each block of whole lines
+    fullmatches _CANONICAL_BLOCK, one pattern of three kinds of line:
+    word<TAB>rank<TAB>concept with no other whitespace and a rank without
+    leading zeros, a '#' comment from column 0 with no line break but \n,
+    and an empty line.  Ranks are compared as text, never converted: a
+    word's first line has rank "1", each later line the successor of the
+    rank before it in _NEXT_RANK, so a longer run goes to the line loop.
+    No word has a second run of lines, so the first line of each run is
+    its word's rank-1 line.  A block costs a few passes that loop in C.
+    Blocks are about 64k characters because the pattern's plain * (a
+    possessive *+ needs Python 3.11) keeps a backtracking frame per line
+    it matches: bigger blocks raise peak memory and run no faster.
     """
-    if text and not text.endswith("\n") or _OTHER_BREAKS.search(text):
+    if text and not text.endswith("\n"):
         return None
     concepts: dict[str, Concept] = {}
     entries: dict[str, Concept] = {}
     heads = 0
-    word, rank = "", 0  # before the first line: it must start a word at rank 1
+    word, rank = "", ""  # before the first line: it must start a word at rank 1
     for block in _blocks(text):
-        lines = [line for line in block.split("\n") if line and line[0] != "#"]
-        if not lines:
-            continue
-        if set(map(str.count, lines, repeat("\t"))) != {2}:
+        if not _CANONICAL_BLOCK.fullmatch(block):
             return None
-        fields = "\t".join(lines).split("\t")
-        words, rank_texts, ids = fields[0::3], fields[1::3], fields[2::3]
-        letters, digits = "".join(words), "".join(rank_texts)
-        if not (letters.isascii() and letters.isalpha() and letters.islower()
-                and digits.isascii() and digits.isdigit()):
-            return None
-        # the joined columns hide an empty field
-        if "" in words or "" in rank_texts or "" in ids or _SPACE_RE.search("".join(ids)):
-            return None
-        try:
-            ranks = list(map(int, rank_texts))
-        except ValueError:  # more digits than int() converts
-            return None
+        if block[0] in "#\n" or "\n#" in block or "\n\n" in block:
+            block = "".join(line + "\n" for line in block.split("\n") if line and line[0] != "#")
+            if not block:
+                continue
+        fields = block.replace("\n", "\t").split("\t")
+        words, rank_texts, ids = fields[0:-1:3], fields[1::3], fields[2::3]
         continues = list(map(eq, words, chain((word,), words)))
-        # a line continuing its word has the previous rank + 1, any other rank 1
-        if list(map(add, map(mul, chain((rank,), ranks), continues), repeat(1))) != ranks:
+        # look up the previous line's rank text if the line continues its word, else ""
+        if list(map(_NEXT_RANK.get, map(mul, chain((rank,), rank_texts), continues))) != rank_texts:
             return None
         new_words = list(map(not_, continues))
         firsts = list(compress(ids, new_words))
@@ -134,7 +134,7 @@ def _load_canonical(text: str) -> dict[str, Concept] | None:
             concepts[concept_id] = Concept(concept_id)
         entries.update(zip(compress(words, new_words), map(concepts.__getitem__, firsts)))
         heads += len(firsts)
-        word, rank = words[-1], ranks[-1]
+        word, rank = words[-1], rank_texts[-1]
     if len(entries) != heads:  # a word with a second run of lines
         return None
     return entries

@@ -359,6 +359,10 @@ def _one_object_per_id(entries):
 @example(("# note\x85more\nab\t1\tX\n", True), 40)
 @example(("ab\t1\tX\r\n", True), 40)
 @example(("ab\t1\t X\n", True), 40)
+@example(("ab\t1\tX\x1f\n", True), 40)
+@example(("# a\x1fcomment\nab\t1\tX\n", False), 40)
+@example(("".join(f"ab\t{rank}\tX{rank}\n" for rank in range(1, 11)), False), 1)
+@example(("cd\t1\tX\ncd\t2\tY\nab\t01\tZ\n", True), 40)
 def test_column_path_matches_line_loop(document, block_chars):
     text, mutated = document
     expected = _outcome(lambda t: _load_lines(t, "demo.tsv"), text)
@@ -392,7 +396,18 @@ def test_column_path_takes_the_shipped_and_a_generated_lexicon():
     words = {"".join(letters[(n >> shift) & 7] for shift in (0, 3, 6, 9, 12))
              for n in range(12_000)}
     # about 24k lines, so the default block size splits it
-    for text in (shipped, _sorted_lexicon(words)):
+    generated = _sorted_lexicon(words)
+    # a word with 75 senses, as many as WordNet's longest runs, mid-document
+    long_run = "".join(f"break\t{rank}\tConcept{rank}\n" for rank in range(1, 76))
+    middle = generated.index("\nb") + 1
+    for text in (shipped, generated, generated[:middle] + long_run + generated[middle:]):
         entries = lexicon._load_canonical(text)
         assert entries is not None
         assert entries == _load_lines(text, "x") and list(entries) == list(_load_lines(text, "x"))
+    # ranks past 100, the last rank the successor table knows, go to the line loop
+    too_long = "".join(f"break\t{rank}\tConcept{rank}\n" for rank in range(1, 102))
+    text = generated[:middle] + too_long + generated[middle:]
+    assert lexicon._load_canonical(text) is None
+    entries = load_lexicon(text, "x").entries
+    assert entries == _load_lines(text, "x") and list(entries) == list(_load_lines(text, "x"))
+    assert entries["break"] == Concept("Concept1")
