@@ -1,18 +1,21 @@
 """The annotation search: parameter name first, then type information.
 
-A parameter is tried in a fixed order of stages, stopping at the first
-stage that produces at least one (word, concept) pair:
+The search walks a parameter's structure level by level.  Level 0 is the
+parameter itself; level n+1 holds the sequence members of level n's types.
+Each level is two stages, and the search stops at the first stage that
+produces at least one (word, concept) pair:
 
-  (0a) the parameter's own name
-  (0b) its type's name, when the type is custom
-  (1a) names of the type's sequence members, (1b) their type names
-  (2a/2b) one level deeper, and so on
+  (a) the level's names: the parameter's own name at level 0
+  (b) the level's type names, when the types are custom
 
-Within a level all candidate names are pooled, so an annotation can carry
-several concepts, but always from a single stage (level purity).  Descent
-only follows sequence-style complex types, keeps a visited set so cyclic
-schemas terminate, and gives up below max_depth.  Everything from (0b) on
-runs only while Stage.EXPLORE is among the config's enabled stages.
+so the order is (0a), (0b), (1a), (1b), (2a), ...  Within a stage all
+candidate names are pooled, so an annotation can carry several concepts,
+but always from a single stage (level purity).  Stage (0b) is skipped when
+the parameter's type has no name to mine; deeper (b) stages are consulted
+even when empty.  Descent only follows sequence-style complex types,
+expands each one once so cyclic schemas terminate, and stops after level
+max_depth.  Everything from (0b) on runs only while Stage.EXPLORE is among
+the config's enabled stages.
 
 Every function takes the same tail, `config, lexicon`: the lexicon's
 entries already carry any overrides, so a word is one lookup.
@@ -69,42 +72,30 @@ def _stage(source: AnnotationSource, depth: int,
 
 def _visits(param: Parameter, desc: WsDescription, config: SearchConfig, lexicon: Lexicon):
     """Yield StageVisits in search order; the caller decides when to stop."""
-    yield _stage(AnnotationSource.PARAMETER_NAME, 0, [(param.name, ())], config, lexicon)
-    if Stage.EXPLORE not in config.enabled_stages:
-        return
-    root_type = resolve_type(desc, param.type_ref)
-    if root_type.kind in _NAMED_CUSTOM_KINDS and not root_type.anonymous:
-        yield _stage(AnnotationSource.TYPE_NAME, 0, [(root_type.name.local_name, ())],
-                     config, lexicon)
-    visited = {root_type.name}
-    if root_type.kind is TypeKind.COMPLEX_SEQUENCE:
-        frontier = [(sub, (sub.name,)) for sub in root_type.subparameters]
-    else:
+    frontier = [(param.name, param.type_ref, ())]
+    name_source, type_source = AnnotationSource.PARAMETER_NAME, AnnotationSource.TYPE_NAME
+    visited = set()
+    for depth in range(config.max_depth + 1):
+        if not frontier:
+            return
+        names = [(name, path) for name, _, path in frontier if name]
+        yield _stage(name_source, depth, names, config, lexicon)
+        if Stage.EXPLORE not in config.enabled_stages:
+            return
+        types = [(resolve_type(desc, type_ref), path) for _, type_ref, path in frontier]
+        type_names = [(definition.name.local_name, path) for definition, path in types
+                      if definition.kind in _NAMED_CUSTOM_KINDS and not definition.anonymous]
+        # the parameter's own type-name stage is consulted only when there is a name
+        if type_names or depth:
+            yield _stage(type_source, depth, type_names, config, lexicon)
         frontier = []
-    depth = 1
-    while frontier and depth <= config.max_depth:
-        names = [(sub.name, path) for sub, path in frontier if sub.name]
-        yield _stage(AnnotationSource.SUBPARAMETER_NAME, depth, names, config, lexicon)
-        member_types = [(sub, path, resolve_type(desc, sub.type_ref))
-                        for sub, path in frontier]
-        type_names = [
-            (definition.name.local_name, path)
-            for _, path, definition in member_types
-            if definition.kind in _NAMED_CUSTOM_KINDS and not definition.anonymous
-        ]
-        yield _stage(AnnotationSource.SUBPARAMETER_TYPE_NAME, depth, type_names,
-                     config, lexicon)
-        next_frontier = []
-        for sub, path, definition in member_types:
-            if definition.kind is not TypeKind.COMPLEX_SEQUENCE:
-                continue
-            if definition.name in visited:
-                continue
-            visited.add(definition.name)
-            next_frontier.extend(
-                (member, path + (member.name,)) for member in definition.subparameters)
-        frontier = next_frontier
-        depth += 1
+        for definition, path in types:
+            if definition.kind is TypeKind.COMPLEX_SEQUENCE and definition.name not in visited:
+                visited.add(definition.name)
+                frontier.extend((member.name, member.type_ref, path + (member.name,))
+                                for member in definition.subparameters)
+        name_source = AnnotationSource.SUBPARAMETER_NAME
+        type_source = AnnotationSource.SUBPARAMETER_TYPE_NAME
 
 
 def annotate_parameter_with_trace(

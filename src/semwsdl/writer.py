@@ -41,20 +41,20 @@ def _free_prefix(scope: dict[str, str]) -> str:
     return prefix
 
 
-def _ensure_root_declaration(root: XmlElement) -> str:
-    """Make sure a prefix for the SAWSDL namespace is declared on the root."""
-    for name, value in root.attrs.items():
-        if name.startswith("xmlns:") and value == SAWSDL_NAMESPACE:
-            return name[6:]
-    prefix = _free_prefix(root.nsmap())
-    root.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
+def _sawsdl_prefix(node: XmlElement, scope: dict[str, str]) -> str:
+    """The first prefix that scope binds to SAWSDL, else a free one declared on node."""
+    for prefix, uri in scope.items():
+        if uri == SAWSDL_NAMESPACE:
+            return prefix
+    prefix = _free_prefix(scope)
+    node.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
     return prefix
 
 
 def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) -> None:
     # the bindings as parsed, plus the root's SAWSDL declaration, first so that it
     # wins wherever nothing shadows it.  A prefix that an earlier write of this
-    # tree declared on this node is left out; the shadowed branch picks it again.
+    # tree declared on this node is left out; _sawsdl_prefix picks it again.
     scope = {root_prefix: SAWSDL_NAMESPACE, **node.nsmap()}
     attr_name = None
     for name in node.attrs:
@@ -64,12 +64,8 @@ def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) 
                 attr_name = name
                 break
     if attr_name is None:
-        prefix = next((p for p, uri in scope.items() if uri == SAWSDL_NAMESPACE and p), None)
-        if prefix is None:
-            # root prefix is shadowed here; declare one locally
-            prefix = _free_prefix(scope)
-            node.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
-        attr_name = f"{prefix}:modelReference"
+        scope.pop("", None)  # the default namespace never applies to an attribute
+        attr_name = f"{_sawsdl_prefix(node, scope)}:modelReference"
     merged = node.attrs.get(attr_name, "").split()
     for uri in uris:
         if uri not in merged:
@@ -96,7 +92,11 @@ def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
             continue
         uris_for.setdefault(node, []).extend(
             config.uri_prefix + entry.concept.id for entry in annotation.entries)
-    root_prefix = _ensure_root_declaration(parsed.document.root)
+    root = parsed.document.root
+    # the root's declarations as they stand, so one that an earlier write added
+    # counts; not nsmap(), which lists a rebound xml prefix before all others
+    root_prefix = _sawsdl_prefix(root, {name[6:]: value for name, value in root.attrs.items()
+                                        if name.startswith("xmlns:")})
     for node, uris in uris_for.items():
         _merge_model_reference(node, uris, root_prefix)
     return xmlio.serialize(parsed.document)

@@ -99,42 +99,28 @@ class XmlDocument:
 
 
 class _TreeBuilder:
-    def __init__(self):
-        self.root: XmlElement | None = None
-        self.prolog: list = []
-        self.epilog: list = []
-        self._stack: list[XmlElement] = []
-
-    def _append_misc(self, node) -> None:
-        if self._stack:
-            self._stack[-1].children.append(node)
-        elif self.root is None:
-            self.prolog.append(node)
-        else:
-            self.epilog.append(node)
+    def __init__(self, document: XmlElement):
+        # the document is the bottom of the stack: a nameless holder of the
+        # root element and of the comments and PIs around it
+        self._stack = [document]
 
     def start_element(self, name: str, attrs: dict[str, str]) -> None:
         # share the parent's map unless this element declares a namespace
-        inherited = self._stack[-1].scope if self._stack else {"xml": XML_NAMESPACE}
-        scope = inherited
+        inherited = scope = self._stack[-1].scope
         for attr, value in attrs.items():
             if attr == "xmlns" or attr.startswith("xmlns:"):
                 if scope is inherited:
                     scope = dict(inherited)
                 scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
         element = XmlElement(name, attrs, [], scope)
-        if self._stack:
-            self._stack[-1].children.append(element)
-        elif self.root is None:
-            self.root = element
+        self._stack[-1].children.append(element)
         self._stack.append(element)
 
     def end_element(self, name: str) -> None:
         self._stack.pop()
 
     def character_data(self, data: str) -> None:
-        if not self._stack:
-            return
+        # expat reports no character data outside the root element
         children = self._stack[-1].children
         if children and isinstance(children[-1], str):
             children[-1] += data
@@ -142,10 +128,10 @@ class _TreeBuilder:
             children.append(data)
 
     def comment(self, data: str) -> None:
-        self._append_misc(Comment(data))
+        self._stack[-1].children.append(Comment(data))
 
     def processing_instruction(self, target: str, data: str) -> None:
-        self._append_misc(ProcessingInstruction(target, data))
+        self._stack[-1].children.append(ProcessingInstruction(target, data))
 
 
 def _reject_doctype(name, *_) -> None:
@@ -157,7 +143,8 @@ def parse_xml(data: bytes) -> XmlDocument:
     """Parse bytes into an XmlDocument; raises MalformedXml on bad input."""
     if data.startswith(_UTF8_BOM):
         data = data[len(_UTF8_BOM):]
-    builder = _TreeBuilder()
+    document = XmlElement("")
+    builder = _TreeBuilder(document)
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
     parser.StartElementHandler = builder.start_element
@@ -170,9 +157,11 @@ def parse_xml(data: bytes) -> XmlDocument:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
         raise MalformedXml(f"XML parse error: {exc}") from None
-    if builder.root is None:
+    nodes = document.children
+    at = next((i for i, node in enumerate(nodes) if isinstance(node, XmlElement)), None)
+    if at is None:
         raise MalformedXml("document has no root element")
-    return XmlDocument(root=builder.root, prolog=builder.prolog, epilog=builder.epilog)
+    return XmlDocument(root=nodes[at], prolog=nodes[:at], epilog=nodes[at + 1:])
 
 
 def _escape_text(value: str) -> str:

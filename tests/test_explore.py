@@ -166,6 +166,37 @@ def test_max_depth_bounds_the_search(search_config, demo_lexicon):
         ("CurrencyMeasure", 3, ("a", "a", "price"))]
 
 
+def sequence_description(param_name, members):
+    """p: Qwrtx, a sequence of string members, or a simple type when there are none."""
+    name = QName("urn:shape", "Qwrtx")
+    kind = TypeKind.COMPLEX_SEQUENCE if members else TypeKind.CUSTOM_SIMPLE
+    definition = TypeDefinition(name, kind, tuple(SubParameter(m, XSD_STRING) for m in members))
+    param = Parameter(param_name, Direction.INPUT, name, "s::Op::input::p")
+    return WsDescription("s", (Operation("Op", (param,), ()),), {name: definition}), param
+
+
+NAME, TYPE = AnnotationSource.PARAMETER_NAME, AnnotationSource.TYPE_NAME
+SUB_NAME = AnnotationSource.SUBPARAMETER_NAME
+SUB_TYPE = AnnotationSource.SUBPARAMETER_TYPE_NAME
+
+
+@pytest.mark.parametrize("build, max_depth, shape, wordless", [
+    # price would win at depth 1, but the member level is never reached
+    (lambda: sequence_description("xyzzy", ["price"]), 0, [(NAME, 0), (TYPE, 0)], []),
+    (lambda: sequence_description("xyzzy", ["plugh"]), 8,
+     [(NAME, 0), (TYPE, 0), (SUB_NAME, 1), (SUB_TYPE, 1)], [3]),
+    (lambda: sequence_description("", []), 8, [(NAME, 0), (TYPE, 0)], [0]),
+    (lambda: chain_description(["Qwrtx", "Zork"]), 8,
+     [(NAME, 0), (TYPE, 0), (SUB_NAME, 1), (SUB_TYPE, 1), (SUB_NAME, 2)], [2]),
+], ids=["max-depth-0", "builtin-members", "empty-name", "depth-2"])
+def test_trace_shape(build, max_depth, shape, wordless, search_config, demo_lexicon):
+    desc, param = build()
+    _, trace = annotate_parameter_with_trace(
+        param, desc, replace(search_config, max_depth=max_depth), demo_lexicon)
+    assert [(visit.source, visit.depth) for visit in trace] == shape
+    assert [i for i, visit in enumerate(trace) if not visit.words] == wordless
+
+
 def test_unnamed_member_is_skipped_but_descended(search_config, demo_lexicon):
     ns = "urn:x"
     inner = TypeDefinition(QName(ns, "Inner"), TypeKind.COMPLEX_SEQUENCE,

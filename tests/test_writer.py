@@ -181,8 +181,7 @@ def test_foreign_prefix_for_sawsdl_is_reused():
 SHADOWING = """<?xml version="1.0"?>
 <wsdl:definitions targetNamespace="urn:t"
     xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
-    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
-    xmlns:sawsdl="{sawsdl}"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"{root_attrs}
     xmlns:tns="urn:t">
   <wsdl:message name="In"{message_attrs}>
     <wsdl:part name="city" type="xsd:string"{part_attrs}/>
@@ -198,10 +197,13 @@ SHADOWING = """<?xml version="1.0"?>
     ("", ' xmlns:sawsdl="urn:other"'),
     # a modelReference under a prefix the document never declares is not SAWSDL's
     ("", ' sem:modelReference="urn:old#Unbound"'),
-], ids=["shadowed-on-message", "shadowed-on-part", "undeclared-prefix"])
+    # the default namespace does not apply to attributes, so it offers no prefix
+    (f' xmlns:sawsdl="urn:other" xmlns="{SAWSDL_NAMESPACE}"', ""),
+], ids=["shadowed-on-message", "shadowed-on-part", "undeclared-prefix",
+        "shadowed-under-default-sawsdl"])
 def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
-    data = SHADOWING.format(sawsdl=SAWSDL_NAMESPACE, message_attrs=message_attrs,
-                            part_attrs=part_attrs).encode()
+    data = SHADOWING.format(root_attrs=f' xmlns:sawsdl="{SAWSDL_NAMESPACE}"',
+                            message_attrs=message_attrs, part_attrs=part_attrs).encode()
     parsed = parse_wsdl("shadow.wsdl", data)
     ann = annotation_for(parsed.description, "city", [entry("City", "city")])
     first = write_sawsdl(parsed, [ann])
@@ -211,6 +213,28 @@ def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     references = [name for name in part.attrs if name.endswith(":modelReference")
                   and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
     assert [part.attrs[name] for name in references] == [f"{PREFIX}City"]
+    assert not any(name.startswith(":") for name in part.attrs)
+
+
+@pytest.mark.parametrize("root_attrs, declarations, attr_name", [
+    ("", ["xmlns:sawsdl"], "sawsdl:modelReference"),
+    (' xmlns:sawsdl="urn:other"', ["xmlns:sawsdl1"], "sawsdl1:modelReference"),
+    # the first binding wins, also over the reserved xml prefix bound after it
+    (f' xmlns:a="{SAWSDL_NAMESPACE}" xmlns:xml="{SAWSDL_NAMESPACE}"',
+     ["xmlns:a", "xmlns:xml"], "a:modelReference"),
+], ids=["undeclared", "sawsdl-taken", "xml-after-a"])
+def test_writing_one_tree_twice(root_attrs, declarations, attr_name):
+    data = SHADOWING.format(root_attrs=root_attrs, message_attrs="", part_attrs="").encode()
+    parsed = parse_wsdl("root.wsdl", data)
+    ann = annotation_for(parsed.description, "city", [entry("City", "city")])
+    first = write_sawsdl(parsed, [ann])
+    assert write_sawsdl(parsed, [ann]) == first
+    root = parse_xml(first).root
+    assert [name for name, value in root.attrs.items()
+            if name.startswith("xmlns:") and value == SAWSDL_NAMESPACE] == declarations
+    part = find_part(root, "city")
+    assert [name for name in part.attrs if name.endswith(":modelReference")] == [attr_name]
+    assert part.attrs[attr_name] == f"{PREFIX}City"
 
 
 WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"

@@ -77,6 +77,24 @@ def test_comment_and_pi_survive_round_trip():
     assert serialize(parse_xml(out)) == out
 
 
+def top_level(nodes):
+    return [(type(node), vars(node)) for node in nodes]
+
+
+def test_top_level_nodes_keep_their_order_without_whitespace():
+    # expat reports no character data outside the root element
+    source = (b'<?xml version="1.0"?>\n  <!-- before -->\n<?first a b?>\n\n'
+              b'<r> <x/> </r>\n<?last?>  <!--after-->\n\t\n')
+    doc = parse_xml(source)
+    assert top_level(doc.prolog) == [(Comment, {"text": " before "}),
+                                     (ProcessingInstruction, {"target": "first", "data": "a b"})]
+    assert top_level(doc.epilog) == [(ProcessingInstruction, {"target": "last", "data": ""}),
+                                     (Comment, {"text": "after"})]
+    assert doc.root.children[0] == " "
+    assert serialize(doc) == (b'<?xml version="1.0" encoding="utf-8"?>\n<!-- before -->\n'
+                              b'<?first a b?>\n<r> <x/> </r>\n<?last?>\n<!--after-->\n')
+
+
 def test_empty_element_forms_collapse():
     assert serialize(parse_xml(b"<r><a></a></r>")) == serialize(parse_xml(b"<r><a/></r>"))
 
