@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 from . import xmlio
 from .model import (
@@ -292,23 +291,25 @@ def load_corpus(paths: list) -> Corpus:
     """Load and parse a batch of files; failures are recorded, not fatal.
 
     Standalone XSD files are indexed as import targets: a description
-    whose schema imports/includes one of them (by schemaLocation,
-    resolved relative to the importing file) sees its named types.
-    Import resolution never leaves the supplied file set, and a location
-    that cannot be resolved (a symlink loop) is ignored like one outside
-    it.  Each closure is computed once per directory and list of
-    locations; descriptions without types of their own share the
-    closure's dict as their `types`, which therefore must not be mutated;
-    merging it rebinds a document's description, never its tree.  A file
-    named more than once, in any spelling, is loaded once, under its
-    first.  Raises EmptyCorpus, with the skipped files, when no WSDL parses.
+    whose schema imports/includes one of them (by schemaLocation) sees
+    its named types.  A file is known by `os.path.realpath` of the path
+    it was read under, and a location's target by the real path of the
+    location joined to the directory of its importer's real path.
+    Import resolution never leaves the supplied file set, so a location
+    through a symlink loop, whose real path names no file of the set, is
+    ignored like one outside it.  Each closure is computed once per
+    directory and list of locations; descriptions without types of their
+    own share the closure's dict as their `types`, which therefore must
+    not be mutated; merging it rebinds a document's description, never
+    its tree.  A file named more than once, in any spelling, is loaded
+    once, under its first.  Raises EmptyCorpus, with the skipped files,
+    when no WSDL parses.
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
-    schema_files: dict[Path, tuple[dict[QName, TypeDefinition], list[str]]] = {}
-    import_keys: list[tuple[Path, tuple[str, ...]]] = []
-    seen: set[Path] = set()
-    resolved_dirs: dict[Path, Path] = {}
+    schema_files: dict[str, tuple[dict[QName, TypeDefinition], list[str]]] = {}
+    import_keys: list[tuple[str, tuple[str, ...]]] = []
+    seen: set[str] = set()
     for path in paths:
         source_id = str(path)
         try:
@@ -317,7 +318,7 @@ def load_corpus(paths: list) -> Corpus:
         except OSError as exc:
             skipped.append(SkippedFile(source_id, f"io error: {exc}"))
             continue
-        resolved = _resolve_read_file(Path(path), resolved_dirs)
+        resolved = os.path.realpath(path)
         if resolved in seen:
             continue
         seen.add(resolved)
@@ -332,8 +333,8 @@ def load_corpus(paths: list) -> Corpus:
             skipped.append(SkippedFile(source_id, str(exc)))
             continue
         documents.append(parsed)
-        import_keys.append((resolved.parent, tuple(locations)))
-    closures: dict[tuple[Path, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
+        import_keys.append((os.path.dirname(resolved), tuple(locations)))
+    closures: dict[tuple[str, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
     for parsed, key in zip(documents, import_keys):
         imported = closures.get(key)
         if imported is None:
@@ -347,23 +348,7 @@ def load_corpus(paths: list) -> Corpus:
     return Corpus(documents, skipped)
 
 
-def _resolve_read_file(path: Path, resolved_dirs: dict[Path, Path]) -> Path:
-    """The real path of a file that was just read.
-
-    A file that is not a symlink lives in its directory's real path under
-    its own name, so each directory is resolved once (`resolved_dirs`
-    caches it) instead of every component of every file.  A symlink
-    resolves to its target, whose directory its imports are relative to.
-    """
-    if os.path.islink(path):
-        return path.resolve()
-    parent = resolved_dirs.get(path.parent)
-    if parent is None:
-        parent = resolved_dirs[path.parent] = path.parent.resolve()
-    return parent / path.name
-
-
-def _imported_types(base_dir: Path, locations: tuple[str, ...],
+def _imported_types(base_dir: str, locations: tuple[str, ...],
                     schema_files: dict) -> dict[QName, TypeDefinition]:
     """Transitive closure of schemaLocation imports over the supplied files.
 
@@ -372,19 +357,15 @@ def _imported_types(base_dir: Path, locations: tuple[str, ...],
     """
     merged: dict[QName, TypeDefinition] = {}
     queue = deque((base_dir, location) for location in locations)
-    visited: set[Path] = set()
+    visited: set[str] = set()
     while queue:
         base, location = queue.popleft()
-        try:
-            target = (base / location).resolve()
-        except (OSError, RuntimeError):  # RuntimeError: a symlink loop
-            continue
+        target = os.path.realpath(os.path.join(base, location))
         if target in visited or target not in schema_files:
-            visited.add(target)
             continue
         visited.add(target)
         types, further = schema_files[target]
         for qn, definition in types.items():
             merged.setdefault(qn, definition)
-        queue.extend((target.parent, loc) for loc in further)
+        queue.extend((os.path.dirname(target), loc) for loc in further)
     return merged

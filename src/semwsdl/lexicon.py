@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import eq, mul, not_
 
-from .model import Concept, Word
+from .model import WORD_RE, Concept, Word
 from .preprocess import content_lines, read_text
-
-_WORD_RE = re.compile(r"[a-z]+")
 
 
 class LexiconError(ValueError):
@@ -151,7 +149,7 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
             raise MalformedLexiconLine(
                 f"{source}:{number}: expected word<TAB>rank<TAB>concept")
         word, rank_text, concept_id = fields[0].strip(), fields[1].strip(), fields[2].strip()
-        if not _WORD_RE.fullmatch(word):
+        if not WORD_RE.fullmatch(word):
             raise MalformedLexiconLine(
                 f"{source}:{number}: word must be lowercase letters: {word!r}")
         try:
@@ -187,7 +185,7 @@ def load_overrides(text: str, source: str = "<overrides>") -> dict[str, Concept]
         word, _, concept_id = line.partition("=")
         word = word.strip().lower()
         concept_id = concept_id.strip()
-        if not _WORD_RE.fullmatch(word):
+        if not WORD_RE.fullmatch(word):
             raise MalformedOverrideLine(
                 f"{source}:{number}: word must be letters only: {word!r}")
         if not concept_id:

@@ -25,7 +25,7 @@ XSD_BUILTIN_TYPES = frozenset({
     "unsignedShort", "unsignedByte", "positiveInteger",
 })
 
-_WORD_RE = re.compile(r"[a-z]+")
+WORD_RE = re.compile(r"[a-z]+")
 ONTOLOGY = "SUMO"  # the ontology every Concept id names
 
 
@@ -81,7 +81,7 @@ class Word:
     text: str
 
     def __post_init__(self):
-        if not _WORD_RE.fullmatch(self.text):
+        if not WORD_RE.fullmatch(self.text):
             raise ValueError(f"not a valid word: {self.text!r}")
 
     def __str__(self) -> str:

@@ -18,15 +18,13 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .model import Word
+from .model import WORD_RE, Word
 
 # Splits one letter run at case boundaries.  The first alternative peels
 # an uppercase acronym off a following capitalized word (XMLParser ->
 # XML, Parser); the rest take capitalized words, lowercase runs, and
 # trailing acronyms.
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
-
-_LOWER_WORD_RE = re.compile(r"[a-z]+")
 
 
 class ConfigError(ValueError):
@@ -58,12 +56,12 @@ class SearchConfig:
 
     def __post_init__(self):
         for key, value in self.abbreviations.items():
-            if not _LOWER_WORD_RE.fullmatch(key):
+            if not WORD_RE.fullmatch(key):
                 raise ConfigError(f"abbreviation key must be lowercase letters: {key!r}")
-            if not _LOWER_WORD_RE.fullmatch(value):
+            if not WORD_RE.fullmatch(value):
                 raise ConfigError(f"abbreviation expansion must be a word: {value!r}")
         for entry in self.stop_words:
-            if not _LOWER_WORD_RE.fullmatch(entry):
+            if not WORD_RE.fullmatch(entry):
                 raise ConfigError(f"stop word must be lowercase letters: {entry!r}")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
@@ -156,7 +154,7 @@ def parse_abbreviations(text: str, source: str = "<string>") -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip().lower()
-        if not _LOWER_WORD_RE.fullmatch(key) or not _LOWER_WORD_RE.fullmatch(value):
+        if not WORD_RE.fullmatch(key) or not WORD_RE.fullmatch(value):
             raise ConfigError(f"{source}:{number}: abbreviation entries must be letters only")
         table[key] = value
     return table
@@ -167,7 +165,7 @@ def parse_stop_words(text: str, source: str = "<string>") -> frozenset[str]:
     entries = set()
     for number, line in content_lines(text):
         entry = line.lower()
-        if not _LOWER_WORD_RE.fullmatch(entry):
+        if not WORD_RE.fullmatch(entry):
             raise ConfigError(f"{source}:{number}: stop words must be letters only")
         entries.add(entry)
     return frozenset(entries)

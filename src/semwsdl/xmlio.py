@@ -109,6 +109,9 @@ class _TreeBuilder:
         inherited = scope = self._stack[-1].scope
         for attr, value in attrs.items():
             if attr == "xmlns" or attr.startswith("xmlns:"):
+                if attr == "xmlns:":
+                    # not namespace-well-formed; a namespace-aware parser refuses it
+                    raise MalformedXml("namespace declaration 'xmlns:' names no prefix")
                 if scope is inherited:
                     scope = dict(inherited)
                 scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace

@@ -150,6 +150,22 @@ def test_doctype_input_is_skipped(tmp_path, capsys):
     assert "skipped" in capsys.readouterr().err
 
 
+def test_xmlns_colon_input_is_skipped_and_named_once(tmp_path, capsys):
+    bad = tmp_path / "bad.wsdl"
+    bad.write_text((CORPUS_DIR / "music_catalog.wsdl").read_text("utf-8").replace(
+        "<wsdl:definitions", '<wsdl:definitions xmlns:="http://www.w3.org/ns/sawsdl"', 1),
+        "utf-8")
+    out = tmp_path / "out"
+    code = cli.run(base_args("annotate", [CORPUS_DIR / "music_catalog.wsdl", bad], out))
+    assert code == 1
+    assert [p.name for p in out.glob("*.sawsdl.wsdl")] == ["music_catalog.sawsdl.wsdl"]
+    err = capsys.readouterr().err
+    assert err.count(str(bad)) == 1
+    reason = "namespace declaration 'xmlns:' names no prefix"
+    assert f"skipped {bad}: {reason}" in err.splitlines()
+    assert read_report(out)["skipped"] == [{"path": str(bad), "error": reason}]
+
+
 def test_non_wsdl_root_is_reported_with_its_path_once(tmp_path, capsys):
     other = tmp_path / "other.wsdl"
     other.write_text("<root/>")

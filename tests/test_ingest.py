@@ -474,6 +474,33 @@ def test_imports_of_a_symlinked_file_are_relative_to_its_target(tmp_path):
     assert QName("http://example.com/common", "Address") in corpus.descriptions[0].types
 
 
+def test_file_through_a_symlinked_directory_shares_the_closure(tmp_path):
+    folder = tmp_path / "d"
+    folder.mkdir()
+    shutil.copy(IMPORTS_DIR / "common.xsd", folder)
+    for name in ("one", "two"):
+        (folder / f"{name}.wsdl").write_bytes(importing(["common.xsd"]))
+    os.symlink(folder, tmp_path / "link")
+    one, two = load_corpus([tmp_path / "link" / "one.wsdl", folder / "two.wsdl",
+                            folder / "common.xsd"]).descriptions
+    assert one.types is two.types
+    assert QName("http://example.com/common", "Address") in one.types
+
+
+def test_location_through_a_symlinked_directory_resolves_physically(tmp_path):
+    deep = tmp_path / "other" / "deep"
+    deep.mkdir(parents=True)
+    (tmp_path / "other" / "lib.xsd").write_bytes(
+        schema("urn:lib", '<xsd:simpleType name="Physical"/>'))
+    (tmp_path / "lib.xsd").write_bytes(schema("urn:lib", '<xsd:simpleType name="Lexical"/>'))
+    os.symlink(deep, tmp_path / "sub")
+    (tmp_path / "svc.wsdl").write_bytes(importing(["sub/../lib.xsd"]))
+    corpus = load_corpus([tmp_path / "svc.wsdl", tmp_path / "lib.xsd",
+                          tmp_path / "other" / "lib.xsd"])
+    # `..` leaves the symlink's target, other/deep, not the directory it sits in
+    assert list(corpus.descriptions[0].types) == [QName("urn:lib", "Physical")]
+
+
 def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
     os.symlink("loop", tmp_path / "loop")
     svc = tmp_path / "svc.wsdl"

@@ -138,6 +138,18 @@ def test_doctype_is_refused_before_entities_expand():
         parse_xml(bomb)
 
 
+@pytest.mark.parametrize("data", [
+    b'<r xmlns:="http://www.w3.org/ns/sawsdl"/>',
+    b'<r><c xmlns:="urn:x"/></r>',
+])
+def test_xmlns_colon_with_no_prefix_is_refused(data):
+    # namespace-aware expat refuses it too, so a copy must never carry it
+    with pytest.raises(xml.parsers.expat.ExpatError):
+        xml.parsers.expat.ParserCreate(namespace_separator=" ").Parse(data, True)
+    with pytest.raises(MalformedXml, match="namespace declaration 'xmlns:' names no prefix"):
+        parse_xml(data)
+
+
 PREFIXES = ["a", "b", "c"]
 URIS = ["urn:one", "urn:two", "urn:three"]
 
