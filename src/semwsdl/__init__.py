@@ -41,7 +41,6 @@ from .model import (
     QName,
     SubParameter,
     TypeDefinition,
-    TypeKind,
     Word,
     WsDescription,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "Stage",
     "SubParameter",
     "TypeDefinition",
-    "TypeKind",
     "Word",
     "WordFrequencyRow",
     "WriterConfig",

@@ -1,21 +1,21 @@
 """The annotation search: parameter name first, then type information.
 
 The search walks a parameter's structure level by level.  Level 0 is the
-parameter itself; level n+1 holds the sequence members of level n's types.
-Each level is two stages, and the search stops at the first stage that
+parameter itself; level n+1 holds the members of level n's types.  Each
+level is two stages, and the search stops at the first stage that
 produces at least one (word, concept) pair:
 
   (a) the level's names: the parameter's own name at level 0
-  (b) the level's type names, when the types are custom
+  (b) the level's type names, for the types a schema in reach defines
 
 so the order is (0a), (0b), (1a), (1b), (2a), ...  Within a stage all
 candidate names are pooled, so an annotation can carry several concepts,
 but always from a single stage (level purity).  Stage (0b) is skipped when
 the parameter's type has no name to mine; deeper (b) stages are consulted
-even when empty.  Descent only follows sequence-style complex types,
-expands each one once so cyclic schemas terminate, and stops after level
-max_depth.  Everything from (0b) on runs only while Stage.EXPLORE is among
-the config's enabled stages.
+even when empty.  Descent only follows types with members, expands each
+one once so cyclic schemas terminate, and stops after level max_depth.
+Everything from (0b) on runs only while Stage.EXPLORE is among the
+config's enabled stages.
 
 Every function takes the same tail, `config, lexicon`: the lexicon's
 entries already carry any overrides, so a word is one lookup.
@@ -32,20 +32,10 @@ from .model import (
     AnnotationEntry,
     AnnotationSource,
     Parameter,
-    TypeKind,
     Word,
     WsDescription,
 )
 from .preprocess import SearchConfig, Stage, preprocess
-
-# kinds whose names are worth mining at the type-name stages
-_NAMED_CUSTOM_KINDS = (
-    TypeKind.CUSTOM_SIMPLE,
-    TypeKind.COMPLEX_SEQUENCE,
-    TypeKind.COMPLEX_OTHER,
-    TypeKind.EMPTY_COMPLEX,
-)
-
 
 @dataclass(frozen=True)
 class StageVisit:
@@ -82,15 +72,16 @@ def _visits(param: Parameter, desc: WsDescription, config: SearchConfig, lexicon
         yield _stage(name_source, depth, names, config, lexicon)
         if Stage.EXPLORE not in config.enabled_stages:
             return
-        types = [(resolve_type(desc, type_ref), path) for _, type_ref, path in frontier]
+        types = [(definition, path) for _, type_ref, path in frontier
+                 if (definition := resolve_type(desc, type_ref)) is not None]
         type_names = [(definition.name.local_name, path) for definition, path in types
-                      if definition.kind in _NAMED_CUSTOM_KINDS and not definition.anonymous]
+                      if not definition.anonymous]
         # the parameter's own type-name stage is consulted only when there is a name
         if type_names or depth:
             yield _stage(type_source, depth, type_names, config, lexicon)
         frontier = []
         for definition, path in types:
-            if definition.kind is TypeKind.COMPLEX_SEQUENCE and definition.name not in visited:
+            if definition.subparameters and definition.name not in visited:
                 visited.add(definition.name)
                 frontier.extend((member.name, member.type_ref, path + (member.name,))
                                 for member in definition.subparameters)

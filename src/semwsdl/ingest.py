@@ -23,7 +23,6 @@ from .model import (
     QName,
     SubParameter,
     TypeDefinition,
-    TypeKind,
     WsDescription,
     is_builtin,
 )
@@ -32,9 +31,6 @@ from .xmlio import MalformedXml, XmlDocument, XmlElement
 WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
 
 _ANY_TYPE = QName(XSD_NAMESPACE, "anyType")
-
-# content models that make a complexType "other" (present but not a sequence)
-_OTHER_MODELS = ("choice", "all", "group", "complexContent", "simpleContent")
 
 
 @dataclass(frozen=True)
@@ -101,13 +97,15 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     """Collect named types and top-level elements from inline schemas.
 
     Two phases: first register every global element and queue every
-    complexType, then classify the queue.  Classification needs the
-    complete element table because sequence members may use `ref`.
-    Anonymous inline types get synthesized names ending in "$anon"; such
-    names are internal and never mined for words.
+    complexType, then collect the queue's members.  Members need the
+    complete element table because they may use `ref`.  The first
+    definition of a global type or element name wins.  Anonymous inline
+    types get synthesized names ending in "$anon"; such names are
+    internal and never mined for words.
     """
     index = _SchemaIndex()
     pending: deque[tuple[QName, XmlElement, str, bool]] = deque()
+    type_names: set[QName] = set()  # global types indexed or queued
     import_locations: list[str] = []
     for schema in schemas:
         tns = schema.attrs.get("targetNamespace", "")
@@ -123,19 +121,21 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
             name = child.attrs.get("name", "")
             if not name:
                 continue
-            if local == "complexType":
-                pending.append((QName(tns, name), child, tns, False))
-            elif local == "simpleType":
-                qn = QName(tns, name)
-                index.types[qn] = TypeDefinition(qn, TypeKind.CUSTOM_SIMPLE)
-            elif local == "element":
-                qn = QName(tns, name)
+            qn = QName(tns, name)
+            if local in ("complexType", "simpleType") and qn not in type_names:
+                type_names.add(qn)
+                if local == "complexType":
+                    pending.append((qn, child, tns, False))
+                else:
+                    index.types[qn] = TypeDefinition(qn)
+            elif local == "element" and qn not in index.element_type:
                 index.element_node[qn] = child
                 index.element_type[qn] = _declared_type(child, f"{name}$anon", tns,
                                                         index, pending)
     while pending:
         qname, node, tns, anonymous = pending.popleft()
-        index.types[qname] = _classify_complex(qname, node, tns, anonymous, index, pending)
+        members = _members(qname, node, tns, index, pending)
+        index.types[qname] = TypeDefinition(qname, members, anonymous)
     return index, import_locations
 
 
@@ -157,19 +157,17 @@ def _declared_type(node: XmlElement, synthetic: str, tns: str,
         return qname
     if node.first_child(XSD_NAMESPACE, "simpleType") is not None:
         qname = QName(tns, synthetic)
-        index.types[qname] = TypeDefinition(qname, TypeKind.CUSTOM_SIMPLE, anonymous=True)
+        index.types[qname] = TypeDefinition(qname, anonymous=True)
         return qname
     return _ANY_TYPE
 
 
-def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
-                      index: _SchemaIndex, pending: deque) -> TypeDefinition:
+def _members(qname: QName, node: XmlElement, tns: str,
+             index: _SchemaIndex, pending: deque) -> tuple[SubParameter, ...]:
+    """The element members of the complexType's direct sequence; none without one."""
     sequence = node.first_child(XSD_NAMESPACE, "sequence")
     if sequence is None:
-        for model in _OTHER_MODELS:
-            if node.first_child(XSD_NAMESPACE, model) is not None:
-                return TypeDefinition(qname, TypeKind.COMPLEX_OTHER, anonymous=anonymous)
-        return TypeDefinition(qname, TypeKind.EMPTY_COMPLEX, anonymous=anonymous)
+        return ()
     base = qname.local_name.removesuffix("$anon")
     members: list[SubParameter] = []
     for position, member in enumerate(sequence.find_children(XSD_NAMESPACE, "element"), start=1):
@@ -182,9 +180,7 @@ def _classify_complex(qname: QName, node: XmlElement, tns: str, anonymous: bool,
             continue
         member_type = _declared_type(member, f"{base}.{position}$anon", tns, index, pending)
         members.append(SubParameter(member.attrs.get("name", ""), member_type))
-    if not members:
-        return TypeDefinition(qname, TypeKind.EMPTY_COMPLEX, anonymous=anonymous)
-    return TypeDefinition(qname, TypeKind.COMPLEX_SEQUENCE, tuple(members), anonymous=anonymous)
+    return tuple(members)
 
 
 def _build_param(source_id: str, op_name: str, direction: Direction,
@@ -277,14 +273,15 @@ def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
     return _analyze(source_id, xmlio.parse_xml(data))[0]
 
 
-def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition:
-    """Total lookup: builtins and unknowns come back synthesized, never None."""
+def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition | None:
+    """The definition of ref in reach of the description.
+
+    None for an XML Schema builtin and for a name that neither the
+    description's schemas nor those it imports define.
+    """
     if is_builtin(ref):
-        return TypeDefinition(ref, TypeKind.BUILTIN)
-    found = description.types.get(ref)
-    if found is not None:
-        return found
-    return TypeDefinition(ref, TypeKind.UNKNOWN)
+        return None
+    return description.types.get(ref)
 
 
 def load_corpus(paths: list) -> Corpus:

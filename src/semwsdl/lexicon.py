@@ -159,6 +159,9 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
                 f"{source}:{number}: rank must be an integer: {rank_text!r}") from None
         if rank < 1:
             raise MalformedLexiconLine(f"{source}:{number}: rank must be >= 1")
+        if concept_id.split() != [concept_id]:
+            raise MalformedLexiconLine(
+                f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
         seen = ranks.setdefault(word, set())
         if rank in seen:
             raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
@@ -190,6 +193,9 @@ def load_overrides(text: str, source: str = "<overrides>") -> dict[str, Concept]
                 f"{source}:{number}: word must be letters only: {word!r}")
         if not concept_id:
             raise MalformedOverrideLine(f"{source}:{number}: concept must be non-empty")
+        if concept_id.split() != [concept_id]:
+            raise MalformedOverrideLine(
+                f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
         entries[word] = Concept(concept_id)
     return entries
 

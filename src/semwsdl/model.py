@@ -29,15 +29,6 @@ WORD_RE = re.compile(r"[a-z]+")
 ONTOLOGY = "SUMO"  # the ontology every Concept id names
 
 
-class TypeKind(Enum):
-    BUILTIN = "builtin"
-    CUSTOM_SIMPLE = "custom_simple"
-    COMPLEX_SEQUENCE = "complex_sequence"
-    COMPLEX_OTHER = "complex_other"
-    EMPTY_COMPLEX = "empty_complex"
-    UNKNOWN = "unknown"
-
-
 class Direction(Enum):
     INPUT = "input"
     OUTPUT = "output"
@@ -90,13 +81,15 @@ class Word:
 
 @dataclass(frozen=True)
 class Concept:
-    """An ontology concept identifier, e.g. SUMO's HoofedMammal."""
+    """An ontology concept identifier, e.g. SUMO's HoofedMammal: one token."""
 
     id: str
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("Concept id must be non-empty")
+        if self.id.split() != [self.id]:  # modelReference is a whitespace-separated list
+            raise ValueError(f"Concept id must not contain whitespace: {self.id!r}")
 
     def __str__(self) -> str:
         return self.id
@@ -112,16 +105,11 @@ class SubParameter:
 
 @dataclass(frozen=True)
 class TypeDefinition:
+    """A type a schema defines; members only for a complexType's direct sequence."""
+
     name: QName
-    kind: TypeKind
     subparameters: tuple[SubParameter, ...] = ()
     anonymous: bool = False
-
-    def __post_init__(self):
-        if self.subparameters and self.kind is not TypeKind.COMPLEX_SEQUENCE:
-            raise ValueError("only sequence types carry subparameters")
-        if self.kind is TypeKind.COMPLEX_SEQUENCE and not self.subparameters:
-            raise ValueError("sequence types need at least one subparameter")
 
 
 @dataclass(frozen=True)

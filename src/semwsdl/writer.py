@@ -30,6 +30,8 @@ class WriterConfig:
         parsed = urlparse(self.uri_prefix)
         if not parsed.scheme:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
+        if self.uri_prefix.split() != [self.uri_prefix]:  # one URI per concept in the list
+            raise ValueError(f"uri_prefix must not contain whitespace: {self.uri_prefix!r}")
 
 
 def _free_prefix(scope: dict[str, str]) -> str:

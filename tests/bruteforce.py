@@ -4,7 +4,9 @@ Deliberately written from scratch against the documented behavior rather
 than by calling the package internals: a character-walk splitter instead
 of the regex, its own lexicon file parser, and a recursive exhaustive
 search instead of the iterative frontier.  Only structural facts
-(parameters, type table) are taken from the parsed model.
+(parameters, type table) are taken from the parsed model: a type the
+table defines is mined by name unless anonymous, and descended into
+when it has members.
 """
 
 import unicodedata
@@ -110,15 +112,18 @@ def _is_builtin(qname):
 
 
 def _find_type(desc, qname):
-    """(kind-tag, local name or None, member list) for a type reference."""
+    """(local name or None, member list) for a type reference.
+
+    A builtin or a name the type table lacks has neither; an anonymous
+    type has no name.
+    """
     if _is_builtin(qname):
-        return "builtin", None, []
+        return None, []
     definition = desc.types.get(qname)
     if definition is None:
-        return "unknown", None, []
+        return None, []
     name = None if definition.anonymous else definition.name.local_name
-    members = list(definition.subparameters)
-    return definition.kind.value, name, members
+    return name, list(definition.subparameters)
 
 
 def oracle_search(param, desc, stages, explore, abbreviations, stop_words,
@@ -137,10 +142,10 @@ def oracle_search(param, desc, stages, explore, abbreviations, stop_words,
 
     if stage_hit([param.name]):
         return True, emitted
-    kind, type_name, members = _find_type(desc, param.type_ref)
+    type_name, members = _find_type(desc, param.type_ref)
     if explore and type_name is not None and stage_hit([type_name]):
         return True, emitted
-    if not explore or kind != "complex_sequence":
+    if not explore or not members:
         return False, emitted
 
     def level(current, depth, visited):
@@ -149,12 +154,12 @@ def oracle_search(param, desc, stages, explore, abbreviations, stop_words,
         if stage_hit([member.name for member in current if member.name]):
             return True
         resolved = [_find_type(desc, member.type_ref) for member in current]
-        named = [name for _, name, _ in resolved if name is not None]
+        named = [name for name, _ in resolved if name is not None]
         if stage_hit(named):
             return True
         deeper = []
-        for member, (member_kind, _, children) in zip(current, resolved):
-            if member_kind != "complex_sequence":
+        for member, (_, children) in zip(current, resolved):
+            if not children:
                 continue
             key = desc.types[member.type_ref].name
             if key in visited:

@@ -10,7 +10,6 @@ from semwsdl.model import (
     QName,
     SubParameter,
     TypeDefinition,
-    TypeKind,
     WsDescription,
 )
 
@@ -51,14 +50,11 @@ def random_description(rng, index):
             members = tuple(
                 SubParameter("" if rng.random() < 0.1 else _identifier(rng), any_ref())
                 for _ in range(rng.randint(1, 3)))
-            types[qn] = TypeDefinition(qn, TypeKind.COMPLEX_SEQUENCE, members)
+            types[qn] = TypeDefinition(qn, members)
         elif roll < 0.7:
-            types[qn] = TypeDefinition(qn, TypeKind.CUSTOM_SIMPLE,
-                                       anonymous=rng.random() < 0.2)
-        elif roll < 0.85:
-            types[qn] = TypeDefinition(qn, TypeKind.EMPTY_COMPLEX)
+            types[qn] = TypeDefinition(qn, anonymous=rng.random() < 0.2)
         else:
-            types[qn] = TypeDefinition(qn, TypeKind.COMPLEX_OTHER)
+            types[qn] = TypeDefinition(qn)
 
     operations = []
     for op_index in range(rng.randint(1, 3)):

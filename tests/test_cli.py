@@ -366,11 +366,12 @@ def test_custom_uri_prefix_flag(tmp_path):
 
 
 def test_bad_uri_prefix_is_refused_before_any_input_is_read(tmp_path, capsys):
-    code = cli.run(base_args("annotate", [tmp_path / "missing.wsdl"], tmp_path / "out")
-                   + ["--uri-prefix", "no-scheme"])
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: uri_prefix must be an absolute URI: 'no-scheme'"]
+    for prefix, error in (("no-scheme", "must be an absolute URI"),
+                          ("http://ex ample.org/o#", "must not contain whitespace")):
+        code = cli.run(base_args("annotate", [tmp_path / "missing.wsdl"], tmp_path / "out")
+                       + ["--uri-prefix", prefix])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: uri_prefix {error}: {prefix!r}"]
 
 
 def test_fatal_errors_exit_2(tmp_path, capsys):

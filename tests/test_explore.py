@@ -18,7 +18,6 @@ from semwsdl.model import (
     QName,
     SubParameter,
     TypeDefinition,
-    TypeKind,
     WsDescription,
     XSD_NAMESPACE,
 )
@@ -43,12 +42,10 @@ def chain_description(type_names, leaf_member="price"):
     ns = "urn:chain"
     types = {}
     for here, nxt in zip(type_names, type_names[1:]):
-        types[QName(ns, here)] = TypeDefinition(
-            QName(ns, here), TypeKind.COMPLEX_SEQUENCE,
-            (SubParameter("a", QName(ns, nxt)),))
+        types[QName(ns, here)] = TypeDefinition(QName(ns, here),
+                                                (SubParameter("a", QName(ns, nxt)),))
     last = QName(ns, type_names[-1])
-    types[last] = TypeDefinition(
-        last, TypeKind.COMPLEX_SEQUENCE, (SubParameter(leaf_member, XSD_STRING),))
+    types[last] = TypeDefinition(last, (SubParameter(leaf_member, XSD_STRING),))
     param = Parameter("p", Direction.INPUT, QName(ns, type_names[0]), "c::Op::input::p")
     return WsDescription("c", (Operation("Op", (param,), ()),), types), param
 
@@ -167,10 +164,9 @@ def test_max_depth_bounds_the_search(search_config, demo_lexicon):
 
 
 def sequence_description(param_name, members):
-    """p: Qwrtx, a sequence of string members, or a simple type when there are none."""
+    """p: Qwrtx, a type with the given string members, or with none."""
     name = QName("urn:shape", "Qwrtx")
-    kind = TypeKind.COMPLEX_SEQUENCE if members else TypeKind.CUSTOM_SIMPLE
-    definition = TypeDefinition(name, kind, tuple(SubParameter(m, XSD_STRING) for m in members))
+    definition = TypeDefinition(name, tuple(SubParameter(m, XSD_STRING) for m in members))
     param = Parameter(param_name, Direction.INPUT, name, "s::Op::input::p")
     return WsDescription("s", (Operation("Op", (param,), ()),), {name: definition}), param
 
@@ -199,10 +195,8 @@ def test_trace_shape(build, max_depth, shape, wordless, search_config, demo_lexi
 
 def test_unnamed_member_is_skipped_but_descended(search_config, demo_lexicon):
     ns = "urn:x"
-    inner = TypeDefinition(QName(ns, "Inner"), TypeKind.COMPLEX_SEQUENCE,
-                           (SubParameter("singer", XSD_STRING),))
-    outer = TypeDefinition(QName(ns, "Outer"), TypeKind.COMPLEX_SEQUENCE,
-                           (SubParameter("", QName(ns, "Inner")),))
+    inner = TypeDefinition(QName(ns, "Inner"), (SubParameter("singer", XSD_STRING),))
+    outer = TypeDefinition(QName(ns, "Outer"), (SubParameter("", QName(ns, "Inner")),))
     param = Parameter("xyzzy", Direction.INPUT, QName(ns, "Outer"), "u::Op::input::xyzzy")
     desc = WsDescription("u", (Operation("Op", (param,), ()),),
                          {outer.name: outer, inner.name: inner})
@@ -214,11 +208,9 @@ def test_unnamed_member_is_skipped_but_descended(search_config, demo_lexicon):
 
 def test_shared_member_type_is_expanded_once(search_config, demo_lexicon):
     ns = "urn:x"
-    dup = TypeDefinition(QName(ns, "Dup"), TypeKind.COMPLEX_SEQUENCE,
-                         (SubParameter("price", XSD_STRING),))
-    pair = TypeDefinition(QName(ns, "Pair"), TypeKind.COMPLEX_SEQUENCE,
-                          (SubParameter("x", QName(ns, "Dup")),
-                           SubParameter("y", QName(ns, "Dup"))))
+    dup = TypeDefinition(QName(ns, "Dup"), (SubParameter("price", XSD_STRING),))
+    pair = TypeDefinition(QName(ns, "Pair"), (SubParameter("x", QName(ns, "Dup")),
+                                              SubParameter("y", QName(ns, "Dup"))))
     param = Parameter("xyzzy", Direction.INPUT, QName(ns, "Pair"), "u::Op::input::xyzzy")
     desc = WsDescription("u", (Operation("Op", (param,), ()),),
                          {dup.name: dup, pair.name: pair})

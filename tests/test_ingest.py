@@ -12,7 +12,7 @@ from semwsdl.ingest import (
     parse_wsdl,
     resolve_type,
 )
-from semwsdl.model import AnnotationSource, Direction, QName, SubParameter, TypeKind, XSD_NAMESPACE
+from semwsdl.model import AnnotationSource, Direction, QName, SubParameter, XSD_NAMESPACE
 from semwsdl.xmlio import MalformedXml
 
 from conftest import CORPUS_DIR, IMPORTED_ELEMENT_DIR, IMPORTS_DIR, SPECIAL_DIR
@@ -62,7 +62,6 @@ def test_parse_catalog_fixture():
     assert category.name == "category"
     assert category.type_ref == QName(TNS, "categoryDetail")
     detail = desc.types[QName(TNS, "categoryDetail")]
-    assert detail.kind is TypeKind.COMPLEX_SEQUENCE
     assert detail.subparameters == (
         SubParameter("singer", QName(XSD_NAMESPACE, "string")),
         SubParameter("composer", QName(XSD_NAMESPACE, "string")),
@@ -135,7 +134,6 @@ def test_element_style_parts():
     assert anon_ref == QName(tns, "DepositNote$anon")
     anon = desc.types[anon_ref]
     assert anon.anonymous
-    assert anon.kind is TypeKind.COMPLEX_SEQUENCE
     assert [m.name for m in anon.subparameters] == ["account", "memo"]
 
 
@@ -143,8 +141,10 @@ def test_type_kind_classification():
     data = (CORPUS_DIR / "registry_types.wsdl").read_bytes()
     desc = parse_wsdl("registry_types.wsdl", data).description
     tns = "http://example.com/registry-types"
-    assert desc.types[QName(tns, "ColorCode")].kind is TypeKind.CUSTOM_SIMPLE
-    assert desc.types[QName(tns, "MiscUnion")].kind is TypeKind.COMPLEX_OTHER
+    # a simple type, and a complexType whose choice is not a sequence: no members
+    for name in ("ColorCode", "MiscUnion"):
+        definition = desc.types[QName(tns, name)]
+        assert (definition.subparameters, definition.anonymous) == ((), False)
 
 
 def test_empty_sequence_means_empty_complex():
@@ -157,29 +157,29 @@ def test_empty_sequence_means_empty_complex():
   </wsdl:types>
 """)
     desc = parse_wsdl("e", doc).description
-    assert desc.types[QName("urn:test", "Hollow")].kind is TypeKind.EMPTY_COMPLEX
-    assert desc.types[QName("urn:test", "Bare")].kind is TypeKind.EMPTY_COMPLEX
+    assert desc.types[QName("urn:test", "Hollow")].subparameters == ()
+    assert desc.types[QName("urn:test", "Bare")].subparameters == ()
 
 
 # what an element declares (attributes, content) -> the local name of its
-# type, that type's kind, and whether it is anonymous; "{anon}" stands for
-# the name synthesized for an inline type
+# type, and that type's member names and anonymity, or None when no schema
+# defines it; "{anon}" stands for the name synthesized for an inline type
 DECLARED_TYPES = {
-    "type_attr": ('type="tns:Code"', "", "Code", TypeKind.CUSTOM_SIMPLE, False),
-    "unusable_type_attr": ('type="tns:"', "", "anyType", TypeKind.UNKNOWN, False),
+    "type_attr": ('type="tns:Code"', "", "Code", ([], False)),
+    "unusable_type_attr": ('type="tns:"', "", "anyType", None),
     "inline_complex": ("", '<xsd:complexType><xsd:sequence><xsd:element name="v" '
                            'type="xsd:int"/></xsd:sequence></xsd:complexType>',
-                       "{anon}", TypeKind.COMPLEX_SEQUENCE, True),
+                       "{anon}", (["v"], True)),
     "inline_simple": ("", '<xsd:simpleType><xsd:restriction base="xsd:string"/>'
-                          '</xsd:simpleType>', "{anon}", TypeKind.CUSTOM_SIMPLE, True),
-    "nothing": ("", "", "anyType", TypeKind.UNKNOWN, False),
+                          '</xsd:simpleType>', "{anon}", ([], True)),
+    "nothing": ("", "", "anyType", None),
 }
 
 
 @pytest.mark.parametrize("branch", sorted(DECLARED_TYPES))
 @pytest.mark.parametrize("place", ["top_level", "sequence_member"])
 def test_declared_type_precedence(branch, place):
-    attrs, content, local, kind, anonymous = DECLARED_TYPES[branch]
+    attrs, content, local, shape = DECLARED_TYPES[branch]
     element = f'<xsd:element name="X" {attrs}>{content}</xsd:element>'
     top_level = place == "top_level"
     doc = wsdl(f"""
@@ -209,19 +209,55 @@ def test_declared_type_precedence(branch, place):
     namespace = XSD_NAMESPACE if local == "anyType" else "urn:test"
     assert type_ref == QName(namespace, local.format(anon=anon))
     definition = resolve_type(desc, type_ref)
-    assert (definition.kind, definition.anonymous) == (kind, anonymous)
+    assert shape == (None if definition is None else
+                     ([m.name for m in definition.subparameters], definition.anonymous))
+
+
+def _sequence_type(name, member):
+    return (f'<xsd:complexType name="{name}"><xsd:sequence>'
+            f'<xsd:element name="{member}" type="xsd:string"/></xsd:sequence></xsd:complexType>')
+
+
+_SIMPLE_DUP = '<xsd:simpleType name="Dup"><xsd:restriction base="xsd:string"/></xsd:simpleType>'
+_EL_DUP = '<xsd:element name="El" type="tns:Dup"/>'
+
+# a schema that defines a global name twice -> the members of El's type,
+# which the first definition gives
+DEFINED_TWICE = {
+    "complex_then_complex": (_sequence_type("Dup", "first") + _sequence_type("Dup", "second")
+                             + _EL_DUP, ["first"]),
+    "simple_then_complex": (_SIMPLE_DUP + _sequence_type("Dup", "second") + _EL_DUP, []),
+    "complex_then_simple": (_sequence_type("Dup", "first") + _SIMPLE_DUP + _EL_DUP, ["first"]),
+    "element_then_element": (_sequence_type("One", "first") + _sequence_type("Two", "second")
+                             + '<xsd:element name="El" type="tns:One"/>'
+                             + '<xsd:element name="El" type="tns:Two"/>', ["first"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEFINED_TWICE))
+def test_first_definition_of_a_global_name_wins(case):
+    content, members = DEFINED_TWICE[case]
+    parsed = parse_wsdl("d", wsdl(f"""
+  <wsdl:types><xsd:schema targetNamespace="urn:test">{content}</xsd:schema></wsdl:types>
+  <wsdl:message name="In"><wsdl:part name="p" element="tns:El"/></wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+"""))
+    param = parsed.description.operations[0].inputs[0]
+    definition = resolve_type(parsed.description, param.type_ref)
+    assert [m.name for m in definition.subparameters] == members
+    # the part's declaring node is the first El, as its type is
+    assert parsed.nodes[param.param_id].attrs["type"] in ("tns:Dup", "tns:One")
 
 
 def test_resolve_type_is_total():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
     desc = parse_wsdl("m", data).description
-    builtin = resolve_type(desc, QName(XSD_NAMESPACE, "string"))
-    assert builtin.kind is TypeKind.BUILTIN
+    assert resolve_type(desc, QName(XSD_NAMESPACE, "string")) is None
     local = resolve_type(desc, QName(TNS, "categoryDetail"))
-    assert local.kind is TypeKind.COMPLEX_SEQUENCE
-    missing = resolve_type(desc, QName(TNS, "Nothing"))
-    assert missing.kind is TypeKind.UNKNOWN
-    assert missing.name == QName(TNS, "Nothing")
+    assert local is desc.types[QName(TNS, "categoryDetail")]
+    assert resolve_type(desc, QName(TNS, "Nothing")) is None
 
 
 def test_bom_prefixed_document():
@@ -280,7 +316,6 @@ def test_schema_import_resolved_within_batch():
     assert len(with_schema.descriptions) == 1
     desc = with_schema.descriptions[0]
     address = QName("http://example.com/common", "Address")
-    assert desc.types[address].kind is TypeKind.COMPLEX_SEQUENCE
     assert [m.name for m in desc.types[address].subparameters] == ["street", "city"]
     # the xsd file itself is an import target, not a description
     assert [d.source_id for d in with_schema.descriptions] == [str(main)]
@@ -291,7 +326,7 @@ def test_schema_import_ignored_outside_batch():
     desc = corpus.descriptions[0]
     address = QName("http://example.com/common", "Address")
     assert address not in desc.types
-    assert resolve_type(desc, address).kind is TypeKind.UNKNOWN
+    assert resolve_type(desc, address) is None
 
 
 def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lexicon):
@@ -309,7 +344,7 @@ def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lex
     param = next(desc.parameters())
     assert param.name == "shipment"
     assert param.type_ref == QName("http://example.com/logistics", "shipment")
-    assert resolve_type(desc, param.type_ref).kind is TypeKind.UNKNOWN
+    assert resolve_type(desc, param.type_ref) is None
     annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
     assert not annotation.annotated
     assert [(v.source, [w.text for w in v.words]) for v in trace] == [
@@ -396,15 +431,16 @@ def test_import_closure_does_not_depend_on_the_batch(tmp_path, seed):
 
 
 def test_same_location_in_two_directories_resolves_apart(tmp_path):
-    for directory, kind in (("x", "simpleType"), ("y", "complexType")):
+    member = '<xsd:sequence><xsd:element name="part" type="xsd:string"/></xsd:sequence>'
+    for directory, content in (("x", ""), ("y", member)):
         (tmp_path / directory).mkdir()
         (tmp_path / directory / "svc.wsdl").write_bytes(importing(["types.xsd"]))
         (tmp_path / directory / "types.xsd").write_bytes(
-            schema("urn:lib", f'<xsd:{kind} name="Item"/>'))
+            schema("urn:lib", f'<xsd:complexType name="Item">{content}</xsd:complexType>'))
     corpus = load_corpus(sorted(tmp_path.glob("*/*")))
     item = QName("urn:lib", "Item")
-    assert [d.types[item].kind for d in corpus.descriptions] == [
-        TypeKind.CUSTOM_SIMPLE, TypeKind.EMPTY_COMPLEX]
+    assert [[m.name for m in d.types[item].subparameters] for d in corpus.descriptions] == [
+        [], ["part"]]
 
 
 def test_own_type_wins_over_imported(tmp_path):
@@ -418,8 +454,8 @@ def test_own_type_wins_over_imported(tmp_path):
     corpus = load_corpus([tmp_path / "own.wsdl", tmp_path / "plain.wsdl",
                           tmp_path / "common.xsd"])
     own_desc, plain_desc = corpus.descriptions
-    assert own_desc.types[address].kind is TypeKind.CUSTOM_SIMPLE
-    assert plain_desc.types[address].kind is TypeKind.COMPLEX_SEQUENCE
+    assert own_desc.types[address].subparameters == ()
+    assert [m.name for m in plain_desc.types[address].subparameters] == ["street", "city"]
 
 
 def test_include_ring_terminates(tmp_path):

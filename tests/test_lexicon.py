@@ -125,6 +125,10 @@ def test_load_overrides_format():
         load_overrides("user Human\n")
     with pytest.raises(MalformedOverrideLine):
         load_overrides("user=\n")
+    # modelReference splits at whitespace, so such a concept would read as two URIs
+    with pytest.raises(MalformedOverrideLine) as raised:
+        load_overrides("user=Human\ncity=Foo Bar\n", source="ov.txt")
+    assert str(raised.value) == "ov.txt:2: concept must not contain whitespace: 'Foo Bar'"
 
 
 def test_lexicon_invariants():
@@ -200,6 +204,8 @@ def test_same_concept_id_is_one_object():
      ": ranks for 'ab' must be 1..2, got [1, 3]"),
     ("ab\t1\tX\nab\t2\tY\nab\t 2\tZ\n", DuplicateSense,
      ":3: duplicate sense 'ab' rank 2"),
+    ("ab\t1\tX\nab\t2\tFoo Bar\n", MalformedLexiconLine,
+     ":2: concept must not contain whitespace: 'Foo Bar'"),
 ])
 def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
     # only rank 1 is kept, but every line is checked
@@ -214,6 +220,8 @@ def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
      "3: rank must be an integer: 'two'"),
     ("word\t one \tX\n", MalformedLexiconLine, "1: rank must be an integer: 'one'"),
     ("ok\t1\tFine\nok\t0\tX\n", MalformedLexiconLine, "2: rank must be >= 1"),
+    ("city\t1\tFoo Bar\n", MalformedLexiconLine,
+     "1: concept must not contain whitespace: 'Foo Bar'"),
 ])
 def test_line_errors_name_the_offending_line(text, error, message):
     with pytest.raises(error) as raised:

@@ -16,7 +16,6 @@ from semwsdl.model import (
     QName,
     SubParameter,
     TypeDefinition,
-    TypeKind,
     Word,
     WsDescription,
     is_builtin,
@@ -53,22 +52,21 @@ def test_word_valid_inputs_round_trip(text):
 
 
 def test_concept_requires_id():
-    with pytest.raises(ValueError):
-        Concept("")
+    for bad in ("", "Foo Bar", "Foo\tBar", " Foo"):
+        with pytest.raises(ValueError):
+            Concept(bad)
     # the ontology is one constant, not a field every concept carries
     assert [f.name for f in fields(Concept)] == ["id"]
     assert ONTOLOGY == "SUMO"
 
 
-def test_type_definition_kind_constraints():
+def test_type_definition_is_a_name_with_members():
+    # a type is found or not, and has members or not: no kind is stored
+    assert [f.name for f in fields(TypeDefinition)] == ["name", "subparameters", "anonymous"]
     qn = QName("urn:x", "T")
     sub = SubParameter("a", QName(XSD_NAMESPACE, "string"))
-    with pytest.raises(ValueError):
-        TypeDefinition(qn, TypeKind.COMPLEX_SEQUENCE)  # sequence needs members
-    with pytest.raises(ValueError):
-        TypeDefinition(qn, TypeKind.EMPTY_COMPLEX, (sub,))
-    ok = TypeDefinition(qn, TypeKind.COMPLEX_SEQUENCE, (sub,))
-    assert len(ok.subparameters) == 1
+    assert TypeDefinition(qn) == TypeDefinition(qn, (), False)
+    assert TypeDefinition(qn, (sub,)).subparameters == (sub,)
 
 
 def test_annotation_entry_depth_must_match_path():
