@@ -99,9 +99,10 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     Two phases: first register every global element and queue every
     complexType, then collect the queue's members.  Members need the
     complete element table because they may use `ref`.  The first
-    definition of a global type or element name wins.  Anonymous inline
-    types get synthesized names ending in "$anon"; such names are
-    internal and never mined for words.
+    definition of a global type or element name wins.  An inline type is
+    named after its holder, a "$" (in no NCName) before each step: global
+    element E's is E$anon, member n's of type T is T$n$anon.  So no two
+    clash, nor with a global name; none is ever mined for words.
     """
     index = _SchemaIndex()
     pending: deque[tuple[QName, XmlElement, str, bool]] = deque()
@@ -110,7 +111,7 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     for schema in schemas:
         tns = schema.attrs.get("targetNamespace", "")
         for child in schema.iter_elements():
-            uri, local = child.qname()
+            uri, local = child.qname
             if uri != XSD_NAMESPACE:
                 continue
             if local in ("import", "include"):
@@ -145,7 +146,7 @@ def _declared_type(node: XmlElement, synthetic: str, tns: str,
 
     A `type=` attribute (anyType when unusable), else an inline
     complexType (queued), else an inline simpleType, else anyType.  An
-    inline type is named (tns, synthetic) and marked anonymous.
+    inline type is named (tns, synthetic) as `_index_schemas` says, and anonymous.
     """
     type_attr = node.attrs.get("type", "")
     if type_attr.strip():
@@ -168,7 +169,6 @@ def _members(qname: QName, node: XmlElement, tns: str,
     sequence = node.first_child(XSD_NAMESPACE, "sequence")
     if sequence is None:
         return ()
-    base = qname.local_name.removesuffix("$anon")
     members: list[SubParameter] = []
     for position, member in enumerate(sequence.find_children(XSD_NAMESPACE, "element"), start=1):
         ref_attr = member.attrs.get("ref", "")
@@ -178,7 +178,8 @@ def _members(qname: QName, node: XmlElement, tns: str,
                 continue
             members.append(SubParameter(ref.local_name, index.element_type.get(ref, _ANY_TYPE)))
             continue
-        member_type = _declared_type(member, f"{base}.{position}$anon", tns, index, pending)
+        member_type = _declared_type(member, f"{qname.local_name}${position}$anon", tns,
+                                     index, pending)
         members.append(SubParameter(member.attrs.get("name", ""), member_type))
     return tuple(members)
 
@@ -194,9 +195,9 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     type_attr = part.attrs.get("type", "")
     node = part
     if element_attr.strip() and (ref := _attr_qname(part, element_attr)):
-        # element-style part: the referenced element gives name and type
+        # element-style part: the element gives name and type (anyType if undeclared here)
         name = ref.local_name
-        type_ref = index.element_type.get(ref, ref)
+        type_ref = index.element_type.get(ref, _ANY_TYPE)
         node = index.element_node.get(ref, part)
     elif type_attr.strip() and (type_ref_attr := _attr_qname(part, type_attr)):
         name = part.attrs.get("name", "")
@@ -216,7 +217,7 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
 def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[str]]:
     """One walk: the parsed document and its import locations."""
     root = document.root
-    if root.qname() != (WSDL_NAMESPACE, "definitions"):
+    if root.qname != (WSDL_NAMESPACE, "definitions"):
         raise MalformedXml("root element is not wsdl:definitions")
     schemas = [
         schema
@@ -232,7 +233,7 @@ def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[st
         if not name:
             warnings.append("unnamed message skipped")
             continue
-        messages[QName(target_ns, name)] = list(message.find_children(WSDL_NAMESPACE, "part"))
+        messages[QName(target_ns, name)] = message.find_children(WSDL_NAMESPACE, "part")
     operations: list[Operation] = []
     nodes: dict[str, XmlElement] = {}
     for port_type in root.find_children(WSDL_NAMESPACE, "portType"):
@@ -321,7 +322,7 @@ def load_corpus(paths: list) -> Corpus:
         seen.add(resolved)
         try:
             xdoc = xmlio.parse_xml(data)
-            if xdoc.root.qname() == (XSD_NAMESPACE, "schema"):
+            if xdoc.root.qname == (XSD_NAMESPACE, "schema"):
                 index, locations = _index_schemas([xdoc.root])
                 schema_files[resolved] = (index.types, locations)
                 continue

@@ -7,7 +7,9 @@ output.  ``xml.etree`` rewrites namespace prefixes and drops the original
 declarations on serialization, which breaks both requirements, so this
 module keeps its own lightweight tree: element and attribute names exactly
 as written, ``xmlns`` declarations as ordinary attributes, and children as
-an ordered mix of text runs and nodes.
+an ordered mix of text runs and nodes.  Each element's expanded name is
+resolved once, when the tree is built; QName-valued attribute values are
+resolved by the same rule on request.
 """
 
 from __future__ import annotations
@@ -35,15 +37,26 @@ class ProcessingInstruction:
     data: str
 
 
+def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
+    # the prefix ends at the first colon; an unprefixed name takes the default
+    # namespace, as XSD requires, and an undeclared prefix the empty one
+    prefix, colon, local = name.partition(":")
+    return (scope.get(prefix, ""), local) if colon else (scope.get("", ""), name)
+
+
 @dataclass(eq=False)
 class XmlElement:
-    """An element with names kept exactly as written in the source."""
+    """An element with names as written; `qname` is its expanded (URI, local) name."""
 
     name: str
     attrs: dict[str, str] = field(default_factory=dict)
     children: list = field(default_factory=list)
     scope: dict[str, str] = field(default_factory=lambda: {"xml": XML_NAMESPACE},
                                   repr=False)
+    qname: tuple[str, str] = field(init=False)
+
+    def __post_init__(self):
+        self.qname = _expand(self.name, self.scope)
 
     def nsmap(self) -> dict[str, str]:
         """In-scope prefix -> URI map ('' is the default namespace).
@@ -55,23 +68,9 @@ class XmlElement:
         """
         return self.scope
 
-    def qname(self) -> tuple[str, str]:
-        """Resolved (namespace URI, local name) of this element."""
-        return self.resolve_qname(self.name)
-
     def resolve_qname(self, value: str) -> tuple[str, str]:
-        """Resolve a QName-valued string against this element's scope.
-
-        Unprefixed names take the default namespace, as XSD QName
-        resolution requires.  An undeclared prefix resolves to the empty
-        namespace rather than raising.
-        """
-        value = value.strip()
-        scope = self.nsmap()
-        if ":" in value:
-            prefix, local = value.split(":", 1)
-            return scope.get(prefix, ""), local
-        return scope.get("", ""), value
+        """Expand a QName-valued attribute, such as type="tns:Foo", in this scope."""
+        return _expand(value.strip(), self.nsmap())
 
     def iter_elements(self):
         """Direct element children, in document order."""
@@ -79,16 +78,13 @@ class XmlElement:
             if isinstance(child, XmlElement):
                 yield child
 
-    def find_children(self, namespace: str, local: str):
-        """Direct element children matching the resolved (namespace, local)."""
-        for child in self.iter_elements():
-            if child.qname() == (namespace, local):
-                yield child
+    def find_children(self, namespace: str, local: str) -> list[XmlElement]:
+        """Direct element children named (namespace, local), in document order."""
+        return [child for child in self.iter_elements() if child.qname == (namespace, local)]
 
     def first_child(self, namespace: str, local: str) -> "XmlElement | None":
-        for child in self.find_children(namespace, local):
-            return child
-        return None
+        children = self.find_children(namespace, local)
+        return children[0] if children else None
 
 
 @dataclass(eq=False)

@@ -10,6 +10,7 @@ SPECIAL_DIR = REPO_ROOT / "fixtures" / "special"
 IMPORTS_DIR = REPO_ROOT / "fixtures" / "imports"
 DERIVED_DIR = REPO_ROOT / "fixtures" / "derived"
 IMPORTED_ELEMENT_DIR = REPO_ROOT / "fixtures" / "imported_element"
+CONTENT_MODELS_DIR = REPO_ROOT / "fixtures" / "content_models"
 LEXICON_PATH = REPO_ROOT / "src" / "semwsdl" / "data" / "lexicon.tsv"
 
 

@@ -205,12 +205,61 @@ def test_declared_type_precedence(branch, place):
     else:
         members = desc.types[QName("urn:test", "Base")].subparameters
         assert [m.name for m in members] == ["first", "X"]
-        type_ref, anon = members[1].type_ref, "Base.2$anon"
+        type_ref, anon = members[1].type_ref, "Base$2$anon"
     namespace = XSD_NAMESPACE if local == "anyType" else "urn:test"
     assert type_ref == QName(namespace, local.format(anon=anon))
     definition = resolve_type(desc, type_ref)
     assert shape == (None if definition is None else
                      ([m.name for m in definition.subparameters], definition.anonymous))
+
+
+def _holding(name, content):
+    """A global or member element `name` whose inline complexType's sequence is content."""
+    return (f'<xsd:element name="{name}"><xsd:complexType><xsd:sequence>{content}'
+            '</xsd:sequence></xsd:complexType></xsd:element>')
+
+
+def _complex(name, content):
+    return (f'<xsd:complexType name="{name}"><xsd:sequence>{content}'
+            '</xsd:sequence></xsd:complexType>')
+
+
+_PRICE = '<xsd:element name="price" type="xsd:string"/>'
+_CITY = '<xsd:element name="city" type="xsd:string"/>'
+
+# two holders of inline types whose names must not clash -> the parts, and
+# the members reached from each part along a path of member names
+INLINE_HOLDERS = {
+    "type_and_element_of_one_name": (
+        _complex("A", _holding("x", _PRICE)) + _holding("A", _holding("y", _CITY)),
+        '<wsdl:part name="zork" type="tns:A"/><wsdl:part name="el" element="tns:A"/>',
+        {("zork", "x"): ["price"], ("A", "y"): ["city"]}),
+    "dot_in_a_name": (
+        _complex("A", _holding("x", _holding("y", _PRICE))) + _complex("A.1", _holding("z", _CITY)),
+        '<wsdl:part name="zork" type="tns:A"/><wsdl:part name="blort" type="tns:A.1"/>',
+        {("zork", "x", "y"): ["price"], ("blort", "z"): ["city"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INLINE_HOLDERS))
+def test_inline_type_names_do_not_clash(case):
+    content, parts, expected = INLINE_HOLDERS[case]
+    desc = parse_wsdl("d", wsdl(f"""
+  <wsdl:types><xsd:schema targetNamespace="urn:test">{content}</xsd:schema></wsdl:types>
+  <wsdl:message name="In">{parts}</wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+""")).description
+    params = {param.name: param for param in desc.parameters()}
+    reached = {}
+    for part, *path in expected:
+        definition = resolve_type(desc, params[part].type_ref)
+        for name in path:
+            member = next(m for m in definition.subparameters if m.name == name)
+            definition = resolve_type(desc, member.type_ref)
+        reached[(part, *path)] = [m.name for m in definition.subparameters]
+    assert reached == expected
 
 
 def _sequence_type(name, member):
@@ -332,10 +381,10 @@ def test_schema_import_ignored_outside_batch():
 def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lexicon):
     """Only the imports' types are merged, not their global elements.
 
-    So a part naming an imported element keeps the element's own QName as
-    its type_ref, the declared type Parcel and its member `city` (a
-    lexicon word) are never reached, and the parameter fails.  This pins
-    today's behaviour, not the wanted one.
+    So a part naming an imported element gets anyType as its type_ref,
+    the declared type Parcel and its member `city` (a lexicon word) are
+    never reached, and the parameter fails.  This pins today's behaviour,
+    not the wanted one.
     """
     corpus = load_corpus([IMPORTED_ELEMENT_DIR / "svc.wsdl", IMPORTED_ELEMENT_DIR / "lib.xsd"])
     desc = corpus.descriptions[0]
@@ -343,12 +392,31 @@ def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lex
     assert [m.name for m in desc.types[parcel].subparameters] == ["city"]
     param = next(desc.parameters())
     assert param.name == "shipment"
-    assert param.type_ref == QName("http://example.com/logistics", "shipment")
+    assert param.type_ref == QName(XSD_NAMESPACE, "anyType")
     assert resolve_type(desc, param.type_ref) is None
     annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
     assert not annotation.annotated
     assert [(v.source, [w.text for w in v.words]) for v in trace] == [
         (AnnotationSource.PARAMETER_NAME, ["shipment"])]
+
+
+def test_undeclared_element_is_not_looked_up_as_a_type(tmp_path, search_config, demo_lexicon):
+    """Elements and types are apart: a type named like the element is not its type."""
+    shutil.copytree(IMPORTED_ELEMENT_DIR, tmp_path, dirs_exist_ok=True)
+    library = tmp_path / "lib.xsd"
+    library.write_text(library.read_text().replace("</xsd:schema>", """\
+  <xsd:complexType name="shipment">
+    <xsd:sequence><xsd:element name="price" type="xsd:string"/></xsd:sequence>
+  </xsd:complexType>
+</xsd:schema>"""))
+    desc = load_corpus([tmp_path / "svc.wsdl", library]).descriptions[0]
+    assert [m.name for m in desc.types[QName("http://example.com/logistics", "shipment")]
+            .subparameters] == ["price"]
+    param = next(desc.parameters())
+    assert param.type_ref == QName(XSD_NAMESPACE, "anyType")
+    annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
+    assert not annotation.annotated
+    assert [v.source for v in trace] == [AnnotationSource.PARAMETER_NAME]
 
 
 def test_corpus_is_plain_data():

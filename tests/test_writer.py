@@ -49,7 +49,7 @@ def annotation_for(desc, param_name, entries):
 
 def find_part(root, part_name):
     for element in root.iter_elements():
-        if element.qname()[1] == "part" and element.attrs.get("name") == part_name:
+        if element.qname[1] == "part" and element.attrs.get("name") == part_name:
             return element
         found = find_part(element, part_name)
         if found is not None:
@@ -135,7 +135,7 @@ def test_element_style_annotation_lands_on_the_element():
     ]
     assert len(carriers) == 1
     carrier = carriers[0]
-    assert carrier.qname()[1] == "element"
+    assert carrier.qname[1] == "element"
     assert carrier.attrs["name"] == "TransferRequest"
 
 

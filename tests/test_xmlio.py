@@ -32,10 +32,10 @@ def test_names_and_prefixes_kept_as_written():
 def test_qname_resolution_with_default_namespace():
     doc = parse_xml(SAMPLE)
     plain = list(doc.root.iter_elements())[1]
-    assert plain.qname() == ("urn:default", "plain")
+    assert plain.qname == ("urn:default", "plain")
     inner = next(plain.iter_elements())
-    assert inner.qname() == ("urn:default", "inner")
-    assert doc.root.qname() == ("urn:alpha", "root")
+    assert inner.qname == ("urn:default", "inner")
+    assert doc.root.qname == ("urn:alpha", "root")
 
 
 def test_resolve_qname_value_uses_scope():
@@ -52,8 +52,8 @@ def test_nested_prefix_redefinition():
     doc = parse_xml(b'<r xmlns:p="urn:one"><p:mid xmlns:p="urn:two"><p:leaf/></p:mid></r>')
     mid = next(doc.root.iter_elements())
     leaf = next(mid.iter_elements())
-    assert mid.qname() == ("urn:two", "mid")
-    assert leaf.qname() == ("urn:two", "leaf")
+    assert mid.qname == ("urn:two", "mid")
+    assert leaf.qname == ("urn:two", "leaf")
     # a declaration copies the map; an element without one shares its parent's
     assert mid.nsmap() is not doc.root.nsmap()
     assert leaf.nsmap() is mid.nsmap()
@@ -198,6 +198,6 @@ def test_qnames_match_namespace_aware_expat(data):
     pending = [parse_xml(data).root]
     while pending:
         element = pending.pop()
-        resolved.append(element.qname())
+        resolved.append(element.qname)
         pending.extend(reversed(list(element.iter_elements())))
     assert resolved == expat_names(data)
