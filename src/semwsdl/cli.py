@@ -283,7 +283,16 @@ def _run_command(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
+    """The program entry: run, then leave what the run built to the OS.
+
+    The process exits right after, and the interpreter's last collection
+    would walk every object the imports and the run left behind; frozen,
+    they are out of its reach.  A library caller uses run(), which leaves
+    the collector as it found it.
+    """
+    code = run(sys.argv[1:] if argv is None else argv)
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":

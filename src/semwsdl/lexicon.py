@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import eq, mul, not_
+from itertools import repeat
 
 from .model import WORD_RE, Concept, Word
 from .preprocess import content_lines, read_text
@@ -59,9 +58,9 @@ def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:
     same id share one Concept object.
 
     A canonical document (see _load_canonical) is checked with one
-    pattern per block of lines and split into fields; any other document
-    goes through the line loop, which accepts every form and reports the
-    first error with its line number.  Both give the same entries in the
+    pattern per block of lines, and its run heads are read in one more
+    pass; any other document goes through the line loop, which accepts
+    every form and reports the first error with its line number.  Both give the same entries in the
     same order.  `text` is decoded already; read a file with
     preprocess.read_text.
     """
@@ -71,22 +70,37 @@ def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:
     return Lexicon(entries=entries)
 
 
-# lines of three kinds, each ending in \n: word<TAB>rank<TAB>concept with a
-# rank free of leading zeros, a '#' comment free of every line break
-# str.splitlines honours other than \n, and an empty line
-_CANONICAL_BLOCK = re.compile(
-    r"(?:[a-z]+\t[1-9][0-9]*\t\S+\n|#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*\n|\n)*")
-# the rank text of a word's next line; "" stands before a word's first line
-_NEXT_RANK = {"": "1", **{str(rank): str(rank + 1) for rank in range(1, 100)}}
-# the text one fullmatch covers; see _load_canonical
+# a run is one word's consecutive lines; none holds more ranks than this
+_MAX_RUN = 100
+
+
+def _run_pattern(max_run: int) -> str:
+    r"""Zero or more runs: word<TAB>1<TAB>concept, then the same word at rank 2,
+    3, ... up to max_run, each further line optional, every line ending in \n."""
+    rest = ""
+    for rank in range(max_run, 1, -1):
+        rest = rf"(?:\1\t{rank}\t\S+\n{rest})?"
+    return rf"(?:([a-z]+)\t1\t\S+\n{rest})*"
+
+
+_RUNS = re.compile(_run_pattern(_MAX_RUN))
+# a '#' comment line free of every line break str.splitlines honours other
+# than \n, or an empty line; a comment with such a break is left in place
+_SKIPPED_LINE = re.compile(r"^(?:#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*)?\n", re.M)
+# after a line break: a run head's word and concept
+_RUN_HEAD = re.compile(r"\n([a-z]+)\t1\t([^\n]+)")
+# the line break before a line at rank 1, where a block may end
+_RUN_START = re.compile(r"\n(?=[a-z]+\t1\t)")
+# the text one block covers at least; see _load_canonical
 _BLOCK_CHARS = 1 << 16
 
 
 def _blocks(text: str):
-    r"""Slices of whole lines, about _BLOCK_CHARS each; text ends in \n."""
+    r"""Slices of whole lines, each cut before a rank-1 line after _BLOCK_CHARS."""
     start = 0
     while start < len(text):
-        end = text.find("\n", min(start + _BLOCK_CHARS, len(text)) - 1) + 1
+        cut = _RUN_START.search(text, start + _BLOCK_CHARS - 1)
+        end = cut.end() if cut else len(text)
         yield text[start:end]
         start = end
 
@@ -94,45 +108,36 @@ def _blocks(text: str):
 def _load_canonical(text: str) -> dict[str, Concept] | None:
     r"""The entries of a canonical document, else None; never raises.
 
-    Canonical: every line ends in \n, and each block of whole lines
-    fullmatches _CANONICAL_BLOCK, one pattern of three kinds of line:
-    word<TAB>rank<TAB>concept with no other whitespace and a rank without
-    leading zeros, a '#' comment from column 0 with no line break but \n,
-    and an empty line.  Ranks are compared as text, never converted: a
-    word's first line has rank "1", each later line the successor of the
-    rank before it in _NEXT_RANK, so a longer run goes to the line loop.
-    No word has a second run of lines, so the first line of each run is
-    its word's rank-1 line.  A block costs a few passes that loop in C.
-    Blocks are about 64k characters because the pattern's plain * (a
-    possessive *+ needs Python 3.11) keeps a backtracking frame per line
-    it matches: bigger blocks raise peak memory and run no faster.
+    Canonical: every line ends in \n and is a '#' comment from column 0
+    with no line break but \n, an empty line, or word<TAB>rank<TAB>concept
+    with no other whitespace; without the comments and empty lines, each
+    word's lines are one run ranked 1, 2, ... in order, up to _MAX_RUN.
+    Blocks are cut before a rank-1 line, so no run straddles two.  A block
+    costs two passes that loop in C: it must fullmatch _RUNS, whose
+    pattern spells out each rank and repeats the run's word by
+    backreference, and then _RUN_HEAD finds each run's word and rank-1
+    concept.  No word may have a second run, so there are as many entries
+    as heads.  Blocks are about 64k characters because the pattern's plain
+    * and ? (possessive forms need Python 3.11) keep backtracking frames
+    for what they match: bigger blocks raise peak memory and run no faster.
     """
     if text and not text.endswith("\n"):
         return None
     concepts: dict[str, Concept] = {}
     entries: dict[str, Concept] = {}
     heads = 0
-    word, rank = "", ""  # before the first line: it must start a word at rank 1
     for block in _blocks(text):
-        if not _CANONICAL_BLOCK.fullmatch(block):
-            return None
         if block[0] in "#\n" or "\n#" in block or "\n\n" in block:
-            block = "".join(line + "\n" for line in block.split("\n") if line and line[0] != "#")
-            if not block:
-                continue
-        fields = block.replace("\n", "\t").split("\t")
-        words, rank_texts, ids = fields[0:-1:3], fields[1::3], fields[2::3]
-        continues = list(map(eq, words, chain((word,), words)))
-        # look up the previous line's rank text if the line continues its word, else ""
-        if list(map(_NEXT_RANK.get, map(mul, chain((rank,), rank_texts), continues))) != rank_texts:
+            block = _SKIPPED_LINE.sub("", block)
+        if not _RUNS.fullmatch(block):
             return None
-        new_words = list(map(not_, continues))
-        firsts = list(compress(ids, new_words))
-        for concept_id in set(firsts).difference(concepts):
-            concepts[concept_id] = Concept(concept_id)
-        entries.update(zip(compress(words, new_words), map(concepts.__getitem__, firsts)))
-        heads += len(firsts)
-        word, rank = words[-1], rank_texts[-1]
+        pairs = _RUN_HEAD.findall("\n" + block)
+        for word, concept_id in pairs:
+            concept = concepts.get(concept_id)
+            if concept is None:
+                concept = concepts[concept_id] = Concept(concept_id)
+            entries[word] = concept
+        heads += len(pairs)
     if len(entries) != heads:  # a word with a second run of lines
         return None
     return entries

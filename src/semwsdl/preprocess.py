@@ -67,8 +67,14 @@ class SearchConfig:
             raise ConfigError("max_depth must be >= 0")
 
 
+# every ASCII code point but a letter, to a space
+_ASCII_NON_LETTERS = {code: " " for code in range(128) if not chr(code).isalpha()}
+
+
 def _fold_to_letters(raw: str) -> str:
     """ASCII letters kept, diacritics folded, everything else becomes a space."""
+    if raw.isascii():  # nothing for NFD to decompose, and no combining mark
+        return raw.translate(_ASCII_NON_LETTERS)
     decomposed = unicodedata.normalize("NFD", raw)
     out = []
     for ch in decomposed:

@@ -2,6 +2,8 @@ import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from semwsdl import annotate_description, cli, parse_wsdl, write_sawsdl
 from semwsdl.xmlio import parse_xml
 
-from conftest import CORPUS_DIR, IMPORTS_DIR, LEXICON_PATH, SPECIAL_DIR
+from conftest import CORPUS_DIR, IMPORTS_DIR, LEXICON_PATH, REPO_ROOT, SPECIAL_DIR
 
 MINIMAL = """<?xml version="1.0"?>
 <wsdl:definitions targetNamespace="urn:t"
@@ -534,7 +536,36 @@ def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys, monkeypatch):
             assert gc.isenabled() is collecting
             assert cli.main(args) == 0
             assert gc.isenabled() is collecting
+            gc.unfreeze()  # main() froze this test process's objects on its way out
     finally:
         gc.enable()
     assert collecting_inside == [False] * 4
     capsys.readouterr()
+
+
+def test_run_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.run(base_args("ablate", [CORPUS_DIR], tmp_path / "out")) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def test_main_as_the_program_entry_prints_what_run_prints(tmp_path, capsys):
+    """main() freezes the collector before the process exits; the exit code
+    and all buffered output still come out as run() gives them."""
+    args = base_args("ablate", [CORPUS_DIR], tmp_path / "out")
+    code = cli.run(args)
+    printed = capsys.readouterr()
+    written = tmp_path / "out" / "ablation.json"
+    ablation = written.read_bytes()
+    written.unlink()
+    # stdout to a pipe is block-buffered, as under a shell redirect
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from semwsdl.cli import main; sys.exit(main())",
+         *args], capture_output=True, env=env, check=False, timeout=120)
+    assert (child.returncode, child.stdout.decode(), child.stderr.decode()) == (
+        code, printed.out, printed.err)
+    assert "+TypeExplorer" in printed.out
+    assert written.read_bytes() == ablation

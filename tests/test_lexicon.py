@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from importlib.resources import files
 from itertools import permutations
 from unittest.mock import patch
@@ -371,6 +372,10 @@ def _one_object_per_id(entries):
 @example(("# a\x1fcomment\nab\t1\tX\n", False), 40)
 @example(("".join(f"ab\t{rank}\tX{rank}\n" for rank in range(1, 11)), False), 1)
 @example(("cd\t1\tX\ncd\t2\tY\nab\t01\tZ\n", True), 40)
+# a blank line and a comment inside a run, right after the first line break a
+# block of 7 characters may end at; the block runs on to the next rank-1 line
+@example(("ab\t1\tX\n\n# c\nab\t2\tY\ncd\t1\tZ\n", False), 7)
+@example(("# a\n\n# b\n", False), 1)
 def test_column_path_matches_line_loop(document, block_chars):
     text, mutated = document
     expected = _outcome(lambda t: _load_lines(t, "demo.tsv"), text)
@@ -405,17 +410,37 @@ def test_column_path_takes_the_shipped_and_a_generated_lexicon():
              for n in range(12_000)}
     # about 24k lines, so the default block size splits it
     generated = _sorted_lexicon(words)
-    # a word with 75 senses, as many as WordNet's longest runs, mid-document
-    long_run = "".join(f"break\t{rank}\tConcept{rank}\n" for rank in range(1, 76))
+    # words with 75 senses, as many as WordNet's longest runs, and with 100,
+    # the longest run the canonical form allows, mid-document
     middle = generated.index("\nb") + 1
-    for text in (shipped, generated, generated[:middle] + long_run + generated[middle:]):
+    texts = [shipped, generated]
+    for senses in (75, 100):
+        long_run = "".join(f"break\t{rank}\tConcept{rank}\n" for rank in range(1, senses + 1))
+        texts.append(generated[:middle] + long_run + generated[middle:])
+    for text in texts:
         entries = lexicon._load_canonical(text)
         assert entries is not None
         assert entries == _load_lines(text, "x") and list(entries) == list(_load_lines(text, "x"))
-    # ranks past 100, the last rank the successor table knows, go to the line loop
+    # ranks past 100, the longest run the block pattern spells out, go to the line loop
     too_long = "".join(f"break\t{rank}\tConcept{rank}\n" for rank in range(1, 102))
     text = generated[:middle] + too_long + generated[middle:]
     assert lexicon._load_canonical(text) is None
     entries = load_lexicon(text, "x").entries
     assert entries == _load_lines(text, "x") and list(entries) == list(_load_lines(text, "x"))
     assert entries["break"] == Concept("Concept1")
+
+
+def test_column_path_peak_memory_stays_near_its_entries():
+    letters = "abcdefgh"
+    words = {"".join(letters[(n >> shift) & 7] for shift in (0, 3, 6, 9, 12, 15))
+             for n in range(60_000)}
+    text = _sorted_lexicon(words)  # about 120k lines
+    tracemalloc.start()
+    try:
+        entries = lexicon._load_canonical(text)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert entries is not None and len(entries) == len(words)
+    # blocks are checked and read one at a time, never the whole document at once
+    assert peak - current < 2 * 2**20

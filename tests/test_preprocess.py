@@ -7,6 +7,7 @@ from semwsdl.preprocess import (
     ConfigError,
     SearchConfig,
     Stage,
+    _fold_to_letters,
     decompose,
     default_config,
     filter_words,
@@ -16,7 +17,7 @@ from semwsdl.preprocess import (
     preprocess,
 )
 
-from bruteforce import oracle_preprocess, oracle_split
+from bruteforce import oracle_letters, oracle_preprocess, oracle_split
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -167,3 +168,15 @@ def test_idempotence_without_abbreviations(raw):
     once = preprocess(raw, config)
     again = preprocess(" ".join(w.text for w in once), config)
     assert sorted(w.text for w in once) == sorted(w.text for w in again)
+
+
+# an ASCII name takes the translate table; the oracle is the NFD loop
+@pytest.mark.parametrize("code", range(128))
+def test_ascii_fold_matches_nfd_loop_per_character(code):
+    assert _fold_to_letters(chr(code)) == oracle_letters(chr(code))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=40))
+def test_ascii_fold_matches_nfd_loop(raw):
+    assert _fold_to_letters(raw) == oracle_letters(raw)
