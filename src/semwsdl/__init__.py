@@ -13,7 +13,6 @@ from .ingest import (
     ParsedWsdl,
     load_corpus,
     parse_wsdl,
-    resolve_type,
 )
 from .lexicon import (
     Lexicon,
@@ -43,6 +42,7 @@ from .model import (
     TypeDefinition,
     Word,
     WsDescription,
+    resolve_type,
 )
 from .preprocess import (
     SearchConfig,

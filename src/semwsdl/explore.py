@@ -18,14 +18,15 @@ Everything from (0b) on runs only while Stage.EXPLORE is among the
 config's enabled stages.
 
 Every function takes the same tail, `config, lexicon`: the lexicon's
-entries already carry any overrides, so a word is one lookup.
+entries already carry any overrides, so a word is one lookup.  The
+search reads the model alone (a description and its type table); it
+never touches the parser or the XML tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ingest import resolve_type
 from .lexicon import Lexicon, associate_words
 from .model import (
     Annotation,
@@ -34,6 +35,7 @@ from .model import (
     Parameter,
     Word,
     WsDescription,
+    resolve_type,
 )
 from .preprocess import SearchConfig, Stage, preprocess
 

@@ -6,6 +6,7 @@ define parameter types.  Bindings, services and policy elements are
 parsed past without complaint.  One parse and one walk give both the
 description and the document's tree, with the node that declares each
 parameter, so the writer can inject attributes without parsing again.
+This module parses; the search reads only the model it builds.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .model import (
     SubParameter,
     TypeDefinition,
     WsDescription,
-    is_builtin,
 )
 from .xmlio import MalformedXml, XmlDocument, XmlElement
 
@@ -80,9 +80,10 @@ class Corpus:
 
 @dataclass
 class _SchemaIndex:
+    """Named types, and each global element's (declared type, declaring node)."""
+
     types: dict[QName, TypeDefinition] = field(default_factory=dict)
-    element_type: dict[QName, QName] = field(default_factory=dict)
-    element_node: dict[QName, XmlElement] = field(default_factory=dict)
+    elements: dict[QName, tuple[QName, XmlElement]] = field(default_factory=dict)
 
 
 def _attr_qname(element: XmlElement, value: str) -> QName | None:
@@ -105,7 +106,7 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     clash, nor with a global name; none is ever mined for words.
     """
     index = _SchemaIndex()
-    pending: deque[tuple[QName, XmlElement, str, bool]] = deque()
+    pending: deque[tuple[QName, XmlElement, bool]] = deque()
     type_names: set[QName] = set()  # global types indexed or queued
     import_locations: list[str] = []
     for schema in schemas:
@@ -126,45 +127,43 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
             if local in ("complexType", "simpleType") and qn not in type_names:
                 type_names.add(qn)
                 if local == "complexType":
-                    pending.append((qn, child, tns, False))
+                    pending.append((qn, child, False))
                 else:
                     index.types[qn] = TypeDefinition(qn)
-            elif local == "element" and qn not in index.element_type:
-                index.element_node[qn] = child
-                index.element_type[qn] = _declared_type(child, f"{name}$anon", tns,
-                                                        index, pending)
+            elif local == "element" and qn not in index.elements:
+                index.elements[qn] = (_declared_type(child, qn, "", index, pending), child)
     while pending:
-        qname, node, tns, anonymous = pending.popleft()
-        members = _members(qname, node, tns, index, pending)
+        qname, node, anonymous = pending.popleft()
+        members = _members(qname, node, index, pending)
         index.types[qname] = TypeDefinition(qname, members, anonymous)
     return index, import_locations
 
 
-def _declared_type(node: XmlElement, synthetic: str, tns: str,
+def _declared_type(node: XmlElement, holder: QName, step: str,
                    index: _SchemaIndex, pending: deque) -> QName:
     """The type an element declares, in order of precedence.
 
     A `type=` attribute (anyType when unusable), else an inline
     complexType (queued), else an inline simpleType, else anyType.  An
-    inline type is named (tns, synthetic) as `_index_schemas` says, and anonymous.
+    inline type is anonymous and named in holder's namespace, holder's
+    local name then step then "$anon", as `_index_schemas` says.
     """
     type_attr = node.attrs.get("type", "")
     if type_attr.strip():
         return _attr_qname(node, type_attr) or _ANY_TYPE
     inline_complex = node.first_child(XSD_NAMESPACE, "complexType")
+    if inline_complex is None and node.first_child(XSD_NAMESPACE, "simpleType") is None:
+        return _ANY_TYPE
+    qname = QName(holder.namespace_uri, f"{holder.local_name}{step}$anon")
     if inline_complex is not None:
-        qname = QName(tns, synthetic)
-        pending.append((qname, inline_complex, tns, True))
-        return qname
-    if node.first_child(XSD_NAMESPACE, "simpleType") is not None:
-        qname = QName(tns, synthetic)
+        pending.append((qname, inline_complex, True))
+    else:
         index.types[qname] = TypeDefinition(qname, anonymous=True)
-        return qname
-    return _ANY_TYPE
+    return qname
 
 
-def _members(qname: QName, node: XmlElement, tns: str,
-             index: _SchemaIndex, pending: deque) -> tuple[SubParameter, ...]:
+def _members(qname: QName, node: XmlElement, index: _SchemaIndex,
+             pending: deque) -> tuple[SubParameter, ...]:
     """The element members of the complexType's direct sequence; none without one."""
     sequence = node.first_child(XSD_NAMESPACE, "sequence")
     if sequence is None:
@@ -176,10 +175,10 @@ def _members(qname: QName, node: XmlElement, tns: str,
             ref = _attr_qname(member, ref_attr)
             if ref is None:
                 continue
-            members.append(SubParameter(ref.local_name, index.element_type.get(ref, _ANY_TYPE)))
+            type_ref, _ = index.elements.get(ref, (_ANY_TYPE, member))
+            members.append(SubParameter(ref.local_name, type_ref))
             continue
-        member_type = _declared_type(member, f"{qname.local_name}${position}$anon", tns,
-                                     index, pending)
+        member_type = _declared_type(member, qname, f"${position}", index, pending)
         members.append(SubParameter(member.attrs.get("name", ""), member_type))
     return tuple(members)
 
@@ -197,8 +196,7 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     if element_attr.strip() and (ref := _attr_qname(part, element_attr)):
         # element-style part: the element gives name and type (anyType if undeclared here)
         name = ref.local_name
-        type_ref = index.element_type.get(ref, _ANY_TYPE)
-        node = index.element_node.get(ref, part)
+        type_ref, node = index.elements.get(ref, (_ANY_TYPE, part))
     elif type_attr.strip() and (type_ref_attr := _attr_qname(part, type_attr)):
         name = part.attrs.get("name", "")
         type_ref = type_ref_attr
@@ -242,29 +240,22 @@ def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[st
             if not op_name:
                 warnings.append("unnamed operation skipped")
                 continue
-            message_refs: dict[Direction, QName] = {}
-            usable = True
-            for direction, tag in ((Direction.INPUT, "input"), (Direction.OUTPUT, "output")):
-                port = operation.first_child(WSDL_NAMESPACE, tag)
+            message_refs: list[tuple[Direction, QName]] = []
+            for direction in Direction:  # input, then output
+                port = operation.first_child(WSDL_NAMESPACE, direction.value)
                 if port is None:
                     continue
                 ref = _attr_qname(port, port.attrs.get("message", ""))
                 if ref is None or ref not in messages:
                     warnings.append(
-                        f"operation {op_name}: {tag} message "
+                        f"operation {op_name}: {direction.value} message "
                         f"{port.attrs.get('message', '(none)')!r} not declared; operation skipped")
-                    usable = False
                     break
-                message_refs[direction] = ref
-            if not usable:
-                continue
-            params = {
-                direction: tuple(_build_param(source_id, op_name, direction, part, index, nodes)
-                                 for part in messages[ref])
-                for direction, ref in message_refs.items()
-            }
-            operations.append(Operation(op_name, params.get(Direction.INPUT, ()),
-                                        params.get(Direction.OUTPUT, ())))
+                message_refs.append((direction, ref))
+            else:
+                operations.append(Operation(op_name, tuple(
+                    _build_param(source_id, op_name, direction, part, index, nodes)
+                    for direction, ref in message_refs for part in messages[ref])))
     description = WsDescription(source_id, tuple(operations), index.types, tuple(warnings))
     return ParsedWsdl(description, document, nodes), import_locations
 
@@ -272,17 +263,6 @@ def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[st
 def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
     return _analyze(source_id, xmlio.parse_xml(data))[0]
-
-
-def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition | None:
-    """The definition of ref in reach of the description.
-
-    None for an XML Schema builtin and for a name that neither the
-    description's schemas nor those it imports define.
-    """
-    if is_builtin(ref):
-        return None
-    return description.types.get(ref)
 
 
 def load_corpus(paths: list) -> Corpus:

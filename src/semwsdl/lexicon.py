@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .model import WORD_RE, Concept, Word
+from .model import NON_XML_ASCII, WORD_RE, Concept, Word, is_xml_text
 from .preprocess import content_lines, read_text
 
 
@@ -76,14 +76,20 @@ _MAX_RUN = 100
 
 def _run_pattern(max_run: int) -> str:
     r"""Zero or more runs: word<TAB>1<TAB>concept, then the same word at rank 2,
-    3, ... up to max_run, each further line optional, every line ending in \n."""
+    3, ... up to max_run, each further line optional, every line ending in \n.
+    A concept is one token free of the ASCII characters XML forbids; a class
+    with code points past U+00FF would compile to a big charset, about 0.2 ms
+    for each of its max_run copies, so _load_canonical checks those apart."""
+    concept = rf"[^\s{NON_XML_ASCII}]+"
     rest = ""
     for rank in range(max_run, 1, -1):
-        rest = rf"(?:\1\t{rank}\t\S+\n{rest})?"
-    return rf"(?:([a-z]+)\t1\t\S+\n{rest})*"
+        rest = rf"(?:\1\t{rank}\t{concept}\n{rest})?"
+    return rf"(?:([a-z]+)\t1\t{concept}\n{rest})*"
 
 
-_RUNS = re.compile(_run_pattern(_MAX_RUN))
+# the text only, so an import compiles nothing: re compiles it on the
+# first canonical load and caches it
+_RUNS = _run_pattern(_MAX_RUN)
 # a '#' comment line free of every line break str.splitlines honours other
 # than \n, or an empty line; a comment with such a break is left in place
 _SKIPPED_LINE = re.compile(r"^(?:#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*)?\n", re.M)
@@ -110,16 +116,18 @@ def _load_canonical(text: str) -> dict[str, Concept] | None:
 
     Canonical: every line ends in \n and is a '#' comment from column 0
     with no line break but \n, an empty line, or word<TAB>rank<TAB>concept
-    with no other whitespace; without the comments and empty lines, each
-    word's lines are one run ranked 1, 2, ... in order, up to _MAX_RUN.
-    Blocks are cut before a rank-1 line, so no run straddles two.  A block
-    costs two passes that loop in C: it must fullmatch _RUNS, whose
-    pattern spells out each rank and repeats the run's word by
-    backreference, and then _RUN_HEAD finds each run's word and rank-1
-    concept.  No word may have a second run, so there are as many entries
-    as heads.  Blocks are about 64k characters because the pattern's plain
-    * and ? (possessive forms need Python 3.11) keep backtracking frames
-    for what they match: bigger blocks raise peak memory and run no faster.
+    with no other whitespace and only XML characters; without the comments
+    and empty lines, each word's lines are one run ranked 1, 2, ... in
+    order, up to _MAX_RUN.  Blocks are cut before a rank-1 line, so no run
+    straddles two.  A block costs two passes that loop in C: it must
+    fullmatch _RUNS, whose pattern spells out each rank and repeats the
+    run's word by backreference, and then _RUN_HEAD finds each run's word
+    and rank-1 concept.  A block with a non-ASCII character costs a third,
+    a search for the characters XML forbids.  No word may have a second
+    run, so there are as many entries as heads.  Blocks are about 64k
+    characters because the pattern's plain * and ? (possessive forms need
+    Python 3.11) keep backtracking frames for what they match: bigger
+    blocks raise peak memory and run no faster.
     """
     if text and not text.endswith("\n"):
         return None
@@ -129,7 +137,7 @@ def _load_canonical(text: str) -> dict[str, Concept] | None:
     for block in _blocks(text):
         if block[0] in "#\n" or "\n#" in block or "\n\n" in block:
             block = _SKIPPED_LINE.sub("", block)
-        if not _RUNS.fullmatch(block):
+        if not re.fullmatch(_RUNS, block) or not (block.isascii() or is_xml_text(block)):
             return None
         pairs = _RUN_HEAD.findall("\n" + block)
         for word, concept_id in pairs:
@@ -167,6 +175,9 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
         if concept_id.split() != [concept_id]:
             raise MalformedLexiconLine(
                 f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
+        if not is_xml_text(concept_id):
+            raise MalformedLexiconLine(
+                f"{source}:{number}: concept must contain only XML characters: {concept_id!r}")
         seen = ranks.setdefault(word, set())
         if rank in seen:
             raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
@@ -201,6 +212,9 @@ def load_overrides(text: str, source: str = "<overrides>") -> dict[str, Concept]
         if concept_id.split() != [concept_id]:
             raise MalformedOverrideLine(
                 f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
+        if not is_xml_text(concept_id):
+            raise MalformedOverrideLine(
+                f"{source}:{number}: concept must contain only XML characters: {concept_id!r}")
         entries[word] = Concept(concept_id)
     return entries
 

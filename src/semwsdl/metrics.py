@@ -39,11 +39,14 @@ class AblationRow:
     stage_name: str
     annotated: int
     total: int
-    rate: float
 
     def __post_init__(self):
         if not 0 <= self.annotated <= self.total:
             raise ValueError("annotated must lie in [0, total]")
+
+    @property
+    def rate(self) -> float:
+        return annotation_rate(self.annotated, self.total)
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def run_ablation(descriptions: list[WsDescription], config: SearchConfig,
         for description in descriptions:
             for annotation in annotate_description(description, stage_config, lexicon):
                 annotated += bool(annotation.entries)
-        rows.append(AblationRow(name, annotated, total, annotation_rate(annotated, total)))
+        rows.append(AblationRow(name, annotated, total))
     return AblationReport(tuple(rows))
 
 

@@ -27,6 +27,10 @@ XSD_BUILTIN_TYPES = frozenset({
 
 WORD_RE = re.compile(r"[a-z]+")
 ONTOLOGY = "SUMO"  # the ontology every Concept id names
+# the characters XML 1.0 forbids that str.split() keeps; NON_XML_ASCII is
+# their ASCII part, as the body of a regex class
+NON_XML_ASCII = r"\x00-\x08\x0e-\x1b"
+_NON_XML_RE = re.compile(rf"[{NON_XML_ASCII}\ud800-\udfff\ufffe\uffff]")
 
 
 class Direction(Enum):
@@ -60,6 +64,11 @@ class QName:
         return self.local_name
 
 
+def is_xml_text(text: str) -> bool:
+    """True when an XML 1.0 document may hold every character of text."""
+    return _NON_XML_RE.search(text) is None
+
+
 def is_builtin(name: QName) -> bool:
     """True for the XML Schema built-in simple types."""
     return name.namespace_uri == XSD_NAMESPACE and name.local_name in XSD_BUILTIN_TYPES
@@ -90,6 +99,8 @@ class Concept:
             raise ValueError("Concept id must be non-empty")
         if self.id.split() != [self.id]:  # modelReference is a whitespace-separated list
             raise ValueError(f"Concept id must not contain whitespace: {self.id!r}")
+        if not is_xml_text(self.id):
+            raise ValueError(f"Concept id must contain only XML characters: {self.id!r}")
 
     def __str__(self) -> str:
         return self.id
@@ -126,9 +137,10 @@ class Parameter:
 
 @dataclass(frozen=True)
 class Operation:
+    """The parts of its input message, then those of its output message."""
+
     name: str
-    inputs: tuple[Parameter, ...] = ()
-    outputs: tuple[Parameter, ...] = ()
+    parameters: tuple[Parameter, ...] = ()
 
     def __post_init__(self):
         if not self.name:
@@ -151,8 +163,18 @@ class WsDescription:
     def parameters(self):
         """All parameters in document order (inputs before outputs per op)."""
         for operation in self.operations:
-            yield from operation.inputs
-            yield from operation.outputs
+            yield from operation.parameters
+
+
+def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition | None:
+    """The definition of ref in reach of the description.
+
+    None for an XML Schema builtin and for a name that neither the
+    description's schemas nor those it imports define.
+    """
+    if is_builtin(ref):
+        return None
+    return description.types.get(ref)
 
 
 @dataclass(frozen=True)

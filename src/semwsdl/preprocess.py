@@ -20,10 +20,11 @@ from pathlib import Path
 
 from .model import WORD_RE, Word
 
-# Splits one letter run at case boundaries.  The first alternative peels
-# an uppercase acronym off a following capitalized word (XMLParser ->
-# XML, Parser); the rest take capitalized words, lowercase runs, and
-# trailing acronyms.
+# Splits a folded name (ASCII letters and spaces) at case boundaries and
+# spaces: every part matches letters only, so neither a match nor a
+# lookahead crosses a space.  The first alternative peels an uppercase
+# acronym off a following capitalized word (XMLParser -> XML, Parser);
+# the rest take capitalized words, lowercase runs, and trailing acronyms.
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+")
 
 
@@ -89,10 +90,7 @@ def decompose(raw: str) -> list[str]:
 
     'GetCityNameById_42' -> ['Get', 'City', 'Name', 'By', 'Id']
     """
-    tokens = []
-    for segment in _fold_to_letters(raw).split():
-        tokens.extend(_CAMEL_RE.findall(segment))
-    return tokens
+    return _CAMEL_RE.findall(_fold_to_letters(raw))
 
 
 def normalize(tokens: list[str], config: SearchConfig) -> list[Word]:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from urllib.parse import urlparse
 
 from . import xmlio
-from .ingest import ParsedWsdl, SkippedFile, WsDescription
-from .model import ONTOLOGY, Annotation, annotation_rate
+from .ingest import ParsedWsdl, SkippedFile
+from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, is_xml_text
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
@@ -32,6 +32,8 @@ class WriterConfig:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
         if self.uri_prefix.split() != [self.uri_prefix]:  # one URI per concept in the list
             raise ValueError(f"uri_prefix must not contain whitespace: {self.uri_prefix!r}")
+        if not is_xml_text(self.uri_prefix):
+            raise ValueError(f"uri_prefix must contain only XML characters: {self.uri_prefix!r}")
 
 
 def _free_prefix(scope: dict[str, str]) -> str:

@@ -68,8 +68,8 @@ def random_description(rng, index):
                 for p in range(count))
 
         operations.append(Operation(op_name,
-                                    params(Direction.INPUT, rng.randint(0, 3)),
-                                    params(Direction.OUTPUT, rng.randint(0, 2))))
+                                    params(Direction.INPUT, rng.randint(0, 3))
+                                    + params(Direction.OUTPUT, rng.randint(0, 2))))
     return WsDescription(f"gen{index}", tuple(operations), types)
 
 

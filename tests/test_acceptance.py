@@ -229,7 +229,7 @@ def test_criterion_9_module_invariant_properties():
         params = tuple(
             Parameter(f"p{i}", Direction.INPUT, string_type, f"r::Op::input::p{i}")
             for i in range(total))
-        desc = WsDescription("r", (Operation("Op", params, ()),) if params else ())
+        desc = WsDescription("r", (Operation("Op", params),) if params else ())
         annotations = [
             Annotation(p.param_id,
                        (AnnotationEntry(Concept("City"), Word("city"),

@@ -369,7 +369,8 @@ def test_custom_uri_prefix_flag(tmp_path):
 
 def test_bad_uri_prefix_is_refused_before_any_input_is_read(tmp_path, capsys):
     for prefix, error in (("no-scheme", "must be an absolute URI"),
-                          ("http://ex ample.org/o#", "must not contain whitespace")):
+                          ("http://ex ample.org/o#", "must not contain whitespace"),
+                          ("http://example.org/o\x01#", "must contain only XML characters")):
         code = cli.run(base_args("annotate", [tmp_path / "missing.wsdl"], tmp_path / "out")
                        + ["--uri-prefix", prefix])
         assert code == 2

@@ -47,7 +47,7 @@ def chain_description(type_names, leaf_member="price"):
     last = QName(ns, type_names[-1])
     types[last] = TypeDefinition(last, (SubParameter(leaf_member, XSD_STRING),))
     param = Parameter("p", Direction.INPUT, QName(ns, type_names[0]), "c::Op::input::p")
-    return WsDescription("c", (Operation("Op", (param,), ()),), types), param
+    return WsDescription("c", (Operation("Op", (param,)),), types), param
 
 
 def test_name_stage_wins_when_word_is_known(fixture_corpus, search_config, demo_lexicon):
@@ -168,7 +168,7 @@ def sequence_description(param_name, members):
     name = QName("urn:shape", "Qwrtx")
     definition = TypeDefinition(name, tuple(SubParameter(m, XSD_STRING) for m in members))
     param = Parameter(param_name, Direction.INPUT, name, "s::Op::input::p")
-    return WsDescription("s", (Operation("Op", (param,), ()),), {name: definition}), param
+    return WsDescription("s", (Operation("Op", (param,)),), {name: definition}), param
 
 
 NAME, TYPE = AnnotationSource.PARAMETER_NAME, AnnotationSource.TYPE_NAME
@@ -198,7 +198,7 @@ def test_unnamed_member_is_skipped_but_descended(search_config, demo_lexicon):
     inner = TypeDefinition(QName(ns, "Inner"), (SubParameter("singer", XSD_STRING),))
     outer = TypeDefinition(QName(ns, "Outer"), (SubParameter("", QName(ns, "Inner")),))
     param = Parameter("xyzzy", Direction.INPUT, QName(ns, "Outer"), "u::Op::input::xyzzy")
-    desc = WsDescription("u", (Operation("Op", (param,), ()),),
+    desc = WsDescription("u", (Operation("Op", (param,)),),
                          {outer.name: outer, inner.name: inner})
     annotation = annotate_parameter(
         param, desc, search_config, demo_lexicon)
@@ -212,7 +212,7 @@ def test_shared_member_type_is_expanded_once(search_config, demo_lexicon):
     pair = TypeDefinition(QName(ns, "Pair"), (SubParameter("x", QName(ns, "Dup")),
                                               SubParameter("y", QName(ns, "Dup"))))
     param = Parameter("xyzzy", Direction.INPUT, QName(ns, "Pair"), "u::Op::input::xyzzy")
-    desc = WsDescription("u", (Operation("Op", (param,), ()),),
+    desc = WsDescription("u", (Operation("Op", (param,)),),
                          {dup.name: dup, pair.name: pair})
     annotation = annotate_parameter(
         param, desc, search_config, demo_lexicon)

@@ -10,9 +10,15 @@ from semwsdl.ingest import (
     EmptyCorpus,
     load_corpus,
     parse_wsdl,
+)
+from semwsdl.model import (
+    AnnotationSource,
+    Direction,
+    QName,
+    SubParameter,
+    XSD_NAMESPACE,
     resolve_type,
 )
-from semwsdl.model import AnnotationSource, Direction, QName, SubParameter, XSD_NAMESPACE
 from semwsdl.xmlio import MalformedXml
 
 from conftest import CORPUS_DIR, IMPORTED_ELEMENT_DIR, IMPORTS_DIR, SPECIAL_DIR
@@ -43,9 +49,8 @@ def test_parse_minimal_document():
     assert len(desc.operations) == 1
     op = desc.operations[0]
     assert op.name == "Ask"
-    assert [p.name for p in op.inputs] == ["q"]
-    assert op.outputs == ()
-    param = op.inputs[0]
+    assert [p.name for p in op.parameters] == ["q"]
+    param = op.parameters[0]
     assert param.direction is Direction.INPUT
     assert param.type_ref == QName(XSD_NAMESPACE, "string")
     assert param.param_id == "mini.wsdl::Ask::input::q"
@@ -58,7 +63,7 @@ def test_parse_catalog_fixture():
     desc = parse_wsdl("music_catalog.wsdl", data).description
     op = desc.operations[0]
     assert op.name == "GetCategory"
-    category = op.inputs[0]
+    category = op.parameters[0]
     assert category.name == "category"
     assert category.type_ref == QName(TNS, "categoryDetail")
     detail = desc.types[QName(TNS, "categoryDetail")]
@@ -67,7 +72,8 @@ def test_parse_catalog_fixture():
         SubParameter("composer", QName(XSD_NAMESPACE, "string")),
     )
     assert not detail.anonymous
-    assert [p.name for p in op.outputs] == ["result"]
+    assert [(p.name, p.direction) for p in op.parameters] == [
+        ("category", Direction.INPUT), ("result", Direction.OUTPUT)]
 
 
 def test_parse_is_deterministic():
@@ -201,7 +207,7 @@ def test_declared_type_precedence(branch, place):
 """)
     desc = parse_wsdl("d", doc).description
     if top_level:
-        type_ref, anon = desc.operations[0].inputs[0].type_ref, "X$anon"
+        type_ref, anon = desc.operations[0].parameters[0].type_ref, "X$anon"
     else:
         members = desc.types[QName("urn:test", "Base")].subparameters
         assert [m.name for m in members] == ["first", "X"]
@@ -293,7 +299,7 @@ def test_first_definition_of_a_global_name_wins(case):
     <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
   </wsdl:portType>
 """))
-    param = parsed.description.operations[0].inputs[0]
+    param = parsed.description.operations[0].parameters[0]
     definition = resolve_type(parsed.description, param.type_ref)
     assert [m.name for m in definition.subparameters] == members
     # the part's declaring node is the first El, as its type is

@@ -130,6 +130,10 @@ def test_load_overrides_format():
     with pytest.raises(MalformedOverrideLine) as raised:
         load_overrides("user=Human\ncity=Foo Bar\n", source="ov.txt")
     assert str(raised.value) == "ov.txt:2: concept must not contain whitespace: 'Foo Bar'"
+    # nor may it hold a character that XML forbids
+    with pytest.raises(MalformedOverrideLine) as raised:
+        load_overrides("city=Foo\x01Bar\n", source="ov.txt")
+    assert str(raised.value) == "ov.txt:1: concept must contain only XML characters: 'Foo\\x01Bar'"
 
 
 def test_lexicon_invariants():
@@ -207,6 +211,8 @@ def test_same_concept_id_is_one_object():
      ":3: duplicate sense 'ab' rank 2"),
     ("ab\t1\tX\nab\t2\tFoo Bar\n", MalformedLexiconLine,
      ":2: concept must not contain whitespace: 'Foo Bar'"),
+    ("ab\t1\tX\nab\t2\tFoo\x01Bar\n", MalformedLexiconLine,
+     ":2: concept must contain only XML characters: 'Foo\\x01Bar'"),
 ])
 def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
     # only rank 1 is kept, but every line is checked
@@ -223,6 +229,8 @@ def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
     ("ok\t1\tFine\nok\t0\tX\n", MalformedLexiconLine, "2: rank must be >= 1"),
     ("city\t1\tFoo Bar\n", MalformedLexiconLine,
      "1: concept must not contain whitespace: 'Foo Bar'"),
+    ("city\t1\tFoo\x01Bar\n", MalformedLexiconLine,
+     "1: concept must contain only XML characters: 'Foo\\x01Bar'"),
 ])
 def test_line_errors_name_the_offending_line(text, error, message):
     with pytest.raises(error) as raised:
@@ -232,7 +240,8 @@ def test_line_errors_name_the_offending_line(text, error, message):
 
 # -- the column-wise path against the line loop ------------------------------
 
-_IDS = st.sampled_from(["Human", "City", "Process", "C#", "Área", "a\x00b"])
+# a\x7fb: a control character that XML allows and str.split() keeps
+_IDS = st.sampled_from(["Human", "City", "Process", "C#", "Área", "a\x7fb"])
 _EXTRAS = st.sampled_from(["", "#", "# note", "#\ttabbed\tcomment", "# ünïcode"])
 
 
@@ -323,7 +332,8 @@ def _bad_field(draw, lines):
     i = _data_index(draw, lines)
     if i is not None:
         fields = lines[i].split("\t")
-        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "Up", "a b", "   "]))
+        fields[draw(st.integers(0, 2))] = draw(st.sampled_from(["", "Up", "a b", "   ",
+                                                                "a\x00b"]))
         lines[i] = "\t".join(fields)
 
 
@@ -370,6 +380,8 @@ def _one_object_per_id(entries):
 @example(("ab\t1\t X\n", True), 40)
 @example(("ab\t1\tX\x1f\n", True), 40)
 @example(("# a\x1fcomment\nab\t1\tX\n", False), 40)
+@example(("ab\t1\tX\nab\t2\tY\x01\ncd\t1\tZ\n", True), 40)
+@example(("ab\t1\tÁrea\nab\t2\tY\uffff\ncd\t1\tZ\n", True), 40)
 @example(("".join(f"ab\t{rank}\tX{rank}\n" for rank in range(1, 11)), False), 1)
 @example(("cd\t1\tX\ncd\t2\tY\nab\t01\tZ\n", True), 40)
 # a blank line and a comment inside a run, right after the first line break a

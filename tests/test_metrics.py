@@ -68,7 +68,7 @@ def name_only_corpus(names):
     params = tuple(
         Parameter(name, Direction.INPUT, XSD_STRING, f"t::Op{i}::input::{name}")
         for i, name in enumerate(names))
-    desc = WsDescription("t", (Operation("Op", params, ()),))
+    desc = WsDescription("t", (Operation("Op", params),))
     return [desc]
 
 
@@ -241,16 +241,16 @@ def test_table_rendering(fixture_corpus, search_config, demo_lexicon):
 
 def test_report_invariants():
     rows = tuple(
-        AblationRow(name, 1, 2, 0.5) for name in STAGE_NAMES)
+        AblationRow(name, 1, 2) for name in STAGE_NAMES)
     AblationReport(rows)
     with pytest.raises(ValueError):
         AblationReport(rows[:4])
     with pytest.raises(ValueError):
-        AblationReport(tuple(AblationRow(f"S{i}", 1, 2, 0.5) for i in range(5)))
-    mixed = rows[:4] + (AblationRow(STAGE_NAMES[4], 1, 3, 0.5),)
+        AblationReport(tuple(AblationRow(f"S{i}", 1, 2) for i in range(5)))
+    mixed = rows[:4] + (AblationRow(STAGE_NAMES[4], 1, 3),)
     with pytest.raises(ValueError):
         AblationReport(mixed)
     with pytest.raises(ValueError):
-        AblationRow("x", 3, 2, 1.5)
+        AblationRow("x", 3, 2)
     with pytest.raises(ValueError):
         WordFrequencyRow(Word("a"), 0, None)

@@ -52,7 +52,8 @@ def test_word_valid_inputs_round_trip(text):
 
 
 def test_concept_requires_id():
-    for bad in ("", "Foo Bar", "Foo\tBar", " Foo"):
+    # the id lands in an XML attribute, so a character XML forbids is refused
+    for bad in ("", "Foo Bar", "Foo\tBar", " Foo", "Foo\x01Bar"):
         with pytest.raises(ValueError):
             Concept(bad)
     # the ontology is one constant, not a field every concept carries
@@ -98,8 +99,8 @@ def test_description_parameter_order():
     string_ref = QName(XSD_NAMESPACE, "string")
     op1 = Operation(
         "First",
-        (Parameter("a", Direction.INPUT, string_ref, "1"),),
-        (Parameter("b", Direction.OUTPUT, string_ref, "2"),))
+        (Parameter("a", Direction.INPUT, string_ref, "1"),
+         Parameter("b", Direction.OUTPUT, string_ref, "2")))
     op2 = Operation("Second", (Parameter("c", Direction.INPUT, string_ref, "3"),))
     desc = WsDescription("s", (op1, op2))
     assert [p.param_id for p in desc.parameters()] == ["1", "2", "3"]
