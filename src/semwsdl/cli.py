@@ -166,19 +166,22 @@ def _write_output(path: Path, data: bytes) -> None:
             file.truncate()
 
 
-def _output_names(source_ids: list[str]) -> dict[str, str]:
-    """Map source ids to distinct output file names."""
-    names: dict[str, str] = {}
+def _output_names(paths: list[str]) -> list[str]:
+    """Distinct output file names for the input paths, in order.
+
+    A name keeps the bytes of its input's stem, even those that are not UTF-8.
+    """
+    names: list[str] = []
     taken: set[str] = set()
-    for source_id in source_ids:
-        stem = Path(source_id).stem or "output"
+    for path in paths:
+        stem = Path(path).stem or "output"
         candidate = f"{stem}.sawsdl.wsdl"
         counter = 1
         while candidate in taken:
             counter += 1
             candidate = f"{stem}-{counter}.sawsdl.wsdl"
         taken.add(candidate)
-        names[source_id] = candidate
+        names.append(candidate)
     return names
 
 
@@ -186,18 +189,18 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
     """Write each copy; one that cannot be written becomes a skipped entry."""
     config, lexicon, writer_config = setup
     output_dir = Path(args.output_dir)
-    names = _output_names([d.source_id for d in corpus.descriptions])
+    names = _output_names([parsed.path for parsed in corpus.documents])
     all_annotations = []
     written = []
     # the corpus gives its documents up, so each tree is freed once written
-    documents, corpus.documents = corpus.documents[::-1], []
+    documents, corpus.documents = list(zip(corpus.documents, names))[::-1], []
     while documents:
-        parsed = documents.pop()
+        parsed, name = documents.pop()
         description = parsed.description
         annotations = annotate_description(description, config, lexicon)
         output = write_sawsdl(parsed, annotations, writer_config)
         try:
-            _write_output(output_dir / names[description.source_id], output)
+            _write_output(output_dir / name, output)
         except OSError as exc:
             skip = SkippedFile(description.source_id, f"write error: {exc}")
             corpus.skipped.append(skip)

@@ -12,6 +12,7 @@ This module parses; the search reads only the model it builds.
 from __future__ import annotations
 
 import os
+import stat
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -58,12 +59,15 @@ class ParsedWsdl:
 
     `nodes` maps every param_id of the description, in order, to the
     element that declares it; several parameters may share one node
-    (element-style parts).
+    (element-style parts).  `path` is the path the document was read
+    under, as given (its source id, for `parse_wsdl`); a copy is named
+    after it.
     """
 
     description: WsDescription
     document: XmlDocument
     nodes: dict[str, XmlElement]
+    path: str
 
 
 @dataclass
@@ -212,7 +216,8 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     return Parameter(name, direction, type_ref, param_id)
 
 
-def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[str]]:
+def _analyze(source_id: str, document: XmlDocument,
+             path: str) -> tuple[ParsedWsdl, list[str]]:
     """One walk: the parsed document and its import locations."""
     root = document.root
     if root.qname != (WSDL_NAMESPACE, "definitions"):
@@ -257,21 +262,56 @@ def _analyze(source_id: str, document: XmlDocument) -> tuple[ParsedWsdl, list[st
                     _build_param(source_id, op_name, direction, part, index, nodes)
                     for direction, ref in message_refs for part in messages[ref])))
     description = WsDescription(source_id, tuple(operations), index.types, tuple(warnings))
-    return ParsedWsdl(description, document, nodes), import_locations
+    return ParsedWsdl(description, document, nodes, path), import_locations
 
 
 def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
-    return _analyze(source_id, xmlio.parse_xml(data))[0]
+    return _analyze(source_id, xmlio.parse_xml(data), source_id)[0]
+
+
+def _source_id(path: str) -> str:
+    """The id of an input path in reports and messages.
+
+    The path's bytes read as UTF-8, with each byte that is not UTF-8
+    written as ``\\xNN``; an ASCII or UTF-8 path is its own id.
+    """
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
+
+
+def _read_regular(path: str) -> bytes | None:
+    """The bytes of a regular file; None for any other kind of file.
+
+    The open does not block, so a FIFO without a writer is refused, not
+    waited on, and a device is never read.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        status = os.fstat(fd)
+        if not stat.S_ISREG(status.st_mode):
+            return None
+        chunks = []
+        while chunk := os.read(fd, status.st_size + 1):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
 
 
 def load_corpus(paths: list) -> Corpus:
     """Load and parse a batch of files; failures are recorded, not fatal.
 
+    Only a regular file is read; any other kind, such as a FIFO or a
+    directory, is skipped as "not a regular file".  Each file is known
+    by its real path: the real path of its directory, resolved once per
+    directory string, joined with its name.  A name that is a symlink,
+    or is empty, "." or "..", is resolved in full by `os.path.realpath`.
     Standalone XSD files are indexed as import targets: a description
     whose schema imports/includes one of them (by schemaLocation) sees
-    its named types.  A file is known by `os.path.realpath` of the path
-    it was read under, and a location's target by the real path of the
+    its named types.  A location's target is the real path of the
     location joined to the directory of its importer's real path.
     Import resolution never leaves the supplied file set, so a location
     through a symlink loop, whose real path names no file of the set, is
@@ -280,23 +320,34 @@ def load_corpus(paths: list) -> Corpus:
     own share the closure's dict as their `types`, which therefore must
     not be mutated; merging it rebinds a document's description, never
     its tree.  A file named more than once, in any spelling, is loaded
-    once, under its first.  Raises EmptyCorpus, with the skipped files,
-    when no WSDL parses.
+    once, under its first.  Reports and messages name a file by its
+    path, each byte that is not UTF-8 written as ``\\xNN``; a parsed
+    document keeps the path as given.  Raises EmptyCorpus, with the
+    skipped files, when no WSDL parses.
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
     schema_files: dict[str, tuple[dict[QName, TypeDefinition], list[str]]] = {}
     import_keys: list[tuple[str, tuple[str, ...]]] = []
     seen: set[str] = set()
-    for path in paths:
-        source_id = str(path)
+    real_dirs: dict[str, str] = {}
+    for path in map(os.fsdecode, paths):
         try:
-            with open(path, "rb") as file:
-                data = file.read()
+            data = _read_regular(path)
         except OSError as exc:
-            skipped.append(SkippedFile(source_id, f"io error: {exc}"))
+            skipped.append(SkippedFile(_source_id(path), f"io error: {exc}"))
             continue
-        resolved = os.path.realpath(path)
+        if data is None:
+            skipped.append(SkippedFile(_source_id(path), "not a regular file"))
+            continue
+        head, name = os.path.split(path)
+        if name in ("", ".", "..") or os.path.islink(path):
+            resolved = os.path.realpath(path)
+        else:
+            real_dir = real_dirs.get(head)
+            if real_dir is None:
+                real_dir = real_dirs[head] = os.path.realpath(head)
+            resolved = os.path.join(real_dir, name)
         if resolved in seen:
             continue
         seen.add(resolved)
@@ -306,9 +357,9 @@ def load_corpus(paths: list) -> Corpus:
                 index, locations = _index_schemas([xdoc.root])
                 schema_files[resolved] = (index.types, locations)
                 continue
-            parsed, locations = _analyze(source_id, xdoc)
+            parsed, locations = _analyze(_source_id(path), xdoc, path)
         except MalformedXml as exc:
-            skipped.append(SkippedFile(source_id, str(exc)))
+            skipped.append(SkippedFile(_source_id(path), str(exc)))
             continue
         documents.append(parsed)
         import_keys.append((os.path.dirname(resolved), tuple(locations)))

@@ -7,15 +7,20 @@ output.  ``xml.etree`` rewrites namespace prefixes and drops the original
 declarations on serialization, which breaks both requirements, so this
 module keeps its own lightweight tree: element and attribute names exactly
 as written, ``xmlns`` declarations as ordinary attributes, and children as
-an ordered mix of text runs and nodes.  Each element's expanded name is
-resolved once, when the tree is built; QName-valued attribute values are
+an ordered mix of text runs and nodes.
+
+The nodes are plain classes with ``__slots__``: a tree holds one object per
+element, text run, comment and PI, and slotted objects are smaller and
+quicker to build than dataclasses.  `parse_xml` is the one builder.  Its
+expat handlers are closures over a local stack; each start tag gets the
+parent's prefix map, copied only where the tag declares a namespace, and
+its expanded name, resolved once.  QName-valued attribute values are
 resolved by the same rule on request.
 """
 
 from __future__ import annotations
 
 import xml.parsers.expat
-from dataclasses import dataclass, field
 
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
@@ -26,15 +31,19 @@ class MalformedXml(ValueError):
     """Raised when a document cannot be parsed (or is not the expected kind)."""
 
 
-@dataclass(eq=False)
 class Comment:
-    text: str
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-@dataclass(eq=False)
 class ProcessingInstruction:
-    target: str
-    data: str
+    __slots__ = ("target", "data")
+
+    def __init__(self, target: str, data: str):
+        self.target = target
+        self.data = data
 
 
 def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
@@ -44,19 +53,22 @@ def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
     return (scope.get(prefix, ""), local) if colon else (scope.get("", ""), name)
 
 
-@dataclass(eq=False)
 class XmlElement:
-    """An element with names as written; `qname` is its expanded (URI, local) name."""
+    """An element with names as written; `qname` is its expanded (URI, local) name.
 
-    name: str
-    attrs: dict[str, str] = field(default_factory=dict)
-    children: list = field(default_factory=list)
-    scope: dict[str, str] = field(default_factory=lambda: {"xml": XML_NAMESPACE},
-                                  repr=False)
-    qname: tuple[str, str] = field(init=False)
+    `scope` is the in-scope prefix -> URI map, shared with the parent unless
+    the element declares a namespace; `qname` is `name` expanded in it.
+    """
 
-    def __post_init__(self):
-        self.qname = _expand(self.name, self.scope)
+    __slots__ = ("name", "attrs", "children", "scope", "qname")
+
+    def __init__(self, name: str, attrs: dict[str, str], children: list,
+                 scope: dict[str, str], qname: tuple[str, str]):
+        self.name = name
+        self.attrs = attrs
+        self.children = children
+        self.scope = scope
+        self.qname = qname
 
     def nsmap(self) -> dict[str, str]:
         """In-scope prefix -> URI map ('' is the default namespace).
@@ -75,62 +87,29 @@ class XmlElement:
     def iter_elements(self):
         """Direct element children, in document order."""
         for child in self.children:
-            if isinstance(child, XmlElement):
+            if type(child) is XmlElement:
                 yield child
 
     def find_children(self, namespace: str, local: str) -> list[XmlElement]:
         """Direct element children named (namespace, local), in document order."""
-        return [child for child in self.iter_elements() if child.qname == (namespace, local)]
+        qname = (namespace, local)
+        return [child for child in self.children
+                if type(child) is XmlElement and child.qname == qname]
 
     def first_child(self, namespace: str, local: str) -> "XmlElement | None":
         children = self.find_children(namespace, local)
         return children[0] if children else None
 
 
-@dataclass(eq=False)
 class XmlDocument:
-    root: XmlElement
-    prolog: list = field(default_factory=list)
-    epilog: list = field(default_factory=list)
+    """The root element and the comments and PIs before and after it."""
 
+    __slots__ = ("root", "prolog", "epilog")
 
-class _TreeBuilder:
-    def __init__(self, document: XmlElement):
-        # the document is the bottom of the stack: a nameless holder of the
-        # root element and of the comments and PIs around it
-        self._stack = [document]
-
-    def start_element(self, name: str, attrs: dict[str, str]) -> None:
-        # share the parent's map unless this element declares a namespace
-        inherited = scope = self._stack[-1].scope
-        for attr, value in attrs.items():
-            if attr == "xmlns" or attr.startswith("xmlns:"):
-                if attr == "xmlns:":
-                    # not namespace-well-formed; a namespace-aware parser refuses it
-                    raise MalformedXml("namespace declaration 'xmlns:' names no prefix")
-                if scope is inherited:
-                    scope = dict(inherited)
-                scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
-        element = XmlElement(name, attrs, [], scope)
-        self._stack[-1].children.append(element)
-        self._stack.append(element)
-
-    def end_element(self, name: str) -> None:
-        self._stack.pop()
-
-    def character_data(self, data: str) -> None:
-        # expat reports no character data outside the root element
-        children = self._stack[-1].children
-        if children and isinstance(children[-1], str):
-            children[-1] += data
-        else:
-            children.append(data)
-
-    def comment(self, data: str) -> None:
-        self._stack[-1].children.append(Comment(data))
-
-    def processing_instruction(self, target: str, data: str) -> None:
-        self._stack[-1].children.append(ProcessingInstruction(target, data))
+    def __init__(self, root: XmlElement, prolog: list, epilog: list):
+        self.root = root
+        self.prolog = prolog
+        self.epilog = epilog
 
 
 def _reject_doctype(name, *_) -> None:
@@ -142,25 +121,62 @@ def parse_xml(data: bytes) -> XmlDocument:
     """Parse bytes into an XmlDocument; raises MalformedXml on bad input."""
     if data.startswith(_UTF8_BOM):
         data = data[len(_UTF8_BOM):]
-    document = XmlElement("")
-    builder = _TreeBuilder(document)
+    # the document is the bottom of the stack: a nameless holder of the root
+    # element and of the comments and PIs around it
+    document = XmlElement("", {}, [], {"xml": XML_NAMESPACE}, ("", ""))
+    stack = [document]
+    push, pop = stack.append, stack.pop
+
+    def start_element(name: str, attrs: dict[str, str]) -> None:
+        parent = stack[-1]
+        # share the parent's map unless this element declares a namespace
+        inherited = scope = parent.scope
+        for attr, value in attrs.items():
+            if attr == "xmlns" or attr.startswith("xmlns:"):
+                if attr == "xmlns:":
+                    # not namespace-well-formed; a namespace-aware parser refuses it
+                    raise MalformedXml("namespace declaration 'xmlns:' names no prefix")
+                if scope is inherited:
+                    scope = dict(inherited)
+                scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
+        element = XmlElement(name, attrs, [], scope, _expand(name, scope))
+        parent.children.append(element)
+        push(element)
+
+    def end_element(name: str) -> None:
+        pop()
+
+    def character_data(data: str) -> None:
+        # expat reports no character data outside the root element
+        children = stack[-1].children
+        if children and type(children[-1]) is str:
+            children[-1] += data
+        else:
+            children.append(data)
+
+    def comment(data: str) -> None:
+        stack[-1].children.append(Comment(data))
+
+    def processing_instruction(target: str, data: str) -> None:
+        stack[-1].children.append(ProcessingInstruction(target, data))
+
     parser = xml.parsers.expat.ParserCreate()
     parser.buffer_text = True
-    parser.StartElementHandler = builder.start_element
-    parser.EndElementHandler = builder.end_element
-    parser.CharacterDataHandler = builder.character_data
-    parser.CommentHandler = builder.comment
-    parser.ProcessingInstructionHandler = builder.processing_instruction
+    parser.StartElementHandler = start_element
+    parser.EndElementHandler = end_element
+    parser.CharacterDataHandler = character_data
+    parser.CommentHandler = comment
+    parser.ProcessingInstructionHandler = processing_instruction
     parser.StartDoctypeDeclHandler = _reject_doctype
     try:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
         raise MalformedXml(f"XML parse error: {exc}") from None
     nodes = document.children
-    at = next((i for i, node in enumerate(nodes) if isinstance(node, XmlElement)), None)
+    at = next((i for i, node in enumerate(nodes) if type(node) is XmlElement), None)
     if at is None:
         raise MalformedXml("document has no root element")
-    return XmlDocument(root=nodes[at], prolog=nodes[:at], epilog=nodes[at + 1:])
+    return XmlDocument(nodes[at], nodes[:at], nodes[at + 1:])
 
 
 def _escape_text(value: str) -> str:
@@ -182,7 +198,7 @@ def _write_node(node, out: list[str]) -> None:
     siblings = iter((node,))
     while True:
         for node in siblings:
-            if isinstance(node, XmlElement):
+            if type(node) is XmlElement:
                 out.append(f"<{node.name}")
                 for name, value in node.attrs.items():
                     out.append(f' {name}="{_escape_attr(value)}"')
@@ -192,9 +208,9 @@ def _write_node(node, out: list[str]) -> None:
                     siblings = iter(node.children)
                     break
                 out.append("/>")
-            elif isinstance(node, str):
+            elif type(node) is str:
                 out.append(_escape_text(node))
-            elif isinstance(node, Comment):
+            elif type(node) is Comment:
                 out.append(f"<!--{node.text}-->")
             else:
                 data = f" {node.data}" if node.data else ""

@@ -570,3 +570,47 @@ def test_main_as_the_program_entry_prints_what_run_prints(tmp_path, capsys):
         code, printed.out, printed.err)
     assert "+TypeExplorer" in printed.out
     assert written.read_bytes() == ablation
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("command", ["annotate", "ablate", "wordfreq"])
+def test_fifo_input_is_skipped_not_waited_on(tmp_path, command):
+    fifo = tmp_path / "pipe.wsdl"
+    os.mkfifo(fifo)
+    good = tmp_path / "good.wsdl"
+    good.write_text(MINIMAL, "utf-8")
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    # a run that waits on the FIFO fails the test on the timeout, never hangs it
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys; from semwsdl.cli import main; sys.exit(main())",
+         *base_args(command, [fifo, good], out)],
+        capture_output=True, env=env, check=False, timeout=60)
+    assert child.returncode == 1
+    assert child.stderr.decode().startswith(f"skipped {fifo}: not a regular file\n")
+    if command == "annotate":
+        assert read_report(out)["skipped"] == [{"path": str(fifo), "error": "not a regular file"}]
+        assert sorted(p.name for p in out.iterdir()) == ["good.sawsdl.wsdl", "report.json"]
+
+
+@pytest.mark.parametrize("command", ["annotate", "ablate", "wordfreq"])
+def test_name_that_is_not_utf8_is_shown_with_escapes(tmp_path, capsys, command):
+    folder = tmp_path / "in"
+    folder.mkdir()
+    good, bad = (folder / os.fsdecode(name) for name in (b"a\xff.wsdl", b"b\xff.wsdl"))
+    try:
+        good.write_text(MINIMAL, "utf-8")
+        bad.write_bytes(b"<broken")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    out = tmp_path / "out"
+    code = cli.run(base_args(command, [folder], out))
+    err = capsys.readouterr().err
+    good_id, bad_id = f"{folder}{os.sep}a\\xff.wsdl", f"{folder}{os.sep}b\\xff.wsdl"
+    assert code == 1
+    assert err.startswith(f"skipped {bad_id}: XML parse error: ")
+    if command == "annotate":
+        report = read_report(out)
+        assert [s["path"] for s in report["skipped"]] == [bad_id]
+        assert [p["param_id"] for p in report["parameters"]] == [f"{good_id}::Find::input::city"]
+        assert sorted(os.listdir(os.fsencode(out))) == [b"a\xff.sawsdl.wsdl", b"report.json"]

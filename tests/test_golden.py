@@ -1,0 +1,19 @@
+"""Every output of the three commands on the fixtures matches tests/golden.json.
+
+A mismatch means an output byte, an exit code or a message changed.  If
+the change is on purpose, rewrite the manifest with
+`python3 tests/golden.py --update` and say in CHANGES.md which entries
+changed and why.
+"""
+
+import json
+
+import golden
+
+
+def test_outputs_match_the_manifest():
+    expected = json.loads(golden.MANIFEST.read_text(encoding="utf-8"))
+    actual = golden.build_manifest()
+    assert sorted(actual) == sorted(expected)
+    assert [key for key in expected if actual[key] != expected[key]] == []
+

@@ -611,6 +611,48 @@ def test_location_through_a_symlinked_directory_resolves_physically(tmp_path):
     assert list(corpus.descriptions[0].types) == [QName("urn:lib", "Physical")]
 
 
+def test_bare_name_and_absolute_spelling_are_loaded_once(tmp_path, monkeypatch):
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    absolute = str(tmp_path / "music_catalog.wsdl")
+    for paths in (["music_catalog.wsdl", absolute], [absolute, "music_catalog.wsdl"]):
+        corpus = load_corpus(paths)
+        assert [d.source_id for d in corpus.descriptions] == [paths[0]]
+
+
+def test_symlink_beside_regular_files_imports_from_its_target(tmp_path):
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    (here / "lib.xsd").write_bytes(schema("urn:lib", '<xsd:simpleType name="Here"/>'))
+    (there / "lib.xsd").write_bytes(schema("urn:lib", '<xsd:simpleType name="There"/>'))
+    (here / "plain.wsdl").write_bytes(importing(["lib.xsd"]))
+    (there / "svc.wsdl").write_bytes(importing(["lib.xsd"]))
+    os.symlink(there / "svc.wsdl", here / "link.wsdl")
+    plain, link = here / "plain.wsdl", here / "link.wsdl"
+    for first in ([plain, link], [link, plain]):
+        corpus = load_corpus([*first, here / "lib.xsd", there / "lib.xsd"])
+        types = {d.source_id: list(d.types) for d in corpus.descriptions}
+        assert types == {str(plain): [QName("urn:lib", "Here")],
+                         str(link): [QName("urn:lib", "There")]}
+
+
+def test_only_a_regular_file_is_read(tmp_path):
+    good = tmp_path / "good.wsdl"
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", good)
+    corpus = load_corpus([tmp_path, good])
+    assert [d.source_id for d in corpus.descriptions] == [str(good)]
+    assert [(s.path, s.error) for s in corpus.skipped] == [(str(tmp_path), "not a regular file")]
+
+
+def test_a_utf8_name_is_its_own_source_id(tmp_path):
+    path = tmp_path / "caf\u00e9_\u6771\u4eac.wsdl"
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", path)
+    description = load_corpus([path]).descriptions[0]
+    assert description.source_id == str(path)
+    assert all(p.param_id.startswith(f"{path}::") for p in description.parameters())
+
+
 def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
     os.symlink("loop", tmp_path / "loop")
     svc = tmp_path / "svc.wsdl"

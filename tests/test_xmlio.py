@@ -78,7 +78,9 @@ def test_comment_and_pi_survive_round_trip():
 
 
 def top_level(nodes):
-    return [(type(node), vars(node)) for node in nodes]
+    # the nodes are slotted, so they have no __dict__ for vars()
+    return [(type(node), {slot: getattr(node, slot) for slot in type(node).__slots__})
+            for node in nodes]
 
 
 def test_top_level_nodes_keep_their_order_without_whitespace():
