@@ -192,10 +192,7 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
     names = _output_names([parsed.path for parsed in corpus.documents])
     all_annotations = []
     written = []
-    # the corpus gives its documents up, so each tree is freed once written
-    documents, corpus.documents = list(zip(corpus.documents, names))[::-1], []
-    while documents:
-        parsed, name = documents.pop()
+    for parsed, name in zip(corpus.documents, names):
         description = parsed.description
         annotations = annotate_description(description, config, lexicon)
         output = write_sawsdl(parsed, annotations, writer_config)

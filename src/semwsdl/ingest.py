@@ -3,10 +3,11 @@
 Only the structural subset needed for annotation is modeled: portType
 operations, their messages and parts, and the inline XSD schemas that
 define parameter types.  Bindings, services and policy elements are
-parsed past without complaint.  One parse and one walk give both the
-description and the document's tree, with the node that declares each
-parameter, so the writer can inject attributes without parsing again.
-This module parses; the search reads only the model it builds.
+parsed past without complaint.  One parse and one walk give the
+description, and the start tags the writer splices into: the root's and
+each parameter's declaring element's, with the input bytes, so the writer
+need not parse again.  No tree outlives the walk.  This module parses;
+the search reads only the model it builds.
 """
 
 from __future__ import annotations
@@ -55,17 +56,20 @@ class EmptyCorpus(ValueError):
 
 @dataclass
 class ParsedWsdl:
-    """One WSDL document: its description, its tree and each parameter's node.
+    """One WSDL document: its description, its bytes and the start tags to annotate.
 
-    `nodes` maps every param_id of the description, in order, to the
+    `data` is the document's input bytes.  `root` is its root element,
+    and `nodes` maps every param_id of the description, in order, to the
     element that declares it; several parameters may share one node
-    (element-style parts).  `path` is the path the document was read
-    under, as given (its source id, for `parse_wsdl`); a copy is named
-    after it.
+    (element-style parts).  These elements have no children: the writer
+    reads their start tags only.  `path` is the path the document was
+    read under, as given (its source id, for `parse_wsdl`); a copy is
+    named after it.
     """
 
     description: WsDescription
-    document: XmlDocument
+    data: bytes
+    root: XmlElement
     nodes: dict[str, XmlElement]
     path: str
 
@@ -262,7 +266,10 @@ def _analyze(source_id: str, document: XmlDocument,
                     _build_param(source_id, op_name, direction, part, index, nodes)
                     for direction, ref in message_refs for part in messages[ref])))
     description = WsDescription(source_id, tuple(operations), index.types, tuple(warnings))
-    return ParsedWsdl(description, document, nodes, path), import_locations
+    # the writer reads start tags only, so the rest of the tree is freed
+    for node in (root, *nodes.values()):
+        node.children = []
+    return ParsedWsdl(description, document.data, root, nodes, path), import_locations
 
 
 def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
@@ -271,12 +278,17 @@ def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
 
 
 def _source_id(path: str) -> str:
-    """The id of an input path in reports and messages.
+    """The id of an input path in reports and messages, one per path.
 
     The path's bytes read as UTF-8, with each byte that is not UTF-8
-    written as ``\\xNN``; an ASCII or UTF-8 path is its own id.
+    written as ``\\xNN``; where a backslash is no separator, as on
+    POSIX, a backslash is written as two, so no name spells another's
+    escape.  An ASCII or UTF-8 path without a backslash is its own id.
     """
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+    raw = os.fsencode(path)
+    if os.sep != "\\":
+        raw = raw.replace(b"\\", b"\\\\")
+    return raw.decode("utf-8", "backslashreplace")
 
 
 _READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
@@ -318,12 +330,11 @@ def load_corpus(paths: list) -> Corpus:
     ignored like one outside it.  Each closure is computed once per
     directory and list of locations; descriptions without types of their
     own share the closure's dict as their `types`, which therefore must
-    not be mutated; merging it rebinds a document's description, never
-    its tree.  A file named more than once, in any spelling, is loaded
-    once, under its first.  Reports and messages name a file by its
-    path, each byte that is not UTF-8 written as ``\\xNN``; a parsed
-    document keeps the path as given.  Raises EmptyCorpus, with the
-    skipped files, when no WSDL parses.
+    not be mutated; merging it rebinds a document's description.  A
+    file named more than once, in any spelling, is loaded once, under
+    its first.  Reports and messages name a file by its `_source_id`; a
+    parsed document keeps the path as given.  Raises EmptyCorpus, with
+    the skipped files, when no WSDL parses.
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []

@@ -3,14 +3,15 @@
 Annotations become SAWSDL ``modelReference`` attributes on the element
 that declared each parameter (the message part, or the referenced
 top-level schema element).  Concepts found deeper in the type structure
-are still attached to that root declaration.  Everything else in the
-document is preserved, and injecting the same annotations twice yields
-byte-identical output.
+are still attached to that root declaration.  A copy is its input's
+bytes with those attributes, and the declarations they need, spliced
+in; injecting the same annotations twice yields byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from urllib.parse import urlparse
 
@@ -36,74 +37,86 @@ class WriterConfig:
             raise ValueError(f"uri_prefix must contain only XML characters: {self.uri_prefix!r}")
 
 
-def _free_prefix(scope: dict[str, str]) -> str:
-    """The first of sawsdl, sawsdl1, sawsdl2, ... that scope leaves unbound."""
+# everything but printable ASCII, quotes, "&", "<" and ">"
+_UNSAFE = re.compile("[^ !#-%(-;=?-~]")
+
+
+def _escape(value: str) -> str:
+    """value as ASCII attribute-value text, other characters as references."""
+    return _UNSAFE.sub(lambda match: f"&#{ord(match[0])};", value)
+
+
+def _prefix(scope: dict[str, str]) -> tuple[str, str]:
+    """A prefix for SAWSDL in scope, and the declaration it needs.
+
+    The first ASCII prefix (all inserted text is ASCII) that scope binds
+    to SAWSDL needs none; else the first of sawsdl, sawsdl1, sawsdl2, ...
+    that scope leaves unbound is declared.
+    """
+    for prefix, uri in scope.items():
+        if uri == SAWSDL_NAMESPACE and prefix.isascii():
+            return prefix, ""
     prefix, counter = "sawsdl", 0
     while prefix in scope:
         counter += 1
         prefix = f"sawsdl{counter}"
-    return prefix
+    return prefix, f' xmlns:{prefix}="{SAWSDL_NAMESPACE}"'
 
 
-def _sawsdl_prefix(node: XmlElement, scope: dict[str, str]) -> str:
-    """The first prefix that scope binds to SAWSDL, else a free one declared on node."""
-    for prefix, uri in scope.items():
-        if uri == SAWSDL_NAMESPACE:
-            return prefix
-    prefix = _free_prefix(scope)
-    node.attrs[f"xmlns:{prefix}"] = SAWSDL_NAMESPACE
-    return prefix
+def _model_reference(data: bytes, node: XmlElement, uris: list[str],
+                     root_prefix: str) -> tuple[int, str]:
+    """The insertion that gives node's start tag the URIs it lacks.
 
-
-def _merge_model_reference(node: XmlElement, uris: list[str], root_prefix: str) -> None:
-    # the bindings as parsed, plus the root's SAWSDL declaration, first so that it
-    # wins wherever nothing shadows it.  A prefix that an earlier write of this
-    # tree declared on this node is left out; _sawsdl_prefix picks it again.
+    They are appended to the value of its SAWSDL modelReference, if it has
+    one; else a modelReference attribute, declared as `_prefix` says, is
+    added after its last attribute.
+    """
+    # the bindings as parsed, plus the root's SAWSDL declaration, first so that
+    # it wins wherever nothing shadows it
     scope = {root_prefix: SAWSDL_NAMESPACE, **node.nsmap()}
-    attr_name = None
-    for name in node.attrs:
-        if ":" in name:
-            prefix, local = name.split(":", 1)
-            if local == "modelReference" and scope.get(prefix) == SAWSDL_NAMESPACE:
-                attr_name = name
-                break
-    if attr_name is None:
-        scope.pop("", None)  # the default namespace never applies to an attribute
-        attr_name = f"{_sawsdl_prefix(node, scope)}:modelReference"
-    merged = node.attrs.get(attr_name, "").split()
-    for uri in uris:
-        if uri not in merged:
-            merged.append(uri)
-    node.attrs[attr_name] = " ".join(merged)
+    attrs_end, quotes = xmlio.start_tag(data, node.offset)
+    for quote, (name, value) in zip(quotes, node.attrs.items()):
+        prefix, colon, local = name.partition(":")
+        if colon and local == "modelReference" and scope.get(prefix) == SAWSDL_NAMESPACE:
+            present = value.split()
+            return quote, "".join(f" {_escape(uri)}" for uri in uris if uri not in present)
+    scope.pop("", None)  # the default namespace never applies to an attribute
+    prefix, declaration = _prefix(scope)
+    value = " ".join(map(_escape, uris))
+    return attrs_end, f'{declaration} {prefix}:modelReference="{value}"'
 
 
 def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
                  config: WriterConfig | None = None) -> bytes:
-    """Annotate parsed.document in place with modelReference attributes; serialize it.
+    """The copy of parsed's input bytes with the annotations spliced in.
 
-    The document is one from Corpus.documents or, to annotate an
-    already written copy again, from ingest.parse_wsdl.  Annotations
-    reach the document through parsed.nodes, by param_id.
+    Each annotated parameter's concept URIs go into the start tag of the
+    element that declares it, found through parsed.nodes by param_id; the
+    root gets a SAWSDL declaration unless it has one.  Nothing else of
+    the input changes.  parsed is one from Corpus.documents or, to
+    annotate an already written copy again, from ingest.parse_wsdl.
     """
     config = config or WriterConfig()
     by_id = {annotation.param_id: annotation for annotation in annotations}
-    # group URI lists per target node (hashed by identity); one node can
-    # declare several parameters
-    uris_for: dict[XmlElement, list[str]] = {}
+    # the URIs per target node (hashed by identity), in order and once each;
+    # one node can declare several parameters
+    uris_for: dict[XmlElement, dict[str, None]] = {}
     for param_id, node in parsed.nodes.items():
         annotation = by_id.get(param_id)
         if annotation is None or not annotation.entries:
             continue
-        uris_for.setdefault(node, []).extend(
-            config.uri_prefix + entry.concept.id for entry in annotation.entries)
-    root = parsed.document.root
-    # the root's declarations as they stand, so one that an earlier write added
-    # counts; not nsmap(), which lists a rebound xml prefix before all others
-    root_prefix = _sawsdl_prefix(root, {name[6:]: value for name, value in root.attrs.items()
-                                        if name.startswith("xmlns:")})
-    for node, uris in uris_for.items():
-        _merge_model_reference(node, uris, root_prefix)
-    return xmlio.serialize(parsed.document)
+        uris_for.setdefault(node, {}).update(dict.fromkeys(
+            config.uri_prefix + entry.concept.id for entry in annotation.entries))
+    data, root = parsed.data, parsed.root
+    # the root's declarations as written; not nsmap(), which lists a rebound
+    # xml prefix before all others
+    declared = {name[6:]: value for name, value in root.attrs.items()
+                if name.startswith("xmlns:")}
+    root_prefix, declaration = _prefix(declared)
+    insertions = [(xmlio.start_tag(data, root.offset)[0], declaration)]
+    insertions.extend(_model_reference(data, node, list(uris), root_prefix)
+                      for node, uris in uris_for.items())
+    return xmlio.serialize(data, insertions)
 
 
 def _direction_summary(annotated: int, total: int) -> dict:

@@ -1,49 +1,32 @@
-"""Prefix-preserving XML parsing and serialization built on expat.
+"""Prefix-preserving XML parsing, and copies spliced from the input bytes.
 
-The annotation writer has to re-emit WSDL documents whose QName-valued
-attributes (``type="tns:categoryDetail"``) still resolve after a round
-trip, and has to produce byte-identical output when run twice on its own
-output.  ``xml.etree`` rewrites namespace prefixes and drops the original
-declarations on serialization, which breaks both requirements, so this
-module keeps its own lightweight tree: element and attribute names exactly
-as written, ``xmlns`` declarations as ordinary attributes, and children as
-an ordered mix of text runs and nodes.
+The annotation writer has to emit WSDL documents whose QName-valued
+attributes (``type="tns:categoryDetail"``) still resolve, and has to
+produce byte-identical output when run twice on its own output.  A copy
+is therefore never serialized from a tree: it is the input's bytes with
+text spliced into some start tags (`serialize`), so its encoding,
+declaration, quoting, comments and whitespace are the input's own.
 
-The nodes are plain classes with ``__slots__``: a tree holds one object per
-element, text run, comment and PI, and slotted objects are smaller and
-quicker to build than dataclasses.  `parse_xml` is the one builder.  Its
-expat handlers are closures over a local stack; each start tag gets the
-parent's prefix map, copied only where the tag declares a namespace, and
-its expanded name, resolved once.  QName-valued attribute values are
+The tree is only for analysis.  It holds elements alone, each with its
+name and attributes exactly as written, ``xmlns`` declarations as
+ordinary attributes, and the byte offset of its start tag.  The nodes
+are plain classes with ``__slots__``.  `parse_xml` is the one builder.
+Its expat handlers are closures over a local stack; each start tag gets
+the parent's prefix map, copied only where the tag declares a namespace,
+and its expanded name, resolved once.  QName-valued attribute values are
 resolved by the same rule on request.
 """
 
 from __future__ import annotations
 
+import re
 import xml.parsers.expat
 
 XML_NAMESPACE = "http://www.w3.org/XML/1998/namespace"
 
-_UTF8_BOM = b"\xef\xbb\xbf"
-
 
 class MalformedXml(ValueError):
     """Raised when a document cannot be parsed (or is not the expected kind)."""
-
-
-class Comment:
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-class ProcessingInstruction:
-    __slots__ = ("target", "data")
-
-    def __init__(self, target: str, data: str):
-        self.target = target
-        self.data = data
 
 
 def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
@@ -58,25 +41,26 @@ class XmlElement:
 
     `scope` is the in-scope prefix -> URI map, shared with the parent unless
     the element declares a namespace; `qname` is `name` expanded in it.
+    `offset` is the byte offset of the start tag's "<" in the input.
     """
 
-    __slots__ = ("name", "attrs", "children", "scope", "qname")
+    __slots__ = ("name", "attrs", "children", "scope", "qname", "offset")
 
     def __init__(self, name: str, attrs: dict[str, str], children: list,
-                 scope: dict[str, str], qname: tuple[str, str]):
+                 scope: dict[str, str], qname: tuple[str, str], offset: int):
         self.name = name
         self.attrs = attrs
         self.children = children
         self.scope = scope
         self.qname = qname
+        self.offset = offset
 
     def nsmap(self) -> dict[str, str]:
         """In-scope prefix -> URI map ('' is the default namespace).
 
         The map is computed once, when the document is parsed, and is shared
         with every descendant that declares no namespace of its own, so it
-        must not be mutated.  Declarations added to attrs afterwards are not
-        in it.
+        must not be mutated.
         """
         return self.scope
 
@@ -86,15 +70,12 @@ class XmlElement:
 
     def iter_elements(self):
         """Direct element children, in document order."""
-        for child in self.children:
-            if type(child) is XmlElement:
-                yield child
+        return iter(self.children)
 
     def find_children(self, namespace: str, local: str) -> list[XmlElement]:
         """Direct element children named (namespace, local), in document order."""
         qname = (namespace, local)
-        return [child for child in self.children
-                if type(child) is XmlElement and child.qname == qname]
+        return [child for child in self.children if child.qname == qname]
 
     def first_child(self, namespace: str, local: str) -> "XmlElement | None":
         children = self.find_children(namespace, local)
@@ -102,14 +83,13 @@ class XmlElement:
 
 
 class XmlDocument:
-    """The root element and the comments and PIs before and after it."""
+    """The input bytes and the root element."""
 
-    __slots__ = ("root", "prolog", "epilog")
+    __slots__ = ("data", "root")
 
-    def __init__(self, root: XmlElement, prolog: list, epilog: list):
+    def __init__(self, data: bytes, root: XmlElement):
+        self.data = data
         self.root = root
-        self.prolog = prolog
-        self.epilog = epilog
 
 
 def _reject_doctype(name, *_) -> None:
@@ -119,13 +99,11 @@ def _reject_doctype(name, *_) -> None:
 
 def parse_xml(data: bytes) -> XmlDocument:
     """Parse bytes into an XmlDocument; raises MalformedXml on bad input."""
-    if data.startswith(_UTF8_BOM):
-        data = data[len(_UTF8_BOM):]
     # the document is the bottom of the stack: a nameless holder of the root
-    # element and of the comments and PIs around it
-    document = XmlElement("", {}, [], {"xml": XML_NAMESPACE}, ("", ""))
+    document = XmlElement("", {}, [], {"xml": XML_NAMESPACE}, ("", ""), 0)
     stack = [document]
     push, pop = stack.append, stack.pop
+    parser = xml.parsers.expat.ParserCreate()
 
     def start_element(name: str, attrs: dict[str, str]) -> None:
         parent = stack[-1]
@@ -139,93 +117,83 @@ def parse_xml(data: bytes) -> XmlDocument:
                 if scope is inherited:
                     scope = dict(inherited)
                 scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
-        element = XmlElement(name, attrs, [], scope, _expand(name, scope))
+        element = XmlElement(name, attrs, [], scope, _expand(name, scope),
+                             parser.CurrentByteIndex)
         parent.children.append(element)
         push(element)
 
     def end_element(name: str) -> None:
         pop()
 
-    def character_data(data: str) -> None:
-        # expat reports no character data outside the root element
-        children = stack[-1].children
-        if children and type(children[-1]) is str:
-            children[-1] += data
-        else:
-            children.append(data)
-
-    def comment(data: str) -> None:
-        stack[-1].children.append(Comment(data))
-
-    def processing_instruction(target: str, data: str) -> None:
-        stack[-1].children.append(ProcessingInstruction(target, data))
-
-    parser = xml.parsers.expat.ParserCreate()
-    parser.buffer_text = True
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
-    parser.CharacterDataHandler = character_data
-    parser.CommentHandler = comment
-    parser.ProcessingInstructionHandler = processing_instruction
     parser.StartDoctypeDeclHandler = _reject_doctype
     try:
         parser.Parse(data, True)
     except xml.parsers.expat.ExpatError as exc:
         raise MalformedXml(f"XML parse error: {exc}") from None
-    nodes = document.children
-    at = next((i for i, node in enumerate(nodes) if type(node) is XmlElement), None)
-    if at is None:
-        raise MalformedXml("document has no root element")
-    return XmlDocument(nodes[at], nodes[:at], nodes[at + 1:])
+    finally:
+        # the start handler refers to the parser: a cycle, broken here
+        parser.StartElementHandler = None
+    # a document that parses has exactly one root element
+    return XmlDocument(data, document.children[0])
 
 
-def _escape_text(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    return value.replace("\r", "&#13;")
+def _codec(data: bytes) -> str:
+    """The codec of data's code units, for the ASCII delimiters and inserted text.
+
+    UTF-16 shows in its byte order mark or in a NUL among the first two
+    bytes, which no other encoding expat reads can hold; every other
+    encoding it reads is ASCII-compatible, one byte per delimiter.
+    """
+    if data[:2] == b"\xfe\xff" or data[:1] == b"\0":
+        return "utf-16-be"
+    if data[:2] == b"\xff\xfe" or data[1:2] == b"\0":
+        return "utf-16-le"
+    return "latin-1"
 
 
-def _escape_attr(value: str) -> str:
-    value = value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    value = value.replace('"', "&quot;")
-    # literal whitespace in attribute values would be normalized away on reparse
-    return value.replace("\t", "&#9;").replace("\n", "&#10;").replace("\r", "&#13;")
+# ASCII whitespace only: a name read as Latin-1 may hold "\x85", which is not
+_TAG_NAME = re.compile(r"<[^\s/>]+", re.ASCII)
+_ATTRIBUTE = re.compile(r"""\s+[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*')""", re.ASCII)
 
 
-def _write_node(node, out: list[str]) -> None:
-    # each open element waits on an explicit stack with the iterator over its
-    # remaining siblings, so nesting depth is not bounded by recursion
-    open_elements: list = []
-    siblings = iter((node,))
-    while True:
-        for node in siblings:
-            if type(node) is XmlElement:
-                out.append(f"<{node.name}")
-                for name, value in node.attrs.items():
-                    out.append(f' {name}="{_escape_attr(value)}"')
-                if node.children:
-                    out.append(">")
-                    open_elements.append((node.name, siblings))
-                    siblings = iter(node.children)
-                    break
-                out.append("/>")
-            elif type(node) is str:
-                out.append(_escape_text(node))
-            elif type(node) is Comment:
-                out.append(f"<!--{node.text}-->")
-            else:
-                data = f" {node.data}" if node.data else ""
-                out.append(f"<?{node.target}{data}?>")
-        else:
-            if not open_elements:
-                return
-            name, siblings = open_elements.pop()
-            out.append(f"</{name}>")
+def start_tag(data: bytes, offset: int) -> tuple[int, list[int]]:
+    """Byte positions in the well-formed start tag at offset.
+
+    The first is the end of its last attribute (of its name, when it has
+    none); the second lists each attribute value's closing quote, in the
+    order of the element's `attrs`.  An attribute value holds no "<", so
+    the tag is read up to the next one.
+    """
+    codec = _codec(data)
+    less_than = "<".encode(codec)
+    end = data.find(less_than, offset + 1)
+    while end > 0 and (end - offset) % len(less_than):  # a "<" unit, not a straddle
+        end = data.find(less_than, end + 1)
+    text = data[offset:end if end > 0 else len(data)].decode(codec, "surrogatepass")
+
+    def position(index: int) -> int:
+        return offset + len(text[:index].encode(codec, "surrogatepass"))
+
+    at = _TAG_NAME.match(text).end()
+    quotes = []
+    while attribute := _ATTRIBUTE.match(text, at):
+        at = attribute.end()
+        quotes.append(position(at - 1))
+    return position(at), quotes
 
 
-def serialize(document: XmlDocument) -> bytes:
-    """Serialize deterministically: UTF-8, fixed declaration, stable escaping."""
-    out: list[str] = ['<?xml version="1.0" encoding="utf-8"?>\n']
-    for node in (*document.prolog, document.root, *document.epilog):
-        _write_node(node, out)
-        out.append("\n")
-    return "".join(out).encode("utf-8")
+def serialize(data: bytes, insertions) -> bytes:
+    """data with each (byte offset, ASCII text) insertion spliced in.
+
+    The text is encoded in data's code units, so a copy keeps its input's
+    encoding, byte order and byte order mark.
+    """
+    codec = _codec(data)
+    out, at = [], 0
+    for offset, text in sorted(insertions):
+        out += (data[at:offset], text.encode(codec))
+        at = offset
+    out.append(data[at:])
+    return b"".join(out)

@@ -11,6 +11,7 @@ IMPORTS_DIR = REPO_ROOT / "fixtures" / "imports"
 DERIVED_DIR = REPO_ROOT / "fixtures" / "derived"
 IMPORTED_ELEMENT_DIR = REPO_ROOT / "fixtures" / "imported_element"
 CONTENT_MODELS_DIR = REPO_ROOT / "fixtures" / "content_models"
+ENCODINGS_DIR = REPO_ROOT / "fixtures" / "encodings"
 LEXICON_PATH = REPO_ROOT / "src" / "semwsdl" / "data" / "lexicon.tsv"
 
 

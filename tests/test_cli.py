@@ -614,3 +614,35 @@ def test_name_that_is_not_utf8_is_shown_with_escapes(tmp_path, capsys, command):
         assert [s["path"] for s in report["skipped"]] == [bad_id]
         assert [p["param_id"] for p in report["parameters"]] == [f"{good_id}::Find::input::city"]
         assert sorted(os.listdir(os.fsencode(out))) == [b"a\xff.sawsdl.wsdl", b"report.json"]
+
+
+@pytest.mark.parametrize("command", ["annotate", "ablate", "wordfreq"])
+def test_a_raw_byte_and_its_escape_spelled_out_get_distinct_ids(tmp_path, capsys, command):
+    if os.sep == "\\":
+        pytest.skip("a backslash is the path separator")
+    folder = tmp_path / "in"
+    folder.mkdir()
+    names = [b"a\xff.wsdl", b"a\\xff.wsdl", b"b\xff.wsdl", b"b\\xff.wsdl"]
+    try:
+        for name in names:
+            (folder / os.fsdecode(name)).write_bytes(
+                b"<broken" if name.startswith(b"b") else MINIMAL.encode())
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    out = tmp_path / "out"
+    code = cli.run(base_args(command, [folder], out))
+    err = capsys.readouterr().err
+    # the literal backslash is written as two, so it cannot pass for an escape
+    raw_a, literal_a, raw_b, literal_b = (
+        f"{folder}{os.sep}{name}" for name in ("a\\xff.wsdl", "a\\\\xff.wsdl",
+                                              "b\\xff.wsdl", "b\\\\xff.wsdl"))
+    assert code == 1
+    skipped = [line.split(": ")[0] for line in err.splitlines() if line.startswith("skipped ")]
+    assert skipped == [f"skipped {literal_b}", f"skipped {raw_b}"]
+    if command == "annotate":
+        report = read_report(out)
+        assert [s["path"] for s in report["skipped"]] == [literal_b, raw_b]
+        assert [p["param_id"] for p in report["parameters"]] == [
+            f"{literal_a}::Find::input::city", f"{raw_a}::Find::input::city"]
+        assert sorted(os.listdir(os.fsencode(out))) == [
+            b"a\\xff.sawsdl.wsdl", b"a\xff.sawsdl.wsdl", b"report.json"]

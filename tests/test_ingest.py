@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import shutil
@@ -19,7 +20,7 @@ from semwsdl.model import (
     XSD_NAMESPACE,
     resolve_type,
 )
-from semwsdl.xmlio import MalformedXml
+from semwsdl.xmlio import MalformedXml, XmlElement
 
 from conftest import CORPUS_DIR, IMPORTED_ELEMENT_DIR, IMPORTS_DIR, SPECIAL_DIR
 
@@ -664,3 +665,20 @@ def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
     assert QName("http://example.com/common", "Address") in corpus.descriptions[0].types
     assert [s.path for s in corpus.skipped] == [str(looped)]
     assert corpus.skipped[0].error.startswith("io error:")
+
+
+def test_no_tree_outlives_analysis(tmp_path):
+    source = (CORPUS_DIR / "music_catalog.wsdl").read_text("utf-8")
+    bindings = '<wsdl:binding name="b" type="tns:musicCatalogPort"/>' * 1000
+    padded = source.replace("</wsdl:definitions>", bindings + "</wsdl:definitions>")
+    assert padded.count("<wsdl:binding ") >= 1000
+
+    def live_elements(text):
+        path = tmp_path / "in.wsdl"
+        path.write_text(text, "utf-8")
+        gc.collect()
+        corpus = load_corpus([str(path)])
+        assert len(corpus.documents) == 1
+        return sum(type(thing) is XmlElement for thing in gc.get_objects())
+
+    assert live_elements(padded) == live_elements(source)

@@ -2,11 +2,16 @@
 
 Copies of the fixture WSDLs get their reference attributes (type,
 element, message, name, ref, schemaLocation, xmlns*) rewritten and some
-lines duplicated; batches of three files go through all three commands.
-A bad file may only become a skipped entry: no run raises an internal
-error, every exit code is 0, 1 or 2, and 2 means nothing parsed.
+lines duplicated; batches of three files, one of them under a name that
+is not UTF-8, go through all three commands along with a FIFO named by
+flag.  A bad file may only become a skipped entry: no run raises an
+internal error, every exit code is 0, 1 or 2, and 2 means nothing
+parsed.  The FIFO is always skipped, and every command skips the same
+files.
 """
 
+import json
+import os
 import random
 import re
 import shutil
@@ -54,20 +59,47 @@ def mutate(rng, text):
     return "\n".join(lines)
 
 
+def make_fifo(path):
+    """A FIFO at path, or None where there are none."""
+    try:
+        os.mkfifo(path)
+    except (AttributeError, OSError):
+        return None
+    return path
+
+
 @pytest.mark.parametrize("seed", range(BATCHES))
 def test_mutated_batches_keep_the_batch_promise(seed, tmp_path, capsys):
     rng = random.Random(seed)
     batch = tmp_path / "in"
     batch.mkdir()
     shutil.copy(IMPORTS_DIR / "common.xsd", batch / "common.xsd")
-    for index, source in enumerate(rng.sample(SOURCES, 3)):
-        (batch / f"x{index}.wsdl").write_text(mutate(rng, source.read_text("utf-8")), "utf-8")
+    names = ["x0.wsdl", "x1.wsdl", os.fsdecode(b"x2\xff.wsdl")]
+    for name, source in zip(names, rng.sample(SOURCES, 3)):
+        data = mutate(rng, source.read_text("utf-8")).encode("utf-8")
+        try:
+            (batch / name).write_bytes(data)
+        except (OSError, UnicodeError):  # a file system that refuses the name
+            (batch / "x2.wsdl").write_bytes(data)
+    fifo = make_fifo(tmp_path / "pipe.wsdl")
+    inputs = [batch] + [fifo] * (fifo is not None)
     capsys.readouterr()
+    skipped = {}
     for command in ("annotate", "ablate", "wordfreq"):
-        code = cli.run([command, "--input-paths", str(batch), "--output-dir",
-                        str(tmp_path / command), "--lexicon-path", str(LEXICON_PATH)])
+        out = tmp_path / command
+        code = cli.run([command, "--input-paths", *map(str, inputs), "--output-dir", str(out),
+                        "--lexicon-path", str(LEXICON_PATH)])
         err = capsys.readouterr().err
         assert "error: internal:" not in err
         assert code in (0, 1, 2), err
         if code == 2:
             assert "no parseable WSDL description" in err
+        skipped[command] = [line for line in err.splitlines() if line.startswith("skipped ")]
+        if fifo is not None:
+            assert f"skipped {fifo}: not a regular file" in skipped[command]
+        if command == "annotate" and code != 2:
+            # each WSDL and the FIFO give a copy or a skipped entry; the XSD neither
+            report = json.loads((out / "report.json").read_text("utf-8"))
+            copies = sum(1 for _ in out.glob("*.sawsdl.wsdl"))
+            assert copies + len(report["skipped"]) == 3 + (fifo is not None)
+    assert skipped["ablate"] == skipped["wordfreq"] == skipped["annotate"]

@@ -1,4 +1,5 @@
 import json
+import re
 import xml.parsers.expat
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from semwsdl.writer import (
 )
 from semwsdl.xmlio import parse_xml
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, ENCODINGS_DIR
 
 PREFIX = "http://www.ontologyportal.org/SUMO.owl#"
 
@@ -340,8 +341,92 @@ def test_unannotated_copy_keeps_the_document(data):
     except xml.parsers.expat.ExpatError:
         assume(False)
     copy = write_sawsdl(parse_wsdl("doc.wsdl", data), [])
+    # nothing before the root's start tag holds "<", and the generator
+    # writes that tag's attributes last, right before its ">"
+    tag_end = data.index(b">", data.index(b"<w:definitions "))
+    declared = dict(re.findall(r'xmlns:(\w+)="([^"]*)"', data[:tag_end].decode()))
+    if SAWSDL_NAMESPACE in declared.values():
+        expected = data
+    else:
+        prefix = next(p for p in ("sawsdl", "sawsdl1", "sawsdl2") if p not in declared)
+        declaration = f' xmlns:{prefix}="{SAWSDL_NAMESPACE}"'.encode()
+        expected = data[:tag_end] + declaration + data[tag_end:]
+    assert copy == expected
     assert expat_events(copy) == source
     assert write(copy, "doc.wsdl", []) == copy
+
+
+def test_attribute_escaping_round_trips():
+    # inserted text is ASCII: whatever else a URI holds becomes a character reference
+    data, desc = load("music_catalog.wsdl")
+    odd = "a\"b<c>&'é\U0001F600"
+    ann = annotation_for(desc, "category", [entry(odd, "category")])
+    output = write(data, desc.source_id, [ann])
+    assert data.isascii() and output.isascii()
+    part = find_part(parse_xml(output).root, "category")
+    assert part.attrs["sawsdl:modelReference"] == PREFIX + odd
+    assert write(output, desc.source_id, [ann]) == output
+
+
+def test_non_ascii_prefix_for_sawsdl_is_not_reused_for_a_new_attribute():
+    data = SHADOWING.format(root_attrs=f' xmlns:é="{SAWSDL_NAMESPACE}"', message_attrs="",
+                            part_attrs="").encode("latin-1").replace(
+        b'<?xml version="1.0"?>', b'<?xml version="1.0" encoding="ISO-8859-1"?>')
+    parsed = parse_wsdl("latin.wsdl", data)
+    ann = annotation_for(parsed.description, "city", [entry("City", "city")])
+    output = write_sawsdl(parsed, [ann])
+    assert output == data.replace(
+        b'xmlns:tns="urn:t">',
+        f'xmlns:tns="urn:t" xmlns:sawsdl="{SAWSDL_NAMESPACE}">'.encode()).replace(
+        b'type="xsd:string"/>',
+        f'type="xsd:string" sawsdl:modelReference="{PREFIX}City"/>'.encode())
+
+
+def test_existing_model_reference_under_a_non_ascii_prefix_is_merged():
+    data = SHADOWING.format(root_attrs=f' xmlns:é="{SAWSDL_NAMESPACE}"', message_attrs="",
+                            part_attrs=' é:modelReference="urn:old#Kept"').encode()
+    parsed = parse_wsdl("utf8.wsdl", data)
+    ann = annotation_for(parsed.description, "city", [entry("City", "city")])
+    output = write_sawsdl(parsed, [ann])
+    assert output == data.replace(
+        b'xmlns:tns="urn:t">',
+        f'xmlns:tns="urn:t" xmlns:sawsdl="{SAWSDL_NAMESPACE}">'.encode()).replace(
+        b'"urn:old#Kept"', f'"urn:old#Kept {PREFIX}City"'.encode())
+    assert write(output, "utf8.wsdl", [ann]) == output
+
+
+def without_model_references(events):
+    """expat_events with every SAWSDL modelReference attribute left out."""
+    reference = f"{SAWSDL_NAMESPACE} modelReference"
+    kept = []
+    for event in events:
+        if event[0] == "start":
+            attrs = event[2]
+            event = ("start", event[1], [item for pair in zip(attrs[::2], attrs[1::2])
+                                         if pair[0] != reference for item in pair])
+        kept.append(event)
+    return kept
+
+
+@pytest.mark.parametrize("name, codec", [
+    ("utf16le_bom.wsdl", "utf-16-le"),
+    ("utf16be_bom.wsdl", "utf-16-be"),
+    ("latin1.wsdl", "latin-1"),
+    ("utf8_bom.wsdl", "utf-8"),
+])
+def test_copy_keeps_the_input_encoding(name, codec, search_config, demo_lexicon):
+    data = (ENCODINGS_DIR / name).read_bytes()
+    parsed = parse_wsdl(name, data)
+    copy = write_sawsdl(parsed, annotate_description(parsed.description, search_config,
+                                                     demo_lexicon))
+    # the inserted text is encoded like the input, whose byte order mark
+    # (U+FEFF) and non-ASCII name both decode from the copy unchanged
+    text, copied = data.decode(codec), copy.decode(codec)
+    assert ("Paßwort" in text) and (text[0] == "\ufeff") == (codec != "latin-1")
+    inserted = re.compile(' (?:xmlns:sawsdl|sawsdl:modelReference)="[^"]*"')
+    assert len(inserted.findall(copied)) == 2
+    assert inserted.sub("", copied) == text
+    assert without_model_references(expat_events(copy)) == expat_events(data)
 
 
 def test_custom_uri_prefix():

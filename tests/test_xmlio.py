@@ -3,13 +3,7 @@ import xml.parsers.expat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semwsdl.xmlio import (
-    Comment,
-    MalformedXml,
-    ProcessingInstruction,
-    parse_xml,
-    serialize,
-)
+from semwsdl.xmlio import MalformedXml, parse_xml, serialize, start_tag
 
 SAMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
 <a:root xmlns:a="urn:alpha" xmlns:b="urn:beta" b:flag="1">
@@ -60,65 +54,84 @@ def test_nested_prefix_redefinition():
 
 
 def test_serialization_is_stable_after_one_round():
-    first = serialize(parse_xml(SAMPLE))
-    second = serialize(parse_xml(first))
-    assert first == second
+    # a copy is its input spliced: no insertion gives the input back
+    assert serialize(SAMPLE, []) == SAMPLE
+    doc = parse_xml(SAMPLE)
+    child = next(doc.root.iter_elements())
+    first = serialize(SAMPLE, [(start_tag(SAMPLE, child.offset)[0], ' n="1"')])
+    assert b'<a:child attr="v&amp;w" n="1">text &lt;here&gt;</a:child>' in first
+    assert serialize(first, []) == first
+    assert parse_xml(first).root.attrs == doc.root.attrs
 
 
 def test_comment_and_pi_survive_round_trip():
     source = b'<?xml version="1.0"?>\n<?style sheet?>\n<r><!--inside--><x/></r>\n<!--after-->\n'
-    doc = parse_xml(source)
-    assert any(isinstance(n, ProcessingInstruction) for n in doc.prolog)
-    assert any(isinstance(n, Comment) for n in doc.epilog)
-    out = serialize(doc)
-    assert b"<?style sheet?>" in out
-    assert b"<!--inside-->" in out
-    assert b"<!--after-->" in out
-    assert serialize(parse_xml(out)) == out
+    root = parse_xml(source).root
+    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
+    assert out == source.replace(b"<r>", b'<r n="1">')
 
 
-def top_level(nodes):
-    # the nodes are slotted, so they have no __dict__ for vars()
-    return [(type(node), {slot: getattr(node, slot) for slot in type(node).__slots__})
-            for node in nodes]
-
-
-def test_top_level_nodes_keep_their_order_without_whitespace():
-    # expat reports no character data outside the root element
+def test_top_level_nodes_keep_their_order_and_whitespace():
     source = (b'<?xml version="1.0"?>\n  <!-- before -->\n<?first a b?>\n\n'
               b'<r> <x/> </r>\n<?last?>  <!--after-->\n\t\n')
-    doc = parse_xml(source)
-    assert top_level(doc.prolog) == [(Comment, {"text": " before "}),
-                                     (ProcessingInstruction, {"target": "first", "data": "a b"})]
-    assert top_level(doc.epilog) == [(ProcessingInstruction, {"target": "last", "data": ""}),
-                                     (Comment, {"text": "after"})]
-    assert doc.root.children[0] == " "
-    assert serialize(doc) == (b'<?xml version="1.0" encoding="utf-8"?>\n<!-- before -->\n'
-                              b'<?first a b?>\n<r> <x/> </r>\n<?last?>\n<!--after-->\n')
+    root = parse_xml(source).root
+    assert source[root.offset:root.offset + 4] == b"<r> "
+    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
+    assert out == source.replace(b"<r>", b'<r n="1">')
 
 
-def test_empty_element_forms_collapse():
-    assert serialize(parse_xml(b"<r><a></a></r>")) == serialize(parse_xml(b"<r><a/></r>"))
+def test_empty_element_forms_are_kept():
+    for source in (b"<r><a></a></r>", b"<r><a/></r>", b"<r><a  /></r>"):
+        a = next(parse_xml(source).root.iter_elements())
+        out = serialize(source, [(start_tag(source, a.offset)[0], ' n="1"')])
+        assert out == source.replace(b"<a", b'<a n="1"')
 
 
-def test_attribute_escaping_round_trips():
-    doc = parse_xml(b"<r/>")
-    doc.root.attrs["v"] = 'a"b<c>&\n\t'
-    out = serialize(doc)
-    again = parse_xml(out)
-    assert again.root.attrs["v"] == 'a"b<c>&\n\t'
-    assert serialize(again) == out
+def test_tree_holds_elements_only():
+    doc = parse_xml(b"<r>one &amp; two<!--c--><?p?><x/>three</r>")
+    assert [child.name for child in doc.root.children] == ["x"]
 
 
-def test_text_merging_and_escaping():
-    doc = parse_xml(b"<r>one &amp; two</r>")
-    assert doc.root.children == ["one & two"]
-    assert b"one &amp; two" in serialize(doc)
+@pytest.mark.parametrize("tag, end, quotes", [
+    ("<a>", 2, []),
+    ("<a/>", 2, []),
+    ("<p:a\n/>", 4, []),
+    ("<a x='1' y = \"a>b\"  >", 18, [7, 17]),
+    ("<a\tx=\"\"\r\n/>", 7, [6]),
+    ("<a é='1'>", 9, [8]),  # positions count bytes
+])
+def test_start_tag_positions(tag, end, quotes):
+    data = f"<r>{tag}{'' if tag.endswith('/>') else '</a>'}</r>".encode()
+    a = next(parse_xml(data).root.iter_elements())
+    assert a.offset == 3
+    assert start_tag(data, a.offset) == (3 + end, [3 + quote for quote in quotes])
+
+
+def test_offsets_and_splices_are_in_the_input_code_units():
+    text = '<r é="1"><a x="\U0001F600"/></r>'
+    for encoding, bom in [("utf-8", ""), ("utf-8", "\ufeff"), ("utf-16-le", "\ufeff"),
+                          ("utf-16-be", "\ufeff"), ("utf-16-le", ""), ("latin-1", "")]:
+        if encoding == "latin-1":
+            text = text.replace("\U0001F600", "ÿ")
+            source = ('<?xml version="1.0" encoding="ISO-8859-1"?>' + text).encode(encoding)
+        else:
+            source = (bom + text).encode(encoding)
+        root = parse_xml(source).root
+        a = next(root.iter_elements())
+        insertions = [(start_tag(source, root.offset)[0], ' n="1"'),
+                      (start_tag(source, a.offset)[1][0], "!")]
+        out = serialize(source, insertions)
+        expected = source.decode(encoding).replace('é="1"', 'é="1" n="1"')
+        expected = expected.replace('"/>', '!"/>')
+        assert out == expected.encode(encoding), encoding
+        assert parse_xml(out).root.attrs == {"é": "1", "n": "1"}
 
 
 def test_bom_is_tolerated():
     doc = parse_xml(b"\xef\xbb\xbf<r/>")
     assert doc.root.name == "r"
+    # offsets index the bytes as read, the byte order mark among them
+    assert doc.root.offset == 3
 
 
 def test_malformed_raises():
