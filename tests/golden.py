@@ -133,11 +133,10 @@ def read_manifest(bench: bool = False) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    bench = "--bench" in argv
-    update = "--update" in argv
-    if sorted(argv) != sorted(["--bench"] * bench + ["--update"] * update) or not argv:
+    if argv not in (["--update"], ["--bench"], ["--bench", "--update"]):
         print("usage: golden.py --update | golden.py --bench [--update]", file=sys.stderr)
         return 2
+    bench, update = "--bench" in argv, "--update" in argv
     actual = build_bench_manifest() if bench else build_manifest()
     if not update:
         expected = read_manifest(bench)

@@ -107,24 +107,25 @@ def test_start_tag_positions(tag, end, quotes):
     assert start_tag(data, a.offset) == (3 + end, [3 + quote for quote in quotes])
 
 
-def test_offsets_and_splices_are_in_the_input_code_units():
-    text = '<r é="1"><a x="\U0001F600"/></r>'
-    for encoding, bom in [("utf-8", ""), ("utf-8", "\ufeff"), ("utf-16-le", "\ufeff"),
-                          ("utf-16-be", "\ufeff"), ("utf-16-le", ""), ("latin-1", "")]:
-        if encoding == "latin-1":
-            text = text.replace("\U0001F600", "ÿ")
-            source = ('<?xml version="1.0" encoding="ISO-8859-1"?>' + text).encode(encoding)
-        else:
-            source = (bom + text).encode(encoding)
-        root = parse_xml(source).root
-        a = next(root.iter_elements())
-        insertions = [(start_tag(source, root.offset)[0], ' n="1"'),
-                      (start_tag(source, a.offset)[1][0], "!")]
-        out = serialize(source, insertions)
-        expected = source.decode(encoding).replace('é="1"', 'é="1" n="1"')
-        expected = expected.replace('"/>', '!"/>')
-        assert out == expected.encode(encoding), encoding
-        assert parse_xml(out).root.attrs == {"é": "1", "n": "1"}
+@pytest.mark.parametrize("encoding, prolog, value", [
+    ("utf-8", "", "\U0001F600"),
+    ("utf-8", "\ufeff", "\U0001F600"),
+    # the bytes of "Ā㰀Ā" hold a "<" that straddles two UTF-16 units
+    ("utf-16-le", "\ufeff", "Ā㰀Ā\U0001F600"),
+    ("utf-16-be", "\ufeff", "Ā㰀Ā\U0001F600"),
+    ("utf-16-le", "", "Ā㰀Ā"),
+    ("latin-1", '<?xml version="1.0" encoding="ISO-8859-1"?>', "ÿ"),
+])
+def test_offsets_and_splices_are_in_the_input_code_units(encoding, prolog, value):
+    text = f'{prolog}<r é="1"><a x="{value}"/></r>'
+    source = text.encode(encoding)
+    root = parse_xml(source).root
+    a = next(root.iter_elements())
+    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"'),
+                             (start_tag(source, a.offset)[1][0], "!")])
+    expected = text.replace('é="1"', 'é="1" n="1"').replace('"/>', '!"/>')
+    assert out == expected.encode(encoding)
+    assert parse_xml(out).root.attrs == {"é": "1", "n": "1"}
 
 
 def test_bom_is_tolerated():
