@@ -67,7 +67,7 @@ def run_one(command: str, input_dir: str, extra: tuple[str, ...] = (),
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.run([command, "--input-paths", input_dir, "--output-dir", output_dir,
                             "--lexicon-path", lexicon, *extra])
-        files = {os.fsdecode(path.name): _sha256(path.read_bytes())
+        files = {path.name: _sha256(path.read_bytes())
                  for path in sorted(Path(output_dir).iterdir())}
     if fold_copies:
         copies = {name: digest for name, digest in files.items()
