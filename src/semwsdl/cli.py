@@ -35,6 +35,12 @@ from .preprocess import (
 )
 from .writer import WriterConfig, write_report, write_sawsdl
 
+# the name ending of every written copy, which a directory listing passes over
+_COPY_SUFFIX = ".sawsdl.wsdl"
+_STAGE_NAMES = [stage.value for stage in Stage]
+_STAGE_CHOICES = f"{', '.join(_STAGE_NAMES)}, or none"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semwsdl",
@@ -53,17 +59,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stop-word file (default: packaged list)")
     common.add_argument("--overrides-path", dest="overrides_path",
                         help="word=Concept override file (default: none)")
-    common.add_argument("--max-depth", dest="max_depth", type=int, default=8,
-                        help="maximum exploration depth (default 8)")
+    common.add_argument("--max-depth", dest="max_depth", type=int,
+                        default=SearchConfig.max_depth,
+                        help="maximum exploration depth (default %(default)s)")
     subparsers = parser.add_subparsers(dest="command", required=True)
     annotate = subparsers.add_parser("annotate", parents=[common],
-                                     help="write .sawsdl.wsdl copies plus report.json")
+                                     help=f"write {_COPY_SUFFIX} copies plus report.json")
     # ablate and wordfreq set the stages themselves and write no copies
     annotate.add_argument("--stages", dest="stages",
-                          help="comma list of decompose,normalize,filter,explore "
+                          help=f"comma list of {','.join(_STAGE_NAMES)} "
                                "or 'none' (default: all)")
     annotate.add_argument("--uri-prefix", dest="uri_prefix",
-                          default="http://www.ontologyportal.org/SUMO.owl#",
+                          default=WriterConfig.uri_prefix,
                           help="prefix for concept URIs in modelReference values")
     subparsers.add_parser("ablate", parents=[common],
                           help="run the five-stage evaluation, write ablation.json")
@@ -80,23 +87,22 @@ def _parse_stages(text: str | None) -> frozenset[Stage]:
     tokens = [token.strip().lower() for token in text.split(",") if token.strip()]
     if not tokens:
         raise ConfigError(f"--stages {text!r} names no stage; expected a comma list of "
-                          "decompose, normalize, filter, explore, or none")
+                          f"{_STAGE_CHOICES}")
     stages = set()
     for token in tokens:
         try:
             stages.add(Stage(token))
         except ValueError:
-            raise ConfigError(f"unknown stage {token!r}; expected "
-                              "decompose, normalize, filter, explore, or none") from None
+            raise ConfigError(f"unknown stage {token!r}; expected {_STAGE_CHOICES}") from None
     return frozenset(stages)
 
 
 def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
-    Directories never yield *.sawsdl.wsdl, so outputs are not re-annotated;
-    the second value counts the copies passed over.  A file named twice is
-    left in twice; load_corpus loads it once.
+    Directories never yield a name ending in _COPY_SUFFIX, so outputs are
+    not re-annotated; the second value counts the copies passed over.  A
+    file named twice is left in twice; load_corpus loads it once.
     """
     files: list[str] = []
     copies = 0
@@ -105,7 +111,7 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
         if path.is_dir():
             listed = sorted(str(child) for child in path.iterdir()
                             if child.is_file() and child.suffix in (".wsdl", ".xsd"))
-            kept = [name for name in listed if not name.endswith(".sawsdl.wsdl")]
+            kept = [name for name in listed if not name.endswith(_COPY_SUFFIX)]
             copies += len(listed) - len(kept)
             files.extend(kept)
         else:
@@ -175,11 +181,11 @@ def _output_names(paths: list[str]) -> list[str]:
     taken: set[str] = set()
     for path in paths:
         stem = Path(path).stem or "output"
-        candidate = f"{stem}.sawsdl.wsdl"
+        candidate = stem + _COPY_SUFFIX
         counter = 1
         while candidate in taken:
             counter += 1
-            candidate = f"{stem}-{counter}.sawsdl.wsdl"
+            candidate = f"{stem}-{counter}{_COPY_SUFFIX}"
         taken.add(candidate)
         names.append(candidate)
     return names
@@ -269,7 +275,7 @@ def _run_command(args) -> int:
         passed_over = ""
         if copies:
             written = "copy" if copies == 1 else "copies"
-            passed_over = (f"; passed over {copies} written {written} (*.sawsdl.wsdl) "
+            passed_over = (f"; passed over {copies} written {written} (*{_COPY_SUFFIX}) "
                            "in directory listings")
         print(f"error: {exc}{passed_over}", file=sys.stderr)
         return 2

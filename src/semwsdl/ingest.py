@@ -28,7 +28,7 @@ from .model import (
     TypeDefinition,
     WsDescription,
 )
-from .xmlio import MalformedXml, XmlDocument, XmlElement
+from .xmlio import MalformedXml, XmlElement
 
 WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
 
@@ -119,7 +119,7 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     import_locations: list[str] = []
     for schema in schemas:
         tns = schema.attrs.get("targetNamespace", "")
-        for child in schema.iter_elements():
+        for child in schema.children:
             uri, local = child.qname
             if uri != XSD_NAMESPACE:
                 continue
@@ -220,10 +220,9 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
     return Parameter(name, direction, type_ref, param_id)
 
 
-def _analyze(source_id: str, document: XmlDocument,
+def _analyze(source_id: str, data: bytes, root: XmlElement,
              path: str) -> tuple[ParsedWsdl, list[str]]:
-    """One walk: the parsed document and its import locations."""
-    root = document.root
+    """One walk from root, the parse of data: the document and its import locations."""
     if root.qname != (WSDL_NAMESPACE, "definitions"):
         raise MalformedXml("root element is not wsdl:definitions")
     schemas = [
@@ -269,12 +268,12 @@ def _analyze(source_id: str, document: XmlDocument,
     # the writer reads start tags only, so the rest of the tree is freed
     for node in (root, *nodes.values()):
         node.children = []
-    return ParsedWsdl(description, document.data, root, nodes, path), import_locations
+    return ParsedWsdl(description, data, root, nodes, path), import_locations
 
 
 def parse_wsdl(source_id: str, data: bytes) -> ParsedWsdl:
     """Parse one WSDL document.  Raises MalformedXml on unusable input."""
-    return _analyze(source_id, xmlio.parse_xml(data), source_id)[0]
+    return _analyze(source_id, data, xmlio.parse_xml(data), source_id)[0]
 
 
 def _source_id(path: str) -> str:
@@ -363,12 +362,12 @@ def load_corpus(paths: list) -> Corpus:
             continue
         seen.add(resolved)
         try:
-            xdoc = xmlio.parse_xml(data)
-            if xdoc.root.qname == (XSD_NAMESPACE, "schema"):
-                index, locations = _index_schemas([xdoc.root])
+            root = xmlio.parse_xml(data)
+            if root.qname == (XSD_NAMESPACE, "schema"):
+                index, locations = _index_schemas([root])
                 schema_files[resolved] = (index.types, locations)
                 continue
-            parsed, locations = _analyze(_source_id(path), xdoc, path)
+            parsed, locations = _analyze(_source_id(path), data, root, path)
         except MalformedXml as exc:
             skipped.append(SkippedFile(_source_id(path), str(exc)))
             continue

@@ -119,8 +119,11 @@ def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
     return xmlio.serialize(data, insertions)
 
 
-def _direction_summary(annotated: int, total: int) -> dict:
-    return {"total": total, "annotated": annotated, "rate": annotation_rate(annotated, total)}
+def _summary(records: list[dict]) -> dict:
+    """The total, annotated count and rate of the parameter records."""
+    annotated = sum(record["status"] == "annotated" for record in records)
+    return {"total": len(records), "annotated": annotated,
+            "rate": annotation_rate(annotated, len(records))}
 
 
 def write_report(annotations: list[Annotation], descriptions: list[WsDescription],
@@ -128,17 +131,13 @@ def write_report(annotations: list[Annotation], descriptions: list[WsDescription
     """Serialize the batch outcome as deterministic UTF-8 JSON."""
     by_id = {annotation.param_id: annotation for annotation in annotations}
     records = []
-    counts = {"input": [0, 0], "output": [0, 0]}
     for description in descriptions:
         for param in description.parameters():
             annotation = by_id.get(param.param_id)
             entries = annotation.entries if annotation else ()
-            direction = param.direction.value
-            counts[direction][0] += 1
-            counts[direction][1] += bool(entries)
             records.append({
                 "param_id": param.param_id,
-                "direction": direction,
+                "direction": param.direction.value,
                 "status": "annotated" if entries else "failed",
                 "entries": [
                     {
@@ -152,15 +151,11 @@ def write_report(annotations: list[Annotation], descriptions: list[WsDescription
                     for entry in entries
                 ],
             })
-    total = counts["input"][0] + counts["output"][0]
-    annotated = counts["input"][1] + counts["output"][1]
     payload = {
         "summary": {
-            "total": total,
-            "annotated": annotated,
-            "rate": annotation_rate(annotated, total),
-            "inputs": _direction_summary(counts["input"][1], counts["input"][0]),
-            "outputs": _direction_summary(counts["output"][1], counts["output"][0]),
+            **_summary(records),
+            "inputs": _summary([r for r in records if r["direction"] == "input"]),
+            "outputs": _summary([r for r in records if r["direction"] == "output"]),
         },
         "parameters": records,
         "skipped": [{"path": skip.path, "error": skip.error} for skip in skipped],

@@ -7,14 +7,15 @@ is therefore never serialized from a tree: it is the input's bytes with
 text spliced into some start tags (`serialize`), so its encoding,
 declaration, quoting, comments and whitespace are the input's own.
 
-The tree is only for analysis.  It holds elements alone, each with its
-name and attributes exactly as written, ``xmlns`` declarations as
-ordinary attributes, and the byte offset of its start tag.  The nodes
-are plain classes with ``__slots__``.  `parse_xml` is the one builder.
-Its expat handlers are closures over a local stack; each start tag gets
-the parent's prefix map, copied only where the tag declares a namespace,
-and its expanded name, resolved once.  QName-valued attribute values are
-resolved by the same rule on request.
+The tree is only for analysis and keeps only what ingest and the writer
+read: elements alone, each with its expanded name, its attributes as
+written (``xmlns`` declarations among them), its prefix map and the byte
+offset of its start tag.  The nodes are plain classes with ``__slots__``.
+`parse_xml` is the one builder and returns the root.  Its expat handlers
+are closures over a local stack; each start tag gets the parent's prefix
+map, copied only where the tag declares a namespace, and its expanded
+name, resolved once.  QName-valued attribute values are resolved by the
+same rule on request.
 """
 
 from __future__ import annotations
@@ -37,18 +38,18 @@ def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
 
 
 class XmlElement:
-    """An element with names as written; `qname` is its expanded (URI, local) name.
+    """An element: its attributes as written and its expanded (URI, local) name.
 
-    `scope` is the in-scope prefix -> URI map, shared with the parent unless
-    the element declares a namespace; `qname` is `name` expanded in it.
+    `children` are its child elements, in document order.  `scope` is the
+    in-scope prefix -> URI map, shared with the parent unless the element
+    declares a namespace; `qname` is the element's name expanded in it.
     `offset` is the byte offset of the start tag's "<" in the input.
     """
 
-    __slots__ = ("name", "attrs", "children", "scope", "qname", "offset")
+    __slots__ = ("attrs", "children", "scope", "qname", "offset")
 
-    def __init__(self, name: str, attrs: dict[str, str], children: list,
+    def __init__(self, attrs: dict[str, str], children: list,
                  scope: dict[str, str], qname: tuple[str, str], offset: int):
-        self.name = name
         self.attrs = attrs
         self.children = children
         self.scope = scope
@@ -68,10 +69,6 @@ class XmlElement:
         """Expand a QName-valued attribute, such as type="tns:Foo", in this scope."""
         return _expand(value.strip(), self.nsmap())
 
-    def iter_elements(self):
-        """Direct element children, in document order."""
-        return iter(self.children)
-
     def find_children(self, namespace: str, local: str) -> list[XmlElement]:
         """Direct element children named (namespace, local), in document order."""
         qname = (namespace, local)
@@ -82,25 +79,15 @@ class XmlElement:
         return children[0] if children else None
 
 
-class XmlDocument:
-    """The input bytes and the root element."""
-
-    __slots__ = ("data", "root")
-
-    def __init__(self, data: bytes, root: XmlElement):
-        self.data = data
-        self.root = root
-
-
 def _reject_doctype(name, *_) -> None:
     # entities would be expanded or dropped, and the copy could not keep them
     raise MalformedXml(f"DOCTYPE declarations are not supported (<!DOCTYPE {name}>)")
 
 
-def parse_xml(data: bytes) -> XmlDocument:
-    """Parse bytes into an XmlDocument; raises MalformedXml on bad input."""
+def parse_xml(data: bytes) -> XmlElement:
+    """The root element of the document in data; raises MalformedXml on bad input."""
     # the document is the bottom of the stack: a nameless holder of the root
-    document = XmlElement("", {}, [], {"xml": XML_NAMESPACE}, ("", ""), 0)
+    document = XmlElement({}, [], {"xml": XML_NAMESPACE}, ("", ""), 0)
     stack = [document]
     push, pop = stack.append, stack.pop
     parser = xml.parsers.expat.ParserCreate()
@@ -117,8 +104,7 @@ def parse_xml(data: bytes) -> XmlDocument:
                 if scope is inherited:
                     scope = dict(inherited)
                 scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
-        element = XmlElement(name, attrs, [], scope, _expand(name, scope),
-                             parser.CurrentByteIndex)
+        element = XmlElement(attrs, [], scope, _expand(name, scope), parser.CurrentByteIndex)
         parent.children.append(element)
         push(element)
 
@@ -136,7 +122,7 @@ def parse_xml(data: bytes) -> XmlDocument:
         # the start handler refers to the parser: a cycle, broken here
         parser.StartElementHandler = None
     # a document that parses has exactly one root element
-    return XmlDocument(data, document.children[0])
+    return document.children[0]
 
 
 def _codec(data: bytes) -> str:

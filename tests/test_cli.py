@@ -132,9 +132,9 @@ def test_deep_nesting_is_written_without_recursion(tmp_path):
     assert code == 0
     assert sorted(p.name for p in out.glob("*.sawsdl.wsdl")) == [
         "auth_service.sawsdl.wsdl", "deep.sawsdl.wsdl"]
-    element = next(parse_xml((out / "deep.sawsdl.wsdl").read_bytes()).root.iter_elements())
+    element = parse_xml((out / "deep.sawsdl.wsdl").read_bytes()).children[0]
     reached = 0
-    while (element := next(element.iter_elements(), None)) is not None:
+    while (element := next(iter(element.children), None)) is not None:
         reached += 1
     assert reached == depth
 

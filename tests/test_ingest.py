@@ -2,6 +2,7 @@ import gc
 import os
 import random
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -667,10 +668,15 @@ def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
     assert corpus.skipped[0].error.startswith("io error:")
 
 
-def test_no_tree_outlives_analysis(tmp_path):
+def padded_catalog():
+    """music_catalog.wsdl, and the same with 1,000 more wsdl:binding elements."""
     source = (CORPUS_DIR / "music_catalog.wsdl").read_text("utf-8")
     bindings = '<wsdl:binding name="b" type="tns:musicCatalogPort"/>' * 1000
-    padded = source.replace("</wsdl:definitions>", bindings + "</wsdl:definitions>")
+    return source, source.replace("</wsdl:definitions>", bindings + "</wsdl:definitions>")
+
+
+def test_no_tree_outlives_analysis(tmp_path):
+    source, padded = padded_catalog()
     assert padded.count("<wsdl:binding ") >= 1000
 
     def live_elements(text):
@@ -682,3 +688,28 @@ def test_no_tree_outlives_analysis(tmp_path):
         return sum(type(thing) is XmlElement for thing in gc.get_objects())
 
     assert live_elements(padded) == live_elements(source)
+
+
+def test_batch_peak_memory_grows_with_input_bytes_not_elements(tmp_path):
+    _, padded = padded_catalog()
+    paths = []
+    for copy in range(40):
+        path = tmp_path / f"copy{copy}.wsdl"
+        path.write_text(padded, "utf-8")
+        paths.append(str(path))
+
+    def peak(files):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(files)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus.documents) == len(files)
+        return peak
+
+    # each document keeps its bytes and its start tags; a tree of its 1000
+    # padding elements would cost several times its bytes again
+    extra_bytes = 20 * len(padded.encode("utf-8"))
+    assert peak(paths) - peak(paths[:20]) < 3 * extra_bytes

@@ -2,6 +2,8 @@
 
 Everything the search mines comes from the model that `ingest` builds, so
 these modules read that model alone: none imports `ingest` or `xmlio`.
+The XML tree is a parse detail: only `ingest` and `writer` read it, and
+the package exports nothing of `xmlio` but its parse error.
 """
 
 import ast
@@ -11,6 +13,8 @@ import pytest
 from conftest import REPO_ROOT
 
 PARSER_MODULES = {"ingest", "xmlio"}
+XMLIO_IMPORTERS = {"ingest", "writer", "__init__"}
+PACKAGE = REPO_ROOT / "src" / "semwsdl"
 
 
 def imported_modules(path):
@@ -28,5 +32,18 @@ def imported_modules(path):
 
 @pytest.mark.parametrize("module", ["model", "preprocess", "lexicon", "explore", "metrics"])
 def test_module_does_not_import_the_parser(module):
-    path = REPO_ROOT / "src" / "semwsdl" / f"{module}.py"
+    path = PACKAGE / f"{module}.py"
     assert not imported_modules(path) & PARSER_MODULES
+
+
+def test_only_ingest_writer_and_the_package_import_xmlio():
+    importers = {path.stem for path in PACKAGE.glob("*.py") if "xmlio" in imported_modules(path)}
+    assert importers <= XMLIO_IMPORTERS
+
+
+def test_the_package_takes_only_the_parse_error_from_xmlio():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text("utf-8"))
+    taken = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "xmlio"
+             for alias in node.names]
+    assert taken == ["MalformedXml"]

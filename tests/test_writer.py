@@ -49,7 +49,7 @@ def annotation_for(desc, param_name, entries):
 
 
 def find_part(root, part_name):
-    for element in root.iter_elements():
+    for element in root.children:
         if element.qname[1] == "part" and element.attrs.get("name") == part_name:
             return element
         found = find_part(element, part_name)
@@ -66,14 +66,14 @@ def test_injects_multiple_uris_space_separated():
               ("composer",)),
     ])
     output = write(data, desc.source_id, [ann])
-    doc = parse_xml(output)
-    assert any(v == SAWSDL_NAMESPACE for k, v in doc.root.attrs.items()
+    root = parse_xml(output)
+    assert any(v == SAWSDL_NAMESPACE for k, v in root.attrs.items()
                if k.startswith("xmlns:"))
-    part = find_part(doc.root, "category")
+    part = find_part(root, "category")
     value = part.attrs["sawsdl:modelReference"]
     assert value == f"{PREFIX}Musician {PREFIX}ComposingMusic"
     # the untouched sibling part carries no annotation
-    other = find_part(doc.root, "result")
+    other = find_part(root, "result")
     assert not any("modelReference" in k for k in other.attrs)
 
 
@@ -84,7 +84,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
         entry("Class", "category", AnnotationSource.TYPE_NAME),
     ])
     output = write(data, desc.source_id, [ann])
-    part = find_part(parse_xml(output).root, "category")
+    part = find_part(parse_xml(output), "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class"
 
 
@@ -93,8 +93,8 @@ def test_no_annotations_changes_only_the_declaration():
     empty = [Annotation(p.param_id) for p in desc.parameters()]
     output = write(data, desc.source_id, empty)
     assert b"modelReference" not in output
-    doc = parse_xml(output)
-    assert doc.root.attrs["xmlns:sawsdl"] == SAWSDL_NAMESPACE
+    root = parse_xml(output)
+    assert root.attrs["xmlns:sawsdl"] == SAWSDL_NAMESPACE
 
 
 def test_unannotated_parameters_need_no_annotation_objects():
@@ -129,9 +129,9 @@ def test_element_style_annotation_lands_on_the_element():
     ann = annotation_for(desc, "TransferRequest", [
         entry("CurrencyMeasure", "amount", AnnotationSource.SUBPARAMETER_NAME,
               ("amount",))])
-    doc = parse_xml(write(data, desc.source_id, [ann]))
+    root = parse_xml(write(data, desc.source_id, [ann]))
     carriers = [
-        element for element in _walk(doc.root)
+        element for element in _walk(root)
         if any("modelReference" in name for name in element.attrs)
     ]
     assert len(carriers) == 1
@@ -142,7 +142,7 @@ def test_element_style_annotation_lands_on_the_element():
 
 def _walk(element):
     yield element
-    for child in element.iter_elements():
+    for child in element.children:
         yield from _walk(child)
 
 
@@ -153,7 +153,7 @@ def test_existing_model_reference_is_merged():
     desc2 = parse_wsdl("music_catalog.wsdl", first).description
     ann2 = annotation_for(desc2, "category", [entry("Collection", "category")])
     second = write(first, desc2.source_id, [ann2])
-    part = find_part(parse_xml(second).root, "category")
+    part = find_part(parse_xml(second), "category")
     assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class {PREFIX}Collection"
 
 
@@ -174,7 +174,7 @@ def test_foreign_prefix_for_sawsdl_is_reused():
     desc = parse_wsdl("pre.wsdl", data).description
     ann = annotation_for(desc, "city", [entry("City", "city")])
     output = write(data, desc.source_id, [ann])
-    part = find_part(parse_xml(output).root, "city")
+    part = find_part(parse_xml(output), "city")
     assert part.attrs["sem:modelReference"] == f"urn:old#Kept {PREFIX}City"
     assert "sawsdl:modelReference" not in part.attrs
 
@@ -210,7 +210,7 @@ def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     first = write_sawsdl(parsed, [ann])
     assert write_sawsdl(parsed, [ann]) == first
     assert write(first, "shadow.wsdl", [ann]) == first
-    part = find_part(parse_xml(first).root, "city")
+    part = find_part(parse_xml(first), "city")
     references = [name for name in part.attrs if name.endswith(":modelReference")
                   and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
     assert [part.attrs[name] for name in references] == [f"{PREFIX}City"]
@@ -230,7 +230,7 @@ def test_writing_one_tree_twice(root_attrs, declarations, attr_name):
     ann = annotation_for(parsed.description, "city", [entry("City", "city")])
     first = write_sawsdl(parsed, [ann])
     assert write_sawsdl(parsed, [ann]) == first
-    root = parse_xml(first).root
+    root = parse_xml(first)
     assert [name for name, value in root.attrs.items()
             if name.startswith("xmlns:") and value == SAWSDL_NAMESPACE] == declarations
     part = find_part(root, "city")
@@ -363,7 +363,7 @@ def test_attribute_escaping_round_trips():
     ann = annotation_for(desc, "category", [entry(odd, "category")])
     output = write(data, desc.source_id, [ann])
     assert data.isascii() and output.isascii()
-    part = find_part(parse_xml(output).root, "category")
+    part = find_part(parse_xml(output), "category")
     assert part.attrs["sawsdl:modelReference"] == PREFIX + odd
     assert write(output, desc.source_id, [ann]) == output
 

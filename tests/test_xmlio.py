@@ -15,58 +15,56 @@ SAMPLE = b"""<?xml version="1.0" encoding="UTF-8"?>
 
 
 def test_names_and_prefixes_kept_as_written():
-    doc = parse_xml(SAMPLE)
-    assert doc.root.name == "a:root"
-    children = list(doc.root.iter_elements())
-    assert children[0].name == "a:child"
+    root = parse_xml(SAMPLE)
+    assert root.qname == ("urn:alpha", "root")
+    assert root.attrs == {"xmlns:a": "urn:alpha", "xmlns:b": "urn:beta", "b:flag": "1"}
+    children = root.children
+    assert children[0].qname == ("urn:alpha", "child")
     assert children[0].attrs == {"attr": "v&w"}
-    assert doc.root.attrs["b:flag"] == "1"
 
 
 def test_qname_resolution_with_default_namespace():
-    doc = parse_xml(SAMPLE)
-    plain = list(doc.root.iter_elements())[1]
+    root = parse_xml(SAMPLE)
+    plain = root.children[1]
     assert plain.qname == ("urn:default", "plain")
-    inner = next(plain.iter_elements())
+    inner = plain.children[0]
     assert inner.qname == ("urn:default", "inner")
-    assert doc.root.qname == ("urn:alpha", "root")
+    assert root.qname == ("urn:alpha", "root")
 
 
 def test_resolve_qname_value_uses_scope():
-    doc = parse_xml(b'<r xmlns:t="urn:t"><c type="t:Foo"/></r>')
-    child = next(doc.root.iter_elements())
+    child = parse_xml(b'<r xmlns:t="urn:t"><c type="t:Foo"/></r>').children[0]
     assert child.resolve_qname(child.attrs["type"]) == ("urn:t", "Foo")
     # unprefixed attribute values resolve through the default namespace
-    doc2 = parse_xml(b'<r xmlns="urn:d"><c type="Foo"/></r>')
-    child2 = next(doc2.root.iter_elements())
+    child2 = parse_xml(b'<r xmlns="urn:d"><c type="Foo"/></r>').children[0]
     assert child2.resolve_qname("Foo") == ("urn:d", "Foo")
 
 
 def test_nested_prefix_redefinition():
-    doc = parse_xml(b'<r xmlns:p="urn:one"><p:mid xmlns:p="urn:two"><p:leaf/></p:mid></r>')
-    mid = next(doc.root.iter_elements())
-    leaf = next(mid.iter_elements())
+    root = parse_xml(b'<r xmlns:p="urn:one"><p:mid xmlns:p="urn:two"><p:leaf/></p:mid></r>')
+    mid = root.children[0]
+    leaf = mid.children[0]
     assert mid.qname == ("urn:two", "mid")
     assert leaf.qname == ("urn:two", "leaf")
     # a declaration copies the map; an element without one shares its parent's
-    assert mid.nsmap() is not doc.root.nsmap()
+    assert mid.nsmap() is not root.nsmap()
     assert leaf.nsmap() is mid.nsmap()
 
 
 def test_serialization_is_stable_after_one_round():
     # a copy is its input spliced: no insertion gives the input back
     assert serialize(SAMPLE, []) == SAMPLE
-    doc = parse_xml(SAMPLE)
-    child = next(doc.root.iter_elements())
+    root = parse_xml(SAMPLE)
+    child = root.children[0]
     first = serialize(SAMPLE, [(start_tag(SAMPLE, child.offset)[0], ' n="1"')])
     assert b'<a:child attr="v&amp;w" n="1">text &lt;here&gt;</a:child>' in first
     assert serialize(first, []) == first
-    assert parse_xml(first).root.attrs == doc.root.attrs
+    assert parse_xml(first).attrs == root.attrs
 
 
 def test_comment_and_pi_survive_round_trip():
     source = b'<?xml version="1.0"?>\n<?style sheet?>\n<r><!--inside--><x/></r>\n<!--after-->\n'
-    root = parse_xml(source).root
+    root = parse_xml(source)
     out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
     assert out == source.replace(b"<r>", b'<r n="1">')
 
@@ -74,7 +72,7 @@ def test_comment_and_pi_survive_round_trip():
 def test_top_level_nodes_keep_their_order_and_whitespace():
     source = (b'<?xml version="1.0"?>\n  <!-- before -->\n<?first a b?>\n\n'
               b'<r> <x/> </r>\n<?last?>  <!--after-->\n\t\n')
-    root = parse_xml(source).root
+    root = parse_xml(source)
     assert source[root.offset:root.offset + 4] == b"<r> "
     out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
     assert out == source.replace(b"<r>", b'<r n="1">')
@@ -82,14 +80,14 @@ def test_top_level_nodes_keep_their_order_and_whitespace():
 
 def test_empty_element_forms_are_kept():
     for source in (b"<r><a></a></r>", b"<r><a/></r>", b"<r><a  /></r>"):
-        a = next(parse_xml(source).root.iter_elements())
+        a = parse_xml(source).children[0]
         out = serialize(source, [(start_tag(source, a.offset)[0], ' n="1"')])
         assert out == source.replace(b"<a", b'<a n="1"')
 
 
 def test_tree_holds_elements_only():
-    doc = parse_xml(b"<r>one &amp; two<!--c--><?p?><x/>three</r>")
-    assert [child.name for child in doc.root.children] == ["x"]
+    root = parse_xml(b"<r>one &amp; two<!--c--><?p?><x/>three</r>")
+    assert [child.qname for child in root.children] == [("", "x")]
 
 
 @pytest.mark.parametrize("tag, end, quotes", [
@@ -102,7 +100,7 @@ def test_tree_holds_elements_only():
 ])
 def test_start_tag_positions(tag, end, quotes):
     data = f"<r>{tag}{'' if tag.endswith('/>') else '</a>'}</r>".encode()
-    a = next(parse_xml(data).root.iter_elements())
+    a = parse_xml(data).children[0]
     assert a.offset == 3
     assert start_tag(data, a.offset) == (3 + end, [3 + quote for quote in quotes])
 
@@ -119,20 +117,20 @@ def test_start_tag_positions(tag, end, quotes):
 def test_offsets_and_splices_are_in_the_input_code_units(encoding, prolog, value):
     text = f'{prolog}<r é="1"><a x="{value}"/></r>'
     source = text.encode(encoding)
-    root = parse_xml(source).root
-    a = next(root.iter_elements())
+    root = parse_xml(source)
+    a = root.children[0]
     out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"'),
                              (start_tag(source, a.offset)[1][0], "!")])
     expected = text.replace('é="1"', 'é="1" n="1"').replace('"/>', '!"/>')
     assert out == expected.encode(encoding)
-    assert parse_xml(out).root.attrs == {"é": "1", "n": "1"}
+    assert parse_xml(out).attrs == {"é": "1", "n": "1"}
 
 
 def test_bom_is_tolerated():
-    doc = parse_xml(b"\xef\xbb\xbf<r/>")
-    assert doc.root.name == "r"
+    root = parse_xml(b"\xef\xbb\xbf<r/>")
+    assert root.qname == ("", "r")
     # offsets index the bytes as read, the byte order mark among them
-    assert doc.root.offset == 3
+    assert root.offset == 3
 
 
 def test_malformed_raises():
@@ -211,9 +209,9 @@ def expat_names(data):
 @given(namespaced_documents())
 def test_qnames_match_namespace_aware_expat(data):
     resolved = []
-    pending = [parse_xml(data).root]
+    pending = [parse_xml(data)]
     while pending:
         element = pending.pop()
         resolved.append(element.qname)
-        pending.extend(reversed(list(element.iter_elements())))
+        pending.extend(reversed(element.children))
     assert resolved == expat_names(data)
