@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--overrides-path", dest="overrides_path",
                         help="word=Concept override file (default: none)")
     common.add_argument("--max-depth", dest="max_depth", type=int,
-                        default=SearchConfig.max_depth,
+                        default=SearchConfig._field_defaults["max_depth"],
                         help="maximum exploration depth (default %(default)s)")
     subparsers = parser.add_subparsers(dest="command", required=True)
     annotate = subparsers.add_parser("annotate", parents=[common],
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help=f"comma list of {','.join(_STAGE_NAMES)} "
                                "or 'none' (default: all)")
     annotate.add_argument("--uri-prefix", dest="uri_prefix",
-                          default=WriterConfig.uri_prefix,
+                          default=WriterConfig._field_defaults["uri_prefix"],
                           help="prefix for concept URIs in modelReference values")
     subparsers.add_parser("ablate", parents=[common],
                           help="run the five-stage evaluation, write ablation.json")

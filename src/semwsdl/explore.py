@@ -25,7 +25,7 @@ never touches the parser or the XML tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lexicon import Lexicon, associate_words
 from .model import (
@@ -39,14 +39,14 @@ from .model import (
 )
 from .preprocess import SearchConfig, Stage, preprocess
 
-@dataclass(frozen=True)
-class StageVisit:
-    """One consulted stage: the words it produced and the entries they gave."""
 
-    source: AnnotationSource
-    depth: int
-    words: tuple[Word, ...]
-    entries: tuple[AnnotationEntry, ...]
+class StageVisit(namedtuple("StageVisit", "source depth words entries")):
+    """One consulted stage: the words it produced and the entries they gave.
+
+    (AnnotationSource, int, tuple of Word, tuple of AnnotationEntry).
+    """
+
+    __slots__ = ()
 
 
 def _stage(source: AnnotationSource, depth: int,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import os
 import stat
-from collections import deque
-from dataclasses import dataclass, field, replace
+from collections import deque, namedtuple
 
 from . import xmlio
 from .model import (
@@ -35,10 +34,10 @@ WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
 _ANY_TYPE = QName(XSD_NAMESPACE, "anyType")
 
 
-@dataclass(frozen=True)
-class SkippedFile:
-    path: str
-    error: str
+class SkippedFile(namedtuple("SkippedFile", "path error")):
+    """An input left out of the batch, and why: (str, str)."""
+
+    __slots__ = ()
 
 
 class EmptyCorpus(ValueError):
@@ -54,7 +53,6 @@ class EmptyCorpus(ValueError):
         self.skipped = skipped
 
 
-@dataclass
 class ParsedWsdl:
     """One WSDL document: its description, its bytes and the start tags to annotate.
 
@@ -67,31 +65,39 @@ class ParsedWsdl:
     named after it.
     """
 
-    description: WsDescription
-    data: bytes
-    root: XmlElement
-    nodes: dict[str, XmlElement]
-    path: str
+    __slots__ = ("description", "data", "root", "nodes", "path")
+
+    def __init__(self, description: WsDescription, data: bytes, root: XmlElement,
+                 nodes: dict[str, XmlElement], path: str):
+        self.description = description
+        self.data = data
+        self.root = root
+        self.nodes = nodes
+        self.path = path
 
 
-@dataclass
 class Corpus:
     """The parsed documents of a batch, in input order, and the skipped files."""
 
-    documents: list[ParsedWsdl]
-    skipped: list[SkippedFile] = field(default_factory=list)
+    __slots__ = ("documents", "skipped")
+
+    def __init__(self, documents: list[ParsedWsdl], skipped: list[SkippedFile] | None = None):
+        self.documents = documents
+        self.skipped = [] if skipped is None else skipped
 
     @property
     def descriptions(self) -> list[WsDescription]:
         return [parsed.description for parsed in self.documents]
 
 
-@dataclass
 class _SchemaIndex:
     """Named types, and each global element's (declared type, declaring node)."""
 
-    types: dict[QName, TypeDefinition] = field(default_factory=dict)
-    elements: dict[QName, tuple[QName, XmlElement]] = field(default_factory=dict)
+    __slots__ = ("types", "elements")
+
+    def __init__(self):
+        self.types: dict[QName, TypeDefinition] = {}
+        self.elements: dict[QName, tuple[QName, XmlElement]] = {}
 
 
 def _attr_qname(element: XmlElement, value: str) -> QName | None:
@@ -380,8 +386,8 @@ def load_corpus(paths: list) -> Corpus:
             imported = closures[key] = _imported_types(*key, schema_files)
         if imported:
             own = parsed.description.types
-            parsed.description = replace(parsed.description,
-                                         types={**imported, **own} if own else imported)
+            parsed.description = parsed.description._replace(
+                types={**imported, **own} if own else imported)
     if not documents:
         raise EmptyCorpus(skipped, len(schema_files))
     return Corpus(documents, skipped)

@@ -11,10 +11,10 @@ concept, or adds the word, and a lookup reads one table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import repeat
 
-from .model import NON_XML_ASCII, WORD_RE, Concept, Word, is_xml_text
+from .model import NON_XML_ASCII, WORD_RE, Concept, Word, checked_make, is_xml_text
 from .preprocess import content_lines, read_text
 
 
@@ -38,15 +38,18 @@ class MalformedOverrideLine(LexiconError):
     pass
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(namedtuple("Lexicon", "entries")):
     """word text -> its override if it has one, else its rank-1 concept."""
 
-    entries: dict[str, Concept] = field(default_factory=dict)
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not all(map(isinstance, self.entries.values(), repeat(Concept))):
+    def __new__(cls, entries: dict[str, Concept] | None = None):
+        if entries is None:  # each lexicon its own table, never a shared one
+            entries = {}
+        if not all(map(isinstance, entries.values(), repeat(Concept))):
             raise LexiconError("lexicon entries must map each word to one Concept")
+        return tuple.__new__(cls, (entries,))
 
 
 def load_lexicon(text: str, source: str = "<lexicon>") -> Lexicon:

@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 
 from .explore import annotate_description, annotate_parameter_with_trace
 from .lexicon import Lexicon, associate
-from .model import Concept, Word, WsDescription, annotation_rate
+from .model import Concept, Word, WsDescription, annotation_rate, checked_make
 from .preprocess import ALL_STAGES, SearchConfig, Stage
 
 STAGE_NAMES = (
@@ -34,41 +33,46 @@ STAGE_NAMES = (
 _COUNTING_NOTE = "parameters counted per occurrence; inputs and outputs both enumerated"
 
 
-@dataclass(frozen=True)
-class AblationRow:
-    stage_name: str
-    annotated: int
-    total: int
+class AblationRow(namedtuple("AblationRow", "stage_name annotated total")):
+    """(str, int, int): the stage's annotated and total parameter counts."""
 
-    def __post_init__(self):
-        if not 0 <= self.annotated <= self.total:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, stage_name: str, annotated: int, total: int):
+        if not 0 <= annotated <= total:
             raise ValueError("annotated must lie in [0, total]")
+        return tuple.__new__(cls, (stage_name, annotated, total))
 
     @property
     def rate(self) -> float:
         return annotation_rate(self.annotated, self.total)
 
 
-@dataclass(frozen=True)
-class AblationReport:
-    rows: tuple[AblationRow, ...]
+class AblationReport(namedtuple("AblationReport", "rows")):
+    """The five AblationRows, in STAGE_NAMES order, over one total."""
 
-    def __post_init__(self):
-        if tuple(row.stage_name for row in self.rows) != STAGE_NAMES:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, rows: tuple[AblationRow, ...]):
+        if tuple(row.stage_name for row in rows) != STAGE_NAMES:
             raise ValueError(f"rows must be exactly {STAGE_NAMES}")
-        if len({row.total for row in self.rows}) != 1:
+        if len({row.total for row in rows}) != 1:
             raise ValueError("all rows must share one total")
+        return tuple.__new__(cls, (rows,))
 
 
-@dataclass(frozen=True)
-class WordFrequencyRow:
-    word: Word
-    occurrences: int
-    concept: Concept | None
+class WordFrequencyRow(namedtuple("WordFrequencyRow", "word occurrences concept")):
+    """(Word, int, Concept or None); the word occurred at least once."""
 
-    def __post_init__(self):
-        if self.occurrences < 1:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, word: Word, occurrences: int, concept: Concept | None):
+        if occurrences < 1:
             raise ValueError("occurrences must be >= 1")
+        return tuple.__new__(cls, (word, occurrences, concept))
 
 
 def stage_configurations(config: SearchConfig) -> list[tuple[str, SearchConfig]]:
@@ -80,7 +84,7 @@ def stage_configurations(config: SearchConfig) -> list[tuple[str, SearchConfig]]
     decompose = frozenset({Stage.DECOMPOSE})
     normalize = decompose | {Stage.NORMALIZE}
     stage_sets = (frozenset(), decompose, normalize, normalize | {Stage.FILTER}, ALL_STAGES)
-    return [(name, replace(config, enabled_stages=stages))
+    return [(name, config._replace(enabled_stages=stages))
             for name, stages in zip(STAGE_NAMES, stage_sets)]
 
 
@@ -107,7 +111,7 @@ def word_frequency(descriptions: list[WsDescription], config: SearchConfig,
     its whole exhausted search.  Sorted by occurrences descending, ties
     by word ascending.
     """
-    full = replace(config, enabled_stages=ALL_STAGES)
+    full = config._replace(enabled_stages=ALL_STAGES)
     counts: Counter[str] = Counter()
     for description in descriptions:
         for param in description.parameters():

@@ -1,13 +1,16 @@
 """Core vocabulary: service descriptions, types, words, concepts, annotations.
 
-Everything here is an immutable value object.  Validation happens at
-construction so the rest of the code can assume the invariants hold.
+Every value here is an immutable named tuple, so hashing and equality
+run in C, and a value equals any tuple with the same items.  Validation
+happens at construction, in `__new__`, so the rest of the code can
+assume the invariants hold; `_replace` builds through `__new__` too (see
+`checked_make`), so a derived value is checked like a new one.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 XSD_NAMESPACE = "http://www.w3.org/2001/XMLSchema"
@@ -47,16 +50,22 @@ class AnnotationSource(Enum):
     SUBPARAMETER_TYPE_NAME = "subparameter_type_name"
 
 
-@dataclass(frozen=True)
-class QName:
+def checked_make(cls, iterable):
+    """`_make` for a value whose `__new__` checks: namedtuple's own `_make`,
+    and so its `_replace`, calls `tuple.__new__` and would skip the checks."""
+    return cls(*iterable)
+
+
+class QName(namedtuple("QName", "namespace_uri local_name")):
     """A resolved (namespace URI, local name) pair; the URI may be empty."""
 
-    namespace_uri: str
-    local_name: str
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not self.local_name:
+    def __new__(cls, namespace_uri: str, local_name: str):
+        if not local_name:
             raise ValueError("QName local name must be non-empty")
+        return tuple.__new__(cls, (namespace_uri, local_name))
 
     def __str__(self) -> str:
         if self.namespace_uri:
@@ -74,91 +83,95 @@ def is_builtin(name: QName) -> bool:
     return name.namespace_uri == XSD_NAMESPACE and name.local_name in XSD_BUILTIN_TYPES
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(namedtuple("Word", "text")):
     """A fully preprocessed token: lowercase ASCII letters only."""
 
-    text: str
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not WORD_RE.fullmatch(self.text):
-            raise ValueError(f"not a valid word: {self.text!r}")
+    def __new__(cls, text: str):
+        if not WORD_RE.fullmatch(text):
+            raise ValueError(f"not a valid word: {text!r}")
+        return tuple.__new__(cls, (text,))
 
     def __str__(self) -> str:
         return self.text
 
 
-@dataclass(frozen=True)
-class Concept:
+class Concept(namedtuple("Concept", "id")):
     """An ontology concept identifier, e.g. SUMO's HoofedMammal: one token."""
 
-    id: str
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not self.id:
+    def __new__(cls, id: str):
+        if not id:
             raise ValueError("Concept id must be non-empty")
-        if self.id.split() != [self.id]:  # modelReference is a whitespace-separated list
-            raise ValueError(f"Concept id must not contain whitespace: {self.id!r}")
-        if not is_xml_text(self.id):
-            raise ValueError(f"Concept id must contain only XML characters: {self.id!r}")
+        if id.split() != [id]:  # modelReference is a whitespace-separated list
+            raise ValueError(f"Concept id must not contain whitespace: {id!r}")
+        if not is_xml_text(id):
+            raise ValueError(f"Concept id must contain only XML characters: {id!r}")
+        return tuple.__new__(cls, (id,))
 
     def __str__(self) -> str:
         return self.id
 
 
-@dataclass(frozen=True)
-class SubParameter:
-    """A member element of a sequence-style complex type."""
+class SubParameter(namedtuple("SubParameter", "name type_ref")):
+    """A member element of a sequence-style complex type: (str, QName)."""
 
-    name: str
-    type_ref: QName
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TypeDefinition:
-    """A type a schema defines; members only for a complexType's direct sequence."""
+class TypeDefinition(namedtuple("TypeDefinition", "name subparameters anonymous",
+                                defaults=((), False))):
+    """A type a schema defines; members only for a complexType's direct sequence.
 
-    name: QName
-    subparameters: tuple[SubParameter, ...] = ()
-    anonymous: bool = False
+    (QName, tuple of SubParameter, bool).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Parameter:
-    name: str
-    direction: Direction
-    type_ref: QName
-    param_id: str
+class Parameter(namedtuple("Parameter", "name direction type_ref param_id")):
+    """(str, Direction, QName, str); the param_id is non-empty."""
 
-    def __post_init__(self):
-        if not self.param_id:
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, name: str, direction: Direction, type_ref: QName, param_id: str):
+        if not param_id:
             raise ValueError("param_id must be non-empty")
+        return tuple.__new__(cls, (name, direction, type_ref, param_id))
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(namedtuple("Operation", "name parameters")):
     """The parts of its input message, then those of its output message."""
 
-    name: str
-    parameters: tuple[Parameter, ...] = ()
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
-        if not self.name:
+    def __new__(cls, name: str, parameters: tuple[Parameter, ...] = ()):
+        if not name:
             raise ValueError("operation name must be non-empty")
+        return tuple.__new__(cls, (name, parameters))
 
 
-@dataclass(frozen=True)
-class WsDescription:
+class WsDescription(namedtuple("WsDescription", "source_id operations types warnings")):
     """One parsed WSDL document: operations plus its type table.
 
     `types` holds the document's own types and those it imports.  Several
     descriptions may share one `types` dict, so it must not be mutated.
     """
 
-    source_id: str
-    operations: tuple[Operation, ...] = ()
-    types: dict[QName, TypeDefinition] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, source_id: str, operations: tuple[Operation, ...] = (),
+                types: dict[QName, TypeDefinition] | None = None,
+                warnings: tuple[str, ...] = ()):
+        if types is None:  # each description its own empty table, never a shared one
+            types = {}
+        return tuple.__new__(cls, (source_id, operations, types, warnings))
 
     def parameters(self):
         """All parameters in document order (inputs before outputs per op)."""
@@ -177,38 +190,38 @@ def resolve_type(description: WsDescription, ref: QName) -> TypeDefinition | Non
     return description.types.get(ref)
 
 
-@dataclass(frozen=True)
-class AnnotationEntry:
-    """One (concept, word) pair with the evidence trail that produced it."""
+class AnnotationEntry(namedtuple("AnnotationEntry", "concept word source path")):
+    """One (concept, word) pair with the evidence trail that produced it.
 
-    concept: Concept
-    word: Word
-    source: AnnotationSource
-    path: tuple[str, ...] = ()
+    (Concept, Word, AnnotationSource, tuple of member names).
+    """
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, concept: Concept, word: Word, source: AnnotationSource,
+                path: tuple[str, ...] = ()):
+        if not path and source not in (
+            AnnotationSource.PARAMETER_NAME,
+            AnnotationSource.TYPE_NAME,
+        ):
+            raise ValueError("depth-0 entries come from the parameter or its type name")
+        if path and source not in (
+            AnnotationSource.SUBPARAMETER_NAME,
+            AnnotationSource.SUBPARAMETER_TYPE_NAME,
+        ):
+            raise ValueError("deeper entries come from subparameter exploration")
+        return tuple.__new__(cls, (concept, word, source, path))
 
     @property
     def depth(self) -> int:  # subparameter levels below the parameter
         return len(self.path)
 
-    def __post_init__(self):
-        if self.depth == 0 and self.source not in (
-            AnnotationSource.PARAMETER_NAME,
-            AnnotationSource.TYPE_NAME,
-        ):
-            raise ValueError("depth-0 entries come from the parameter or its type name")
-        if self.depth > 0 and self.source not in (
-            AnnotationSource.SUBPARAMETER_NAME,
-            AnnotationSource.SUBPARAMETER_TYPE_NAME,
-        ):
-            raise ValueError("deeper entries come from subparameter exploration")
 
-
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(namedtuple("Annotation", "param_id entries", defaults=((),))):
     """The outcome for one parameter; entries are empty on failure."""
 
-    param_id: str
-    entries: tuple[AnnotationEntry, ...] = ()
+    __slots__ = ()
 
     @property
     def annotated(self) -> bool:

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import re
 import unicodedata
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .model import WORD_RE, Word
+from .model import WORD_RE, Word, checked_make
 
 # Splits a folded name (ASCII letters and spaces) at case boundaries and
 # spaces: every part matches letters only, so neither a match nor a
@@ -42,20 +42,23 @@ class Stage(Enum):
 ALL_STAGES = frozenset(Stage)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig",
+                              "abbreviations stop_words enabled_stages max_depth",
+                              defaults=(frozenset(), ALL_STAGES, 8))):
     """Everything the annotation search can be told.
 
+    (dict of str, frozenset of str, frozenset of Stage, int).
     Stage.EXPLORE gates the type-name stage and the structural descent
     together; max_depth bounds that descent.
     """
 
-    abbreviations: dict[str, str] = field(default_factory=dict)
-    stop_words: frozenset[str] = frozenset()
-    enabled_stages: frozenset[Stage] = ALL_STAGES
-    max_depth: int = 8
+    __slots__ = ()
+    _make = classmethod(checked_make)
 
-    def __post_init__(self):
+    def __new__(cls, abbreviations: dict[str, str] | None = None, *args, **kwargs):
+        if abbreviations is None:  # each config its own empty table, never a shared one
+            abbreviations = {}
+        self = super().__new__(cls, abbreviations, *args, **kwargs)
         for key, value in self.abbreviations.items():
             if not WORD_RE.fullmatch(key):
                 raise ConfigError(f"abbreviation key must be lowercase letters: {key!r}")
@@ -66,6 +69,7 @@ class SearchConfig:
                 raise ConfigError(f"stop word must be lowercase letters: {entry!r}")
         if self.max_depth < 0:
             raise ConfigError("max_depth must be >= 0")
+        return self
 
 
 # every ASCII code point but a letter, to a space

@@ -12,22 +12,26 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from urllib.parse import urlparse
 
 from . import xmlio
 from .ingest import ParsedWsdl, SkippedFile
-from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, is_xml_text
+from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, checked_make, is_xml_text
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
 
 
-@dataclass(frozen=True)
-class WriterConfig:
-    uri_prefix: str = "http://www.ontologyportal.org/SUMO.owl#"
+class WriterConfig(namedtuple("WriterConfig", "uri_prefix",
+                              defaults=("http://www.ontologyportal.org/SUMO.owl#",))):
+    """The concept URI of a concept id is uri_prefix followed by the id."""
 
-    def __post_init__(self):
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         parsed = urlparse(self.uri_prefix)
         if not parsed.scheme:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
@@ -35,6 +39,7 @@ class WriterConfig:
             raise ValueError(f"uri_prefix must not contain whitespace: {self.uri_prefix!r}")
         if not is_xml_text(self.uri_prefix):
             raise ValueError(f"uri_prefix must contain only XML characters: {self.uri_prefix!r}")
+        return self
 
 
 # everything but printable ASCII, quotes, "&", "<" and ">"

@@ -42,7 +42,6 @@ from semwsdl import (
 )
 from semwsdl.model import XSD_NAMESPACE
 from semwsdl.preprocess import Stage
-from dataclasses import replace
 import json
 
 import bruteforce
@@ -93,7 +92,7 @@ def test_criterion_3_structure_exploration_scenario():
         param = next(p for p in desc.parameters() if p.name == "category")
         lexicon = default_lexicon()
         plain = default_config()
-        blocked = replace(plain, stop_words=plain.stop_words | {"category"})
+        blocked = plain._replace(stop_words=plain.stop_words | {"category"})
         annotation, trace = annotate_parameter_with_trace(param, desc, blocked, lexicon)
         assert {e.source for e in annotation.entries} == {
             AnnotationSource.SUBPARAMETER_NAME}
@@ -185,8 +184,8 @@ def test_criterion_8_repeated_runs_are_deterministic(tmp_path):
 
 def test_criterion_9_module_invariant_properties():
     config = default_config()
-    prefilter_config = replace(
-        config, enabled_stages=frozenset({Stage.DECOMPOSE, Stage.NORMALIZE}))
+    prefilter_config = config._replace(
+        enabled_stages=frozenset({Stage.DECOMPOSE, Stage.NORMALIZE}))
     string_type = QName(XSD_NAMESPACE, "string")
 
     @settings(max_examples=1000, deadline=None)

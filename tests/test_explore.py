@@ -1,5 +1,4 @@
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -63,7 +62,7 @@ def test_name_stage_wins_when_word_is_known(fixture_corpus, search_config, demo_
 def test_descent_reaches_sequence_members(fixture_corpus, search_config, demo_lexicon):
     # with the parameter's own word suppressed the search walks into the type
     desc, param = find_param(fixture_corpus, "category")
-    blocked = replace(search_config, stop_words=search_config.stop_words | {"category"})
+    blocked = search_config._replace(stop_words=search_config.stop_words | {"category"})
     annotation, trace = annotate_parameter_with_trace(
         param, desc, blocked, demo_lexicon)
     assert [v.source for v in trace] == [
@@ -155,10 +154,10 @@ def test_cyclic_schema_terminates_quickly(search_config, demo_lexicon):
 def test_max_depth_bounds_the_search(search_config, demo_lexicon):
     desc, param = chain_description(["L1", "L2", "L3"])
     shallow = annotate_parameter(
-        param, desc, replace(search_config, max_depth=2), demo_lexicon)
+        param, desc, search_config._replace(max_depth=2), demo_lexicon)
     assert not shallow.annotated
     deep = annotate_parameter(
-        param, desc, replace(search_config, max_depth=3), demo_lexicon)
+        param, desc, search_config._replace(max_depth=3), demo_lexicon)
     assert [(e.concept.id, e.depth, e.path) for e in deep.entries] == [
         ("CurrencyMeasure", 3, ("a", "a", "price"))]
 
@@ -188,7 +187,7 @@ SUB_TYPE = AnnotationSource.SUBPARAMETER_TYPE_NAME
 def test_trace_shape(build, max_depth, shape, wordless, search_config, demo_lexicon):
     desc, param = build()
     _, trace = annotate_parameter_with_trace(
-        param, desc, replace(search_config, max_depth=max_depth), demo_lexicon)
+        param, desc, search_config._replace(max_depth=max_depth), demo_lexicon)
     assert [(visit.source, visit.depth) for visit in trace] == shape
     assert [i for i, visit in enumerate(trace) if not visit.words] == wordless
 
@@ -222,8 +221,8 @@ def test_shared_member_type_is_expanded_once(search_config, demo_lexicon):
 
 def test_disabling_descent_never_adds_successes(fixture_corpus, search_config,
                                                 demo_lexicon):
-    off = replace(search_config,
-                  enabled_stages=search_config.enabled_stages - {Stage.EXPLORE})
+    off = search_config._replace(
+        enabled_stages=search_config.enabled_stages - {Stage.EXPLORE})
     on = search_config
     for desc in fixture_corpus.descriptions:
         for param in desc.parameters():

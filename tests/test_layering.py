@@ -3,10 +3,14 @@
 Everything the search mines comes from the model that `ingest` builds, so
 these modules read that model alone: none imports `ingest` or `xmlio`.
 The XML tree is a parse detail: only `ingest` and `writer` read it, and
-the package exports nothing of `xmlio` but its parse error.
+the package exports nothing of `xmlio` but its parse error.  Every run
+pays the package's import, so it loads no dataclass machinery.
 """
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,3 +51,13 @@ def test_the_package_takes_only_the_parse_error_from_xmlio():
              if isinstance(node, ast.ImportFrom) and node.module == "xmlio"
              for alias in node.names]
     assert taken == ["MalformedXml"]
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # dataclasses loads inspect, ast, dis and tokenize, and each class runs exec
+    code = ("import sys; before = set(sys.modules); import semwsdl.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                           check=True, timeout=60)
+    assert child.stdout.decode().split() == []

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -115,8 +114,7 @@ def test_collapsed_name_can_beat_decomposition(fixture_corpus, search_config, de
 
 def test_stage_configurations_shape(search_config):
     # only the stage set differs between rows, and it grows by one stage a row
-    config = replace(search_config, max_depth=3,
-                     enabled_stages=frozenset({Stage.FILTER}))
+    config = search_config._replace(max_depth=3, enabled_stages=frozenset({Stage.FILTER}))
     configs = stage_configurations(config)
     assert [name for name, _ in configs] == list(STAGE_NAMES)
     D, N, F = Stage.DECOMPOSE, Stage.NORMALIZE, Stage.FILTER
@@ -124,7 +122,7 @@ def test_stage_configurations_shape(search_config):
         frozenset(), {D}, {D, N}, {D, N, F}, ALL_STAGES]
     assert ALL_STAGES == {D, N, F, Stage.EXPLORE}
     for _, row in configs:
-        assert replace(row, enabled_stages=config.enabled_stages) == config
+        assert row._replace(enabled_stages=config.enabled_stages) == config
 
 
 def test_all_stages_hit_on_plain_names(search_config, demo_lexicon):

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -57,13 +55,15 @@ def test_concept_requires_id():
         with pytest.raises(ValueError):
             Concept(bad)
     # the ontology is one constant, not a field every concept carries
-    assert [f.name for f in fields(Concept)] == ["id"]
+    assert Concept._fields == ("id",)
     assert ONTOLOGY == "SUMO"
+    with pytest.raises(ValueError):  # a derived value is checked like a new one
+        Concept("X")._replace(id="a b")
 
 
 def test_type_definition_is_a_name_with_members():
     # a type is found or not, and has members or not: no kind is stored
-    assert [f.name for f in fields(TypeDefinition)] == ["name", "subparameters", "anonymous"]
+    assert TypeDefinition._fields == ("name", "subparameters", "anonymous")
     qn = QName("urn:x", "T")
     sub = SubParameter("a", QName(XSD_NAMESPACE, "string"))
     assert TypeDefinition(qn) == TypeDefinition(qn, (), False)
@@ -104,3 +104,16 @@ def test_description_parameter_order():
     op2 = Operation("Second", (Parameter("c", Direction.INPUT, string_ref, "3"),))
     desc = WsDescription("s", (op1, op2))
     assert [p.param_id for p in desc.parameters()] == ["1", "2", "3"]
+
+
+def test_descriptions_built_without_types_do_not_share_a_table():
+    first, second = WsDescription("a"), WsDescription("b")
+    assert first.types == second.types == {}
+    assert first.types is not second.types
+
+
+def test_values_are_tuples():
+    # a value equals any tuple with the same items, and hashes like it
+    qname = QName("urn:x", "T")
+    assert qname == ("urn:x", "T") and hash(qname) == hash(("urn:x", "T"))
+    assert TypeDefinition(qname)._replace(anonymous=True) == (qname, (), True)

@@ -92,6 +92,13 @@ def test_config_validation():
         SearchConfig(stop_words=frozenset({"Body"}))
 
 
+def test_derived_config_is_checked_and_owns_its_table():
+    # _replace builds through the constructor, so a derived config is checked too
+    with pytest.raises(ConfigError):
+        default_config()._replace(max_depth=-1)
+    assert SearchConfig().abbreviations is not SearchConfig().abbreviations
+
+
 def test_parse_abbreviations_format():
     table = parse_abbreviations("# comment\nno=number\n id = identity \n\n")
     assert table == {"no": "number", "id": "identity"}

@@ -437,6 +437,8 @@ def test_custom_uri_prefix():
     assert b"https://onto.example/x#Class" in output
     with pytest.raises(ValueError):
         WriterConfig(uri_prefix="no-scheme")
+    with pytest.raises(ValueError):  # a derived config is checked like a new one
+        WriterConfig()._replace(uri_prefix="x")
 
 
 def test_report_summary_arithmetic():
