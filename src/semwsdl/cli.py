@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -151,7 +152,8 @@ def _load_inputs(files: list[str]) -> Corpus:
     return corpus
 
 
-_OUTPUT_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+_OUTPUT_FLAGS = (os.O_WRONLY | os.O_CREAT | getattr(os, "O_NONBLOCK", 0)
+                 | getattr(os, "O_BINARY", 0))
 
 
 def _write_output(path: Path, data: bytes) -> None:
@@ -162,11 +164,16 @@ def _write_output(path: Path, data: bytes) -> None:
     that way when it is closed; a rerun into the same output directory
     mostly writes outputs of the same size.  So an existing file keeps its
     inode and mode and is cut only when it used to be longer than `data`.
-    A new file gets 0o666 less the umask.
+    A new file gets 0o666 less the umask.  The open does not block, so a
+    FIFO without a reader fails it, and one with a reader is refused: a
+    FIFO is never written.  A device, such as /dev/null, is written.
     """
     fd = os.open(path, _OUTPUT_FLAGS, 0o666)
     with open(fd, "wb") as file:  # the buffered writer retries short writes
-        longer = os.fstat(fd).st_size > len(data)
+        status = os.fstat(fd)
+        if stat.S_ISFIFO(status.st_mode):
+            raise OSError(f"{path}: is a FIFO")
+        longer = status.st_size > len(data)
         file.write(data)
         if longer:
             file.truncate()
@@ -264,7 +271,7 @@ def run(argv: list[str]) -> int:
 def _run_command(args) -> int:
     try:
         setup = _build_setup(args)
-    except (OSError, ValueError) as exc:  # ConfigError and LexiconError among them
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     files, copies = _gather_inputs(args.input_paths)

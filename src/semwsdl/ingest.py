@@ -13,7 +13,6 @@ the search reads only the model it builds.
 from __future__ import annotations
 
 import os
-import stat
 from collections import deque, namedtuple
 
 from . import xmlio
@@ -27,6 +26,7 @@ from .model import (
     TypeDefinition,
     WsDescription,
 )
+from .preprocess import read_regular
 from .xmlio import MalformedXml, XmlElement
 
 WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
@@ -296,28 +296,6 @@ def _source_id(path: str) -> str:
     return raw.decode("utf-8", "backslashreplace")
 
 
-_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
-
-
-def _read_regular(path: str) -> bytes | None:
-    """The bytes of a regular file; None for any other kind of file.
-
-    The open does not block, so a FIFO without a writer is refused, not
-    waited on, and a device is never read.
-    """
-    fd = os.open(path, _READ_FLAGS)
-    try:
-        status = os.fstat(fd)
-        if not stat.S_ISREG(status.st_mode):
-            return None
-        chunks = []
-        while chunk := os.read(fd, status.st_size + 1):
-            chunks.append(chunk)
-        return b"".join(chunks)
-    finally:
-        os.close(fd)
-
-
 def load_corpus(paths: list) -> Corpus:
     """Load and parse a batch of files; failures are recorded, not fatal.
 
@@ -349,7 +327,7 @@ def load_corpus(paths: list) -> Corpus:
     real_dirs: dict[str, str] = {}
     for path in map(os.fsdecode, paths):
         try:
-            data = _read_regular(path)
+            data = read_regular(path)
         except OSError as exc:
             skipped.append(SkippedFile(_source_id(path), f"io error: {exc}"))
             continue

@@ -5,7 +5,8 @@ is the preferred sense, and the only one kept once every line is checked.
 Overrides exist because rank-1 senses are sometimes absurd for the
 service domain (a "user" of drugs).  They are laid over the lexicon's
 entries when it is built, so an override replaces its word's rank-1
-concept, or adds the word, and a lookup reads one table.
+concept, or adds the word, and a lookup reads one table.  A fault in
+either file raises preprocess.ConfigError naming the source and line.
 """
 
 from __future__ import annotations
@@ -14,28 +15,8 @@ import re
 from collections import namedtuple
 from itertools import repeat
 
-from .model import NON_XML_ASCII, WORD_RE, Concept, Word, checked_make, is_xml_text
-from .preprocess import content_lines, read_text
-
-
-class LexiconError(ValueError):
-    """Base for lexicon and override file problems."""
-
-
-class MalformedLexiconLine(LexiconError):
-    pass
-
-
-class DuplicateSense(LexiconError):
-    pass
-
-
-class NonContiguousRanks(LexiconError):
-    pass
-
-
-class MalformedOverrideLine(LexiconError):
-    pass
+from .model import NON_XML_ASCII, WORD_RE, Concept, Word, checked_make, is_xml_text, token_fault
+from .preprocess import DATA_DIR, ConfigError, content_lines, read_text
 
 
 class Lexicon(namedtuple("Lexicon", "entries")):
@@ -48,7 +29,7 @@ class Lexicon(namedtuple("Lexicon", "entries")):
         if entries is None:  # each lexicon its own table, never a shared one
             entries = {}
         if not all(map(isinstance, entries.values(), repeat(Concept))):
-            raise LexiconError("lexicon entries must map each word to one Concept")
+            raise ConfigError("lexicon entries must map each word to one Concept")
         return tuple.__new__(cls, (entries,))
 
 
@@ -162,34 +143,28 @@ def _load_lines(text: str, source: str) -> dict[str, Concept]:
     for number, line in content_lines(text):
         fields = line.split("\t")
         if len(fields) != 3:
-            raise MalformedLexiconLine(
-                f"{source}:{number}: expected word<TAB>rank<TAB>concept")
+            raise ConfigError(f"{source}:{number}: expected word<TAB>rank<TAB>concept")
         word, rank_text, concept_id = fields[0].strip(), fields[1].strip(), fields[2].strip()
         if not WORD_RE.fullmatch(word):
-            raise MalformedLexiconLine(
-                f"{source}:{number}: word must be lowercase letters: {word!r}")
+            raise ConfigError(f"{source}:{number}: word must be lowercase letters: {word!r}")
         try:
             rank = int(rank_text)
         except ValueError:
-            raise MalformedLexiconLine(
+            raise ConfigError(
                 f"{source}:{number}: rank must be an integer: {rank_text!r}") from None
         if rank < 1:
-            raise MalformedLexiconLine(f"{source}:{number}: rank must be >= 1")
-        if concept_id.split() != [concept_id]:
-            raise MalformedLexiconLine(
-                f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
-        if not is_xml_text(concept_id):
-            raise MalformedLexiconLine(
-                f"{source}:{number}: concept must contain only XML characters: {concept_id!r}")
+            raise ConfigError(f"{source}:{number}: rank must be >= 1")
+        if fault := token_fault(concept_id):
+            raise ConfigError(f"{source}:{number}: concept {fault}")
         seen = ranks.setdefault(word, set())
         if rank in seen:
-            raise DuplicateSense(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
+            raise ConfigError(f"{source}:{number}: duplicate sense {word!r} rank {rank}")
         seen.add(rank)
         if rank == 1:
             firsts[word] = concepts.setdefault(concept_id, Concept(concept_id))
     for word, seen in ranks.items():
         if max(seen) != len(seen):  # distinct ranks >= 1 are 1..k when the largest is k
-            raise NonContiguousRanks(
+            raise ConfigError(
                 f"{source}: ranks for {word!r} must be 1..{len(seen)}, got {sorted(seen)}")
     return {word: firsts[word] for word in ranks}
 
@@ -203,21 +178,14 @@ def load_overrides(text: str, source: str = "<overrides>") -> dict[str, Concept]
     entries: dict[str, Concept] = {}
     for number, line in content_lines(text):
         if "=" not in line:
-            raise MalformedOverrideLine(f"{source}:{number}: expected word=Concept")
+            raise ConfigError(f"{source}:{number}: expected word=Concept")
         word, _, concept_id = line.partition("=")
         word = word.strip().lower()
         concept_id = concept_id.strip()
         if not WORD_RE.fullmatch(word):
-            raise MalformedOverrideLine(
-                f"{source}:{number}: word must be letters only: {word!r}")
-        if not concept_id:
-            raise MalformedOverrideLine(f"{source}:{number}: concept must be non-empty")
-        if concept_id.split() != [concept_id]:
-            raise MalformedOverrideLine(
-                f"{source}:{number}: concept must not contain whitespace: {concept_id!r}")
-        if not is_xml_text(concept_id):
-            raise MalformedOverrideLine(
-                f"{source}:{number}: concept must contain only XML characters: {concept_id!r}")
+            raise ConfigError(f"{source}:{number}: word must be letters only: {word!r}")
+        if fault := token_fault(concept_id):
+            raise ConfigError(f"{source}:{number}: concept {fault}")
         entries[word] = Concept(concept_id)
     return entries
 
@@ -236,4 +204,4 @@ def associate_words(words: list[Word], lexicon: Lexicon) -> list[tuple[Word, Con
 
 def default_lexicon() -> Lexicon:
     """The small demo lexicon shipped with the package."""
-    return load_lexicon(read_text("lexicon.tsv", packaged=True), source="lexicon.tsv")
+    return load_lexicon(read_text(DATA_DIR / "lexicon.tsv"), source="lexicon.tsv")

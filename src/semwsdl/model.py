@@ -78,6 +78,22 @@ def is_xml_text(text: str) -> bool:
     return _NON_XML_RE.search(text) is None
 
 
+def token_fault(text: str) -> str | None:
+    """Why text cannot be one modelReference token, or None when it can.
+
+    A modelReference value is a whitespace-separated list of URIs, and a
+    SAWSDL copy can hold only characters XML 1.0 allows.  The caller puts
+    its subject before the reason: "Concept id must be non-empty".
+    """
+    if not text:
+        return "must be non-empty"
+    if text.split() != [text]:
+        return f"must not contain whitespace: {text!r}"
+    if not is_xml_text(text):
+        return f"must contain only XML characters: {text!r}"
+    return None
+
+
 def is_builtin(name: QName) -> bool:
     """True for the XML Schema built-in simple types."""
     return name.namespace_uri == XSD_NAMESPACE and name.local_name in XSD_BUILTIN_TYPES
@@ -105,12 +121,8 @@ class Concept(namedtuple("Concept", "id")):
     _make = classmethod(checked_make)
 
     def __new__(cls, id: str):
-        if not id:
-            raise ValueError("Concept id must be non-empty")
-        if id.split() != [id]:  # modelReference is a whitespace-separated list
-            raise ValueError(f"Concept id must not contain whitespace: {id!r}")
-        if not is_xml_text(id):
-            raise ValueError(f"Concept id must contain only XML characters: {id!r}")
+        if fault := token_fault(id):
+            raise ValueError(f"Concept id {fault}")
         return tuple.__new__(cls, (id,))
 
     def __str__(self) -> str:

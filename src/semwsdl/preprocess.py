@@ -6,16 +6,19 @@ changes and non-letter separators), normalization (abbreviation
 expansion), and filtering (stop-word removal).  The fourth, type
 exploration, is read by `explore`.  Lowercasing is not a stage; it
 always happens, otherwise the output would not be made of valid Words.
+Every file semwsdl reads, an input or a config file, goes through
+`read_regular` here, the lowest module that reads files.
 """
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import unicodedata
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .model import WORD_RE, Word, checked_make
@@ -132,15 +135,42 @@ def preprocess(raw: str, config: SearchConfig) -> list[Word]:
     return words
 
 
-def read_text(path: str, packaged: bool = False) -> str:
-    """The text of a UTF-8 file, less a leading byte order mark.
+# the packaged lexicon, abbreviation and stop-word files
+DATA_DIR = Path(__file__).parent / "data"
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_NONBLOCK", 0) | getattr(os, "O_BINARY", 0)
 
-    `path` is as the user typed it or, with `packaged`, the name of a file
-    in semwsdl/data.  A file that is not UTF-8 raises ConfigError naming `path`.
+
+def read_regular(path: str | os.PathLike) -> bytes | None:
+    """The bytes of a regular file; None for any other kind of file.
+
+    The open does not block, so a FIFO without a writer is refused, not
+    waited on, and a device is never read.
     """
-    file = resources.files("semwsdl.data") / path if packaged else Path(path)
+    fd = os.open(path, _READ_FLAGS)
     try:
-        return file.read_bytes().decode("utf-8-sig")
+        status = os.fstat(fd)
+        if not stat.S_ISREG(status.st_mode):
+            return None
+        chunks = []
+        while chunk := os.read(fd, status.st_size + 1):
+            chunks.append(chunk)
+        return b"".join(chunks)
+    finally:
+        os.close(fd)
+
+
+def read_text(path: str | os.PathLike) -> str:
+    """The text of a UTF-8 regular file, less a leading byte order mark.
+
+    `path` is opened as `pathlib.Path` spells it (`./x.tsv` as `x.tsv`),
+    and an error from the open names it so.  A file of another kind, or
+    one that is not UTF-8, raises ConfigError naming `path` as given.
+    """
+    data = read_regular(Path(path))
+    if data is None:
+        raise ConfigError(f"{path}: not a regular file")
+    try:
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
 
@@ -182,8 +212,8 @@ def parse_stop_words(text: str, source: str = "<string>") -> frozenset[str]:
 def default_config(enabled_stages: frozenset[Stage] = ALL_STAGES) -> SearchConfig:
     """Config backed by the packaged abbreviation and stop-word files."""
     return SearchConfig(
-        abbreviations=parse_abbreviations(read_text("abbreviations.txt", packaged=True),
+        abbreviations=parse_abbreviations(read_text(DATA_DIR / "abbreviations.txt"),
                                           "abbreviations.txt"),
-        stop_words=parse_stop_words(read_text("stopwords.txt", packaged=True), "stopwords.txt"),
+        stop_words=parse_stop_words(read_text(DATA_DIR / "stopwords.txt"), "stopwords.txt"),
         enabled_stages=enabled_stages,
     )

@@ -17,7 +17,7 @@ from urllib.parse import urlparse
 
 from . import xmlio
 from .ingest import ParsedWsdl, SkippedFile
-from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, checked_make, is_xml_text
+from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, checked_make, token_fault
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
@@ -35,10 +35,8 @@ class WriterConfig(namedtuple("WriterConfig", "uri_prefix",
         parsed = urlparse(self.uri_prefix)
         if not parsed.scheme:
             raise ValueError(f"uri_prefix must be an absolute URI: {self.uri_prefix!r}")
-        if self.uri_prefix.split() != [self.uri_prefix]:  # one URI per concept in the list
-            raise ValueError(f"uri_prefix must not contain whitespace: {self.uri_prefix!r}")
-        if not is_xml_text(self.uri_prefix):
-            raise ValueError(f"uri_prefix must contain only XML characters: {self.uri_prefix!r}")
+        if fault := token_fault(self.uri_prefix):  # one URI per concept in the list
+            raise ValueError(f"uri_prefix {fault}")
         return self
 
 

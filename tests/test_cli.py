@@ -593,6 +593,90 @@ def test_fifo_input_is_skipped_not_waited_on(tmp_path, command):
         assert sorted(p.name for p in out.iterdir()) == ["good.sawsdl.wsdl", "report.json"]
 
 
+def run_child(args):
+    """The program run on args in a child; one that waits fails on the timeout."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from semwsdl.cli import main; sys.exit(main())",
+         *map(str, args)], capture_output=True, env=env, check=False, timeout=60)
+
+
+CONFIG_FLAGS = ["--lexicon-path", "--abbreviations-path", "--stopwords-path", "--overrides-path"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("flag", CONFIG_FLAGS)
+def test_fifo_config_file_is_refused_not_waited_on(tmp_path, flag):
+    fifo = tmp_path / "config.txt"
+    os.mkfifo(fifo)
+    good = tmp_path / "good.wsdl"
+    good.write_text(MINIMAL, "utf-8")
+    out = tmp_path / "out"
+    child = run_child(base_args("annotate", [good], out) + [flag, fifo])
+    assert (child.returncode, child.stdout, child.stderr.decode()) == (
+        2, b"", f"error: {fifo}: not a regular file\n")
+    assert not out.exists()
+
+
+def test_directory_as_config_file_is_refused(tmp_path, capsys):
+    folder = tmp_path / "config"
+    folder.mkdir()
+    out = tmp_path / "out"
+    for flag in CONFIG_FLAGS:
+        assert cli.run(base_args("annotate", [CORPUS_DIR], out) + [flag, str(folder)]) == 2
+        assert capsys.readouterr().err == f"error: {folder}: not a regular file\n"
+    assert not out.exists()
+
+
+def fifo_output(path, reader):
+    """A FIFO at path, with a reader open when `reader`; the reader's fd or None."""
+    os.mkfifo(path)
+    return os.open(path, os.O_RDONLY | os.O_NONBLOCK) if reader else None
+
+
+def fifo_write_error(path, reader):
+    # a FIFO without a reader fails the open; one with a reader fails the check
+    return f"{path}: is a FIFO" if reader else f"[Errno 6] No such device or address: '{path}'"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("reader", [False, True], ids=["no-reader", "reader"])
+@pytest.mark.parametrize("command,name", [("annotate", "report.json"),
+                                          ("ablate", "ablation.json"),
+                                          ("wordfreq", "words.csv")])
+def test_fifo_at_a_run_output_exits_2_not_waited_on(tmp_path, command, name, reader):
+    out = tmp_path / "out"
+    out.mkdir()
+    fd = fifo_output(out / name, reader)
+    try:
+        child = run_child(base_args(command, [CORPUS_DIR / "music_catalog.wsdl"], out))
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert child.returncode == 2
+    assert child.stderr.decode().endswith(f"error: {fifo_write_error(out / name, reader)}\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("reader", [False, True], ids=["no-reader", "reader"])
+def test_fifo_at_a_copy_is_a_skipped_entry_not_waited_on(tmp_path, reader):
+    out = tmp_path / "out"
+    out.mkdir()
+    source = CORPUS_DIR / "auth_service.wsdl"
+    fd = fifo_output(out / "auth_service.sawsdl.wsdl", reader)
+    try:
+        child = run_child(base_args("annotate", [source, CORPUS_DIR / "music_catalog.wsdl"], out))
+    finally:
+        if fd is not None:
+            os.close(fd)
+    error = f"write error: {fifo_write_error(out / 'auth_service.sawsdl.wsdl', reader)}"
+    assert child.returncode == 1
+    assert child.stderr.decode().startswith(f"skipped {source}: {error}\n")
+    assert read_report(out)["skipped"] == [{"path": str(source), "error": error}]
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == [
+        "music_catalog.sawsdl.wsdl", "report.json"]
+
+
 @pytest.mark.parametrize("command", ["annotate", "ablate", "wordfreq"])
 def test_name_that_is_not_utf8_is_shown_with_escapes(tmp_path, capsys, command):
     folder = tmp_path / "in"

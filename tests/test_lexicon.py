@@ -9,12 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from semwsdl import lexicon
 from semwsdl.lexicon import (
-    DuplicateSense,
     Lexicon,
-    LexiconError,
-    MalformedLexiconLine,
-    MalformedOverrideLine,
-    NonContiguousRanks,
     _load_lines,
     associate,
     associate_words,
@@ -23,6 +18,7 @@ from semwsdl.lexicon import (
     load_overrides,
 )
 from semwsdl.model import Concept, Word
+from semwsdl.preprocess import ConfigError
 
 from bruteforce import oracle_parse_lexicon
 
@@ -45,37 +41,37 @@ def test_load_empty_document_is_valid():
 
 
 def test_load_rejects_bad_lines():
-    with pytest.raises(MalformedLexiconLine):
+    with pytest.raises(ConfigError):
         load_lexicon("word only\n")
-    with pytest.raises(MalformedLexiconLine):
+    with pytest.raises(ConfigError):
         load_lexicon("Word\t1\tX\n")  # uppercase word
-    with pytest.raises(MalformedLexiconLine):
+    with pytest.raises(ConfigError):
         load_lexicon("word\tone\tX\n")
-    with pytest.raises(MalformedLexiconLine):
+    with pytest.raises(ConfigError):
         load_lexicon("word\t0\tX\n")
-    with pytest.raises(MalformedLexiconLine):
+    with pytest.raises(ConfigError):
         load_lexicon("word\t1\t\n")
 
 
 def test_load_reports_line_numbers():
     try:
         load_lexicon("ok\t1\tFine\nbroken line\n", source="demo.tsv")
-    except MalformedLexiconLine as exc:
+    except ConfigError as exc:
         assert "demo.tsv:2" in str(exc)
     else:
-        pytest.fail("expected MalformedLexiconLine")
+        pytest.fail("expected ConfigError")
 
 
 def test_load_rejects_duplicate_sense():
-    with pytest.raises(DuplicateSense):
+    with pytest.raises(ConfigError):
         load_lexicon("word\t1\tX\nword\t1\tY\n")
 
 
 def test_load_rejects_rank_gaps():
-    with pytest.raises(NonContiguousRanks):
+    with pytest.raises(ConfigError):
         load_lexicon("word\t2\tX\n")
-    with pytest.raises(NonContiguousRanks, match=r"^demo.tsv: ranks for 'word' must be "
-                                                 r"1..2, got \[1, 3\]$"):
+    with pytest.raises(ConfigError, match=r"^demo.tsv: ranks for 'word' must be "
+                                          r"1..2, got \[1, 3\]$"):
         load_lexicon("word\t1\tX\nword\t3\tY\n", source="demo.tsv")
 
 
@@ -122,16 +118,16 @@ def test_associate_words_keeps_hits_in_order(demo_lexicon):
 def test_load_overrides_format():
     overrides = load_overrides("# c\nuser=Human\n CITY = City \n")
     assert overrides == {"user": Concept("Human"), "city": Concept("City")}
-    with pytest.raises(MalformedOverrideLine):
+    with pytest.raises(ConfigError):
         load_overrides("user Human\n")
-    with pytest.raises(MalformedOverrideLine):
+    with pytest.raises(ConfigError):
         load_overrides("user=\n")
     # modelReference splits at whitespace, so such a concept would read as two URIs
-    with pytest.raises(MalformedOverrideLine) as raised:
+    with pytest.raises(ConfigError) as raised:
         load_overrides("user=Human\ncity=Foo Bar\n", source="ov.txt")
     assert str(raised.value) == "ov.txt:2: concept must not contain whitespace: 'Foo Bar'"
     # nor may it hold a character that XML forbids
-    with pytest.raises(MalformedOverrideLine) as raised:
+    with pytest.raises(ConfigError) as raised:
         load_overrides("city=Foo\x01Bar\n", source="ov.txt")
     assert str(raised.value) == "ov.txt:1: concept must contain only XML characters: 'Foo\\x01Bar'"
 
@@ -199,41 +195,42 @@ def test_same_concept_id_is_one_object():
         assert lx.entries["city"] is lx.entries["town"]
 
 
-@pytest.mark.parametrize("text,error,message", [
-    ("ab\t1\tX\nab\t3\tY\n", NonContiguousRanks,
+# `fault` names the kind of fault, and so the test; every kind raises ConfigError
+@pytest.mark.parametrize("text,fault,message", [
+    ("ab\t1\tX\nab\t3\tY\n", "NonContiguousRanks",
      ": ranks for 'ab' must be 1..2, got [1, 3]"),
-    ("ab\t1\tX\nab\t2\tY\nab\t2\tZ\n", DuplicateSense, ":3: duplicate sense 'ab' rank 2"),
-    ("ab\t1\tX\nab\t2\t\n", MalformedLexiconLine, ":2: expected word<TAB>rank<TAB>concept"),
-    ("ab\t1\tX\nab\t2x\tY\n", MalformedLexiconLine, ":2: rank must be an integer: '2x'"),
-    ("ab\t1\tX\n ab\t3\tY\n", NonContiguousRanks,
+    ("ab\t1\tX\nab\t2\tY\nab\t2\tZ\n", "DuplicateSense", ":3: duplicate sense 'ab' rank 2"),
+    ("ab\t1\tX\nab\t2\t\n", "MalformedLexiconLine", ":2: expected word<TAB>rank<TAB>concept"),
+    ("ab\t1\tX\nab\t2x\tY\n", "MalformedLexiconLine", ":2: rank must be an integer: '2x'"),
+    ("ab\t1\tX\n ab\t3\tY\n", "NonContiguousRanks",
      ": ranks for 'ab' must be 1..2, got [1, 3]"),
-    ("ab\t1\tX\nab\t2\tY\nab\t 2\tZ\n", DuplicateSense,
+    ("ab\t1\tX\nab\t2\tY\nab\t 2\tZ\n", "DuplicateSense",
      ":3: duplicate sense 'ab' rank 2"),
-    ("ab\t1\tX\nab\t2\tFoo Bar\n", MalformedLexiconLine,
+    ("ab\t1\tX\nab\t2\tFoo Bar\n", "MalformedLexiconLine",
      ":2: concept must not contain whitespace: 'Foo Bar'"),
-    ("ab\t1\tX\nab\t2\tFoo\x01Bar\n", MalformedLexiconLine,
+    ("ab\t1\tX\nab\t2\tFoo\x01Bar\n", "MalformedLexiconLine",
      ":2: concept must contain only XML characters: 'Foo\\x01Bar'"),
 ])
-def test_faults_on_lower_ranked_lines_still_fail(text, error, message):
+def test_faults_on_lower_ranked_lines_still_fail(text, fault, message):
     # only rank 1 is kept, but every line is checked
-    with pytest.raises(error) as raised:
+    with pytest.raises(ConfigError) as raised:
         load_lexicon(text, source="demo.tsv")
     assert str(raised.value) == f"demo.tsv{message}"
 
 
-@pytest.mark.parametrize("text,error,message", [
-    ("word\t1\tX\nword\t1\tY\n", DuplicateSense, "2: duplicate sense 'word' rank 1"),
-    ("ok\t1\tFine\n# note\nok\ttwo\tX\n", MalformedLexiconLine,
+@pytest.mark.parametrize("text,fault,message", [
+    ("word\t1\tX\nword\t1\tY\n", "DuplicateSense", "2: duplicate sense 'word' rank 1"),
+    ("ok\t1\tFine\n# note\nok\ttwo\tX\n", "MalformedLexiconLine",
      "3: rank must be an integer: 'two'"),
-    ("word\t one \tX\n", MalformedLexiconLine, "1: rank must be an integer: 'one'"),
-    ("ok\t1\tFine\nok\t0\tX\n", MalformedLexiconLine, "2: rank must be >= 1"),
-    ("city\t1\tFoo Bar\n", MalformedLexiconLine,
+    ("word\t one \tX\n", "MalformedLexiconLine", "1: rank must be an integer: 'one'"),
+    ("ok\t1\tFine\nok\t0\tX\n", "MalformedLexiconLine", "2: rank must be >= 1"),
+    ("city\t1\tFoo Bar\n", "MalformedLexiconLine",
      "1: concept must not contain whitespace: 'Foo Bar'"),
-    ("city\t1\tFoo\x01Bar\n", MalformedLexiconLine,
+    ("city\t1\tFoo\x01Bar\n", "MalformedLexiconLine",
      "1: concept must contain only XML characters: 'Foo\\x01Bar'"),
 ])
-def test_line_errors_name_the_offending_line(text, error, message):
-    with pytest.raises(error) as raised:
+def test_line_errors_name_the_offending_line(text, fault, message):
+    with pytest.raises(ConfigError) as raised:
         load_lexicon(text, source="demo.tsv")
     assert str(raised.value) == f"demo.tsv:{message}"
 
@@ -357,7 +354,7 @@ def near_canonical_documents(draw):
 def _outcome(load, text):
     try:
         return load(text)
-    except LexiconError as exc:
+    except ConfigError as exc:
         return type(exc), str(exc)
 
 
