@@ -9,7 +9,6 @@ modelReference attributes back into copies of the originals.
 from .explore import annotate_description, annotate_parameter, annotate_parameter_with_trace
 from .ingest import (
     Corpus,
-    EmptyCorpus,
     ParsedWsdl,
     load_corpus,
     parse_wsdl,
@@ -68,7 +67,6 @@ __all__ = [
     "Concept",
     "Corpus",
     "Direction",
-    "EmptyCorpus",
     "Lexicon",
     "MalformedXml",
     "Operation",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .explore import annotate_description
-from .ingest import Corpus, EmptyCorpus, SkippedFile, load_corpus
+from .ingest import Corpus, SkippedFile, load_corpus
 from .lexicon import load_lexicon, load_overrides
 from .metrics import (
     ablation_to_json,
@@ -275,16 +275,18 @@ def _run_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     files, copies = _gather_inputs(args.input_paths)
-    try:
-        corpus = _load_inputs(files)
-    except EmptyCorpus as exc:
-        _print_skipped(exc.skipped)
-        passed_over = ""
+    corpus = _load_inputs(files)
+    if not corpus.documents:
+        message = "error: no parseable WSDL description in input"
+        if corpus.schemas:
+            read = "file" if corpus.schemas == 1 else "files"
+            message += (f"; read {corpus.schemas} schema {read} (schema files are import "
+                        "targets, not descriptions)")
         if copies:
             written = "copy" if copies == 1 else "copies"
-            passed_over = (f"; passed over {copies} written {written} (*{_COPY_SUFFIX}) "
-                           "in directory listings")
-        print(f"error: {exc}{passed_over}", file=sys.stderr)
+            message += (f"; passed over {copies} written {written} (*{_COPY_SUFFIX}) "
+                        "in directory listings")
+        print(message, file=sys.stderr)
         return 2
     try:
         Path(args.output_dir).mkdir(parents=True, exist_ok=True)

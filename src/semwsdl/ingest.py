@@ -40,20 +40,7 @@ class SkippedFile(namedtuple("SkippedFile", "path error")):
     __slots__ = ()
 
 
-class EmptyCorpus(ValueError):
-    """No description in the whole batch could be parsed; `skipped` says why."""
-
-    def __init__(self, skipped: list[SkippedFile], schemas: int = 0):
-        message = "no parseable WSDL description in input"
-        if schemas:
-            files = "file" if schemas == 1 else "files"
-            message += (f"; read {schemas} schema {files} (schema files are import "
-                        "targets, not descriptions)")
-        super().__init__(message)
-        self.skipped = skipped
-
-
-class ParsedWsdl:
+class ParsedWsdl(namedtuple("ParsedWsdl", "description data root nodes path")):
     """One WSDL document: its description, its bytes and the start tags to annotate.
 
     `data` is the document's input bytes.  `root` is its root element,
@@ -65,39 +52,27 @@ class ParsedWsdl:
     named after it.
     """
 
-    __slots__ = ("description", "data", "root", "nodes", "path")
-
-    def __init__(self, description: WsDescription, data: bytes, root: XmlElement,
-                 nodes: dict[str, XmlElement], path: str):
-        self.description = description
-        self.data = data
-        self.root = root
-        self.nodes = nodes
-        self.path = path
+    __slots__ = ()
 
 
-class Corpus:
-    """The parsed documents of a batch, in input order, and the skipped files."""
+class Corpus(namedtuple("Corpus", "documents skipped schemas")):
+    """A batch's parsed documents in input order, skipped files and schema file count.
 
-    __slots__ = ("documents", "skipped")
+    (list of ParsedWsdl, list of SkippedFile, int).  `documents` is empty
+    when no WSDL of the batch parses.
+    """
 
-    def __init__(self, documents: list[ParsedWsdl], skipped: list[SkippedFile] | None = None):
-        self.documents = documents
-        self.skipped = [] if skipped is None else skipped
+    __slots__ = ()
 
     @property
     def descriptions(self) -> list[WsDescription]:
         return [parsed.description for parsed in self.documents]
 
 
-class _SchemaIndex:
+class _SchemaIndex(namedtuple("_SchemaIndex", "types elements")):
     """Named types, and each global element's (declared type, declaring node)."""
 
-    __slots__ = ("types", "elements")
-
-    def __init__(self):
-        self.types: dict[QName, TypeDefinition] = {}
-        self.elements: dict[QName, tuple[QName, XmlElement]] = {}
+    __slots__ = ()
 
 
 def _attr_qname(element: XmlElement, value: str) -> QName | None:
@@ -119,7 +94,7 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     element E's is E$anon, member n's of type T is T$n$anon.  So no two
     clash, nor with a global name; none is ever mined for words.
     """
-    index = _SchemaIndex()
+    index = _SchemaIndex({}, {})
     pending: deque[tuple[QName, XmlElement, bool]] = deque()
     type_names: set[QName] = set()  # global types indexed or queued
     import_locations: list[str] = []
@@ -313,11 +288,11 @@ def load_corpus(paths: list) -> Corpus:
     ignored like one outside it.  Each closure is computed once per
     directory and list of locations; descriptions without types of their
     own share the closure's dict as their `types`, which therefore must
-    not be mutated; merging it rebinds a document's description.  A
+    not be mutated; a merge replaces the document with a copy.  A
     file named more than once, in any spelling, is loaded once, under
     its first.  Reports and messages name a file by its `_source_id`; a
-    parsed document keeps the path as given.  Raises EmptyCorpus, with
-    the skipped files, when no WSDL parses.
+    parsed document keeps the path as given.  Nothing a batch holds
+    raises: one in which no WSDL parses gives a corpus with no documents.
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
@@ -358,17 +333,15 @@ def load_corpus(paths: list) -> Corpus:
         documents.append(parsed)
         import_keys.append((os.path.dirname(resolved), tuple(locations)))
     closures: dict[tuple[str, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
-    for parsed, key in zip(documents, import_keys):
+    for i, (parsed, key) in enumerate(zip(documents, import_keys)):
         imported = closures.get(key)
         if imported is None:
             imported = closures[key] = _imported_types(*key, schema_files)
         if imported:
             own = parsed.description.types
-            parsed.description = parsed.description._replace(
-                types={**imported, **own} if own else imported)
-    if not documents:
-        raise EmptyCorpus(skipped, len(schema_files))
-    return Corpus(documents, skipped)
+            documents[i] = parsed._replace(description=parsed.description._replace(
+                types={**imported, **own} if own else imported))
+    return Corpus(documents, skipped, len(schema_files))
 
 
 def _imported_types(base_dir: str, locations: tuple[str, ...],

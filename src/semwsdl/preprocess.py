@@ -162,11 +162,10 @@ def read_regular(path: str | os.PathLike) -> bytes | None:
 def read_text(path: str | os.PathLike) -> str:
     """The text of a UTF-8 regular file, less a leading byte order mark.
 
-    `path` is opened as `pathlib.Path` spells it (`./x.tsv` as `x.tsv`),
-    and an error from the open names it so.  A file of another kind, or
-    one that is not UTF-8, raises ConfigError naming `path` as given.
+    A file of another kind, or one that is not UTF-8, raises ConfigError
+    naming `path`.
     """
-    data = read_regular(Path(path))
+    data = read_regular(path)
     if data is None:
         raise ConfigError(f"{path}: not a regular file")
     try:

@@ -7,11 +7,12 @@ and every message is the same in any checkout.  For each run the
 manifest records the exit code and the sha256 of stdout, stderr and
 every file in the output directory.
 
-`tests/test_golden.py` compares a fresh run with the manifest.  A
+`tests/test_golden.py` compares a fresh run with the manifest, and so
+does the bare command, under any interpreter and without pytest.  A
 change that alters output bytes on purpose rewrites it in the same
 commit; a refactor leaves it untouched.
 
-    python3 tests/golden.py --update
+    python3 tests/golden.py [--update]
 
 The manifest also holds the runs of the three commands on each seed-1
 benchmark corpus (annotate-mix, ablate-deep, wordfreq-imports), which
@@ -133,8 +134,8 @@ def read_manifest(bench: bool = False) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if argv not in (["--update"], ["--bench"], ["--bench", "--update"]):
-        print("usage: golden.py --update | golden.py --bench [--update]", file=sys.stderr)
+    if argv not in ([], ["--update"], ["--bench"], ["--bench", "--update"]):
+        print("usage: golden.py [--bench] [--update]", file=sys.stderr)
         return 2
     bench, update = "--bench" in argv, "--update" in argv
     actual = build_bench_manifest() if bench else build_manifest()

@@ -426,6 +426,16 @@ def test_directory_of_written_copies_says_they_were_passed_over(tmp_path, capsys
         "(*.sawsdl.wsdl) in directory listings"]
 
 
+def test_schema_and_written_copy_notes_share_one_line(tmp_path, capsys):
+    shutil.copy(IMPORTS_DIR / "common.xsd", tmp_path)
+    shutil.copy(CORPUS_DIR / "music_catalog.wsdl", tmp_path / "a.sawsdl.wsdl")
+    assert cli.run(base_args("annotate", [tmp_path], tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no parseable WSDL description in input; read 1 schema file "
+        "(schema files are import targets, not descriptions); passed over 1 written copy "
+        "(*.sawsdl.wsdl) in directory listings"]
+
+
 def test_byte_order_mark_in_text_inputs_is_ignored(tmp_path):
     data = LEXICON_PATH.parent
     sources = {"--lexicon-path": data / "lexicon.tsv",
@@ -625,6 +635,20 @@ def test_directory_as_config_file_is_refused(tmp_path, capsys):
     for flag in CONFIG_FLAGS:
         assert cli.run(base_args("annotate", [CORPUS_DIR], out) + [flag, str(folder)]) == 2
         assert capsys.readouterr().err == f"error: {folder}: not a regular file\n"
+    assert not out.exists()
+
+
+def test_config_path_is_opened_as_typed(tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("# nothing\n", "utf-8")
+    out = tmp_path / "out"
+    for flag in CONFIG_FLAGS:
+        # pathlib would drop the slash and read the file
+        assert cli.run(base_args("annotate", [CORPUS_DIR], out) + [flag, f"{config}/"]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{config}/'\n"
+    missing = f"{tmp_path}/./missing.txt"
+    assert cli.run(base_args("annotate", [CORPUS_DIR], out) + ["--lexicon-path", missing]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
     assert not out.exists()
 
 

@@ -7,6 +7,9 @@ changed and why.  The manifest's bench-corpus entries are checked by
 hand, with `python3 tests/golden.py --bench`.
 """
 
+import subprocess
+import sys
+
 import golden
 
 
@@ -15,3 +18,10 @@ def test_outputs_match_the_manifest():
     actual = golden.build_manifest()
     assert sorted(actual) == sorted(expected)
     assert [key for key in expected if actual[key] != expected[key]] == []
+
+
+def test_bare_command_checks_the_fixture_entries():
+    child = subprocess.run([sys.executable, str(golden.REPO_ROOT / "tests" / "golden.py")],
+                           capture_output=True, text=True, check=False, timeout=120)
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert child.stdout.splitlines()[-1] == "21 of 21 entries match"

@@ -9,7 +9,6 @@ import pytest
 from semwsdl.explore import annotate_parameter_with_trace
 from semwsdl.ingest import (
     Corpus,
-    EmptyCorpus,
     load_corpus,
     parse_wsdl,
 )
@@ -336,17 +335,17 @@ def test_load_corpus_records_failures(tmp_path):
 
 
 def test_load_corpus_empty_input():
-    with pytest.raises(EmptyCorpus):
-        load_corpus([])
+    assert load_corpus([]) == Corpus([], [], 0)
 
 
 def test_load_corpus_nothing_parseable(tmp_path):
     bad = tmp_path / "only.wsdl"
     bad.write_bytes(b"not xml at all")
-    with pytest.raises(EmptyCorpus) as caught:
-        load_corpus([bad])
-    # the exception carries the reasons, since no corpus is returned
-    assert [skip.path for skip in caught.value.skipped] == [str(bad)]
+    corpus = load_corpus([bad, IMPORTS_DIR / "common.xsd"])
+    # no document, but the reasons and the schema count come back
+    assert corpus.documents == []
+    assert [skip.path for skip in corpus.skipped] == [str(bad)]
+    assert corpus.schemas == 1
 
 
 def test_load_corpus_over_fixture_directory(fixture_corpus):
@@ -429,7 +428,7 @@ def test_undeclared_element_is_not_looked_up_as_a_type(tmp_path, search_config, 
 
 def test_corpus_is_plain_data():
     parsed = parse_wsdl("mini.wsdl", MINIMAL)
-    corpus = Corpus(documents=[parsed])
+    corpus = Corpus([parsed], [], 0)
     assert corpus.descriptions == [parsed.description]
     assert corpus.skipped == []
 

@@ -7,7 +7,8 @@ is not UTF-8, go through all three commands along with a FIFO named by
 flag.  A bad file may only become a skipped entry: no run raises an
 internal error, every exit code is 0, 1 or 2, and 2 means nothing
 parsed.  The FIFO is always skipped, and every command skips the same
-files.
+files.  The loader accounts for every file: each is a document, a
+skipped entry or a schema file.
 """
 
 import json
@@ -18,7 +19,7 @@ import shutil
 
 import pytest
 
-from semwsdl import cli
+from semwsdl import cli, load_corpus
 
 from conftest import CORPUS_DIR, DERIVED_DIR, IMPORTS_DIR, LEXICON_PATH, SPECIAL_DIR
 
@@ -83,6 +84,9 @@ def test_mutated_batches_keep_the_batch_promise(seed, tmp_path, capsys):
             (batch / "x2.wsdl").write_bytes(data)
     fifo = make_fifo(tmp_path / "pipe.wsdl")
     inputs = [batch] + [fifo] * (fifo is not None)
+    files = [*sorted(batch.iterdir()), *inputs[1:]]
+    corpus = load_corpus(files)
+    assert len(corpus.documents) + len(corpus.skipped) + corpus.schemas == len(files)
     capsys.readouterr()
     skipped = {}
     for command in ("annotate", "ablate", "wordfreq"):
