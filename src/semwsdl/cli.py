@@ -187,7 +187,7 @@ def _output_names(paths: list[str]) -> list[str]:
     names: list[str] = []
     taken: set[str] = set()
     for path in paths:
-        stem = Path(path).stem or "output"
+        stem = Path(path).stem
         candidate = stem + _COPY_SUFFIX
         counter = 1
         while candidate in taken:

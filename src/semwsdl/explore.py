@@ -10,12 +10,11 @@ produces at least one (word, concept) pair:
 
 so the order is (0a), (0b), (1a), (1b), (2a), ...  Within a stage all
 candidate names are pooled, so an annotation can carry several concepts,
-but always from a single stage (level purity).  Stage (0b) is skipped when
-the parameter's type has no name to mine; deeper (b) stages are consulted
-even when empty.  Descent only follows types with members, expands each
-one once so cyclic schemas terminate, and stops after level max_depth.
-Everything from (0b) on runs only while Stage.EXPLORE is among the
-config's enabled stages.
+but always from a single stage (level purity).  Every level consults both
+stages, even one with no name to mine.  Descent only follows types with
+members, expands each one once so cyclic schemas terminate, and stops
+after level max_depth.  Everything from (0b) on runs only while
+Stage.EXPLORE is among the config's enabled stages.
 
 Every function takes the same tail, `config, lexicon`: the lexicon's
 entries already carry any overrides, so a word is one lookup.  The
@@ -63,7 +62,11 @@ def _stage(source: AnnotationSource, depth: int,
 
 
 def _visits(param: Parameter, desc: WsDescription, config: SearchConfig, lexicon: Lexicon):
-    """Yield StageVisits in search order; the caller decides when to stop."""
+    """Yield StageVisits in search order, up to and including the first with entries.
+
+    This is the search's one stop rule: the last visit yielded is the
+    winning stage, or the search ran out.
+    """
     frontier = [(param.name, param.type_ref, ())]
     name_source, type_source = AnnotationSource.PARAMETER_NAME, AnnotationSource.TYPE_NAME
     visited = set()
@@ -71,16 +74,18 @@ def _visits(param: Parameter, desc: WsDescription, config: SearchConfig, lexicon
         if not frontier:
             return
         names = [(name, path) for name, _, path in frontier if name]
-        yield _stage(name_source, depth, names, config, lexicon)
-        if Stage.EXPLORE not in config.enabled_stages:
+        visit = _stage(name_source, depth, names, config, lexicon)
+        yield visit
+        if visit.entries or Stage.EXPLORE not in config.enabled_stages:
             return
         types = [(definition, path) for _, type_ref, path in frontier
                  if (definition := resolve_type(desc, type_ref)) is not None]
-        type_names = [(definition.name.local_name, path) for definition, path in types
-                      if not definition.anonymous]
-        # the parameter's own type-name stage is consulted only when there is a name
-        if type_names or depth:
-            yield _stage(type_source, depth, type_names, config, lexicon)
+        names = [(definition.name.local_name, path) for definition, path in types
+                 if not definition.anonymous]
+        visit = _stage(type_source, depth, names, config, lexicon)
+        yield visit
+        if visit.entries:
+            return
         frontier = []
         for definition, path in types:
             if definition.subparameters and definition.name not in visited:
@@ -96,15 +101,12 @@ def annotate_parameter_with_trace(
 ) -> tuple[Annotation, tuple[StageVisit, ...]]:
     """Like annotate_parameter, also returning every stage actually consulted.
 
-    The trace ends with the winning stage; on failure it covers the whole
-    exhausted search.  Word-frequency reporting feeds on it.
+    The trace is what `_visits` yields, where the stop rule lives: it ends
+    with the winning stage, or on failure covers the whole exhausted
+    search.  Word-frequency reporting feeds on it.
     """
-    trace: list[StageVisit] = []
-    for visit in _visits(param, desc, config, lexicon):
-        trace.append(visit)
-        if visit.entries:
-            return Annotation(param.param_id, visit.entries), tuple(trace)
-    return Annotation(param.param_id, ()), tuple(trace)
+    trace = tuple(_visits(param, desc, config, lexicon))
+    return Annotation(param.param_id, trace[-1].entries), trace
 
 
 def annotate_parameter(param: Parameter, desc: WsDescription, config: SearchConfig,

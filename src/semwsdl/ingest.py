@@ -89,14 +89,15 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
     Two phases: first register every global element and queue every
     complexType, then collect the queue's members.  Members need the
     complete element table because they may use `ref`.  The first
-    definition of a global type or element name wins.  An inline type is
+    definition of a global type or element name wins: a queued
+    complexType holds its name in `index.types` with a member-less
+    placeholder until the queue drains.  An inline type is
     named after its holder, a "$" (in no NCName) before each step: global
     element E's is E$anon, member n's of type T is T$n$anon.  So no two
     clash, nor with a global name; none is ever mined for words.
     """
     index = _SchemaIndex({}, {})
     pending: deque[tuple[QName, XmlElement, bool]] = deque()
-    type_names: set[QName] = set()  # global types indexed or queued
     import_locations: list[str] = []
     for schema in schemas:
         tns = schema.attrs.get("targetNamespace", "")
@@ -113,12 +114,10 @@ def _index_schemas(schemas: list[XmlElement]) -> tuple[_SchemaIndex, list[str]]:
             if not name:
                 continue
             qn = QName(tns, name)
-            if local in ("complexType", "simpleType") and qn not in type_names:
-                type_names.add(qn)
+            if local in ("complexType", "simpleType") and qn not in index.types:
+                index.types[qn] = TypeDefinition(qn)
                 if local == "complexType":
                     pending.append((qn, child, False))
-                else:
-                    index.types[qn] = TypeDefinition(qn)
             elif local == "element" and qn not in index.elements:
                 index.elements[qn] = (_declared_type(child, qn, "", index, pending), child)
     while pending:
@@ -179,19 +178,14 @@ def _build_param(source_id: str, op_name: str, direction: Direction,
 
     An id already in nodes gets the first free ``::<n>`` suffix, n >= 2.
     """
-    element_attr = part.attrs.get("element", "")
-    type_attr = part.attrs.get("type", "")
     node = part
-    if element_attr.strip() and (ref := _attr_qname(part, element_attr)):
+    if ref := _attr_qname(part, part.attrs.get("element", "")):
         # element-style part: the element gives name and type (anyType if undeclared here)
         name = ref.local_name
         type_ref, node = index.elements.get(ref, (_ANY_TYPE, part))
-    elif type_attr.strip() and (type_ref_attr := _attr_qname(part, type_attr)):
-        name = part.attrs.get("name", "")
-        type_ref = type_ref_attr
     else:
         name = part.attrs.get("name", "")
-        type_ref = _ANY_TYPE
+        type_ref = _attr_qname(part, part.attrs.get("type", "")) or _ANY_TYPE
     param_id = base = f"{source_id}::{op_name}::{direction.value}::{name}"
     count = 1
     while param_id in nodes:
@@ -277,8 +271,8 @@ def load_corpus(paths: list) -> Corpus:
     Only a regular file is read; any other kind, such as a FIFO or a
     directory, is skipped as "not a regular file".  Each file is known
     by its real path: the real path of its directory, resolved once per
-    directory string, joined with its name.  A name that is a symlink,
-    or is empty, "." or "..", is resolved in full by `os.path.realpath`.
+    directory string, joined with its name.  A name that is a symlink is
+    resolved in full by `os.path.realpath`.
     Standalone XSD files are indexed as import targets: a description
     whose schema imports/includes one of them (by schemaLocation) sees
     its named types.  A location's target is the real path of the
@@ -310,7 +304,7 @@ def load_corpus(paths: list) -> Corpus:
             skipped.append(SkippedFile(_source_id(path), "not a regular file"))
             continue
         head, name = os.path.split(path)
-        if name in ("", ".", "..") or os.path.islink(path):
+        if os.path.islink(path):
             resolved = os.path.realpath(path)
         else:
             real_dir = real_dirs.get(head)

@@ -6,12 +6,24 @@ of the regex, its own lexicon file parser, and a recursive exhaustive
 search instead of the iterative frontier.  Only structural facts
 (parameters, type table) are taken from the parsed model: a type the
 table defines is mined by name unless anonymous, and descended into
-when it has members.
+when it has members.  It imports nothing from the package: even the
+XSD builtin types are spelled here, from the standard.
 """
 
 import unicodedata
 
-from semwsdl.model import XSD_BUILTIN_TYPES, XSD_NAMESPACE
+XSD_NAMESPACE = "http://www.w3.org/2001/XMLSchema"
+
+# XML Schema Part 2 (https://www.w3.org/TR/xmlschema-2/): the primitive
+# datatypes of section 3.2, then the derived ones of section 3.3
+XSD_BUILTIN_TYPES = frozenset((
+    "string boolean decimal float double duration dateTime time date"
+    " gYearMonth gYear gMonthDay gDay gMonth hexBinary base64Binary anyURI"
+    " QName NOTATION"
+    " normalizedString token language NMTOKEN NMTOKENS Name NCName ID IDREF"
+    " IDREFS ENTITY ENTITIES integer nonPositiveInteger negativeInteger long"
+    " int short byte nonNegativeInteger unsignedLong unsignedInt"
+    " unsignedShort unsignedByte positiveInteger").split())
 
 STAGE_ROWS = (
     ("NoPreprocessing", frozenset(), False),

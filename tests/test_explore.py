@@ -23,6 +23,7 @@ from semwsdl.model import (
 from semwsdl.ingest import load_corpus
 from semwsdl.preprocess import SearchConfig, Stage
 
+from corpusgen import random_corpus
 from conftest import SPECIAL_DIR
 
 XSD_STRING = QName(XSD_NAMESPACE, "string")
@@ -93,7 +94,8 @@ def test_builtin_type_offers_no_fallback(fixture_corpus, search_config, demo_lex
     assert not annotation.annotated
     assert annotation.entries == ()
     # xsd:string has no name worth mining and nothing to descend into
-    assert len(trace) == 1
+    assert [(v.source, v.depth, v.words) for v in trace] == [
+        (AnnotationSource.PARAMETER_NAME, 0, ()), (AnnotationSource.TYPE_NAME, 0, ())]
 
 
 def test_type_name_stage_runs_after_fruitless_name_words(
@@ -112,12 +114,43 @@ def test_anonymous_type_names_are_never_mined(fixture_corpus, search_config, dem
     desc, param = find_param(fixture_corpus, "DepositNote")
     annotation, trace = annotate_parameter_with_trace(
         param, desc, search_config, demo_lexicon)
-    assert AnnotationSource.TYPE_NAME not in {v.source for v in trace}
+    # the parameter's own type is anonymous: its type-name visit mines nothing
+    assert [v.words for v in trace if v.source is AnnotationSource.TYPE_NAME] == [()]
     for visit in trace:
         for word in visit.words:
             assert "anon" not in word.text
     assert [(e.concept.id, e.depth) for e in annotation.entries] == [
         ("FinancialAccount", 1)]
+
+
+# the full search order: each level's names, then its type names
+SEARCH_ORDER = [(AnnotationSource.PARAMETER_NAME, 0), (AnnotationSource.TYPE_NAME, 0)] + [
+    (source, depth) for depth in range(1, 9)
+    for source in (AnnotationSource.SUBPARAMETER_NAME, AnnotationSource.SUBPARAMETER_TYPE_NAME)]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_every_trace_follows_the_one_search_rule(seed, search_config, demo_lexicon):
+    configs = [search_config._replace(max_depth=depth) for depth in (0, 1, 8)]
+    no_explore = search_config._replace(
+        enabled_stages=search_config.enabled_stages - {Stage.EXPLORE})
+    for desc in random_corpus(seed):
+        for param in desc.parameters():
+            for config in [*configs, no_explore]:
+                annotation, trace = annotate_parameter_with_trace(
+                    param, desc, config, demo_lexicon)
+                stamps = [(visit.source, visit.depth) for visit in trace]
+                # names before type names, depths in order, none past max_depth
+                assert stamps == SEARCH_ORDER[:len(stamps)]
+                assert trace[-1].depth <= config.max_depth
+                assert not any(visit.entries for visit in trace[:-1])
+                assert annotation.entries == trace[-1].entries
+                if config is no_explore:
+                    assert len(trace) == 1
+                elif not annotation.entries:
+                    # a failed search ends on a level's type names, even at level 0
+                    assert trace[-1].source in (AnnotationSource.TYPE_NAME,
+                                                AnnotationSource.SUBPARAMETER_TYPE_NAME)
 
 
 def test_level_pools_all_member_hits(fixture_corpus, search_config, demo_lexicon):

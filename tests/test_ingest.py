@@ -307,6 +307,46 @@ def test_first_definition_of_a_global_name_wins(case):
     assert parsed.nodes[param.param_id].attrs["type"] in ("tns:Dup", "tns:One")
 
 
+def test_ref_member_takes_the_global_element_name_and_type(search_config, demo_lexicon):
+    """A `ref=` member is named and typed by the global element it names.
+
+    An element its document does not declare gives anyType; an unusable
+    ref drops the member.  The global `city` is declared after the type
+    that refers to it.
+    """
+    refs = ('<xsd:element ref="tns:city"/><xsd:element ref="tns:nowhere"/>'
+            '<xsd:element ref="tns:"/><xsd:element name="zip" type="xsd:string"/>')
+    desc = parse_wsdl("d", wsdl(f"""
+  <wsdl:types><xsd:schema targetNamespace="urn:test">
+    {_complex("Holder", refs)}
+    <xsd:element name="city" type="tns:CityType"/>
+  </xsd:schema></wsdl:types>
+  <wsdl:message name="In"><wsdl:part name="xyzzy" type="tns:Holder"/></wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Ask"><wsdl:input message="tns:In"/></wsdl:operation>
+  </wsdl:portType>
+""")).description
+    members = desc.types[QName("urn:test", "Holder")].subparameters
+    assert members == (SubParameter("city", QName("urn:test", "CityType")),
+                       SubParameter("nowhere", QName(XSD_NAMESPACE, "anyType")),
+                       SubParameter("zip", QName(XSD_NAMESPACE, "string")))
+    param = next(desc.parameters())
+    annotation, _ = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
+    assert [(e.concept.id, e.source, e.path) for e in annotation.entries] == [
+        ("City", AnnotationSource.SUBPARAMETER_NAME, ("city",))]
+
+
+def test_a_non_xsd_child_of_a_schema_is_passed_over():
+    desc = parse_wsdl("d", wsdl(f"""
+  <wsdl:types><xsd:schema targetNamespace="urn:test">
+    <wsdl:documentation name="City"/>
+    {_complex("After", _CITY)}
+  </xsd:schema></wsdl:types>
+""")).description
+    assert list(desc.types) == [QName("urn:test", "After")]
+    assert [m.name for m in desc.types[QName("urn:test", "After")].subparameters] == ["city"]
+
+
 def test_resolve_type_is_total():
     data = (CORPUS_DIR / "music_catalog.wsdl").read_bytes()
     desc = parse_wsdl("m", data).description
@@ -404,7 +444,7 @@ def test_part_naming_an_imported_element_is_not_resolved(search_config, demo_lex
     annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
     assert not annotation.annotated
     assert [(v.source, [w.text for w in v.words]) for v in trace] == [
-        (AnnotationSource.PARAMETER_NAME, ["shipment"])]
+        (AnnotationSource.PARAMETER_NAME, ["shipment"]), (AnnotationSource.TYPE_NAME, [])]
 
 
 def test_undeclared_element_is_not_looked_up_as_a_type(tmp_path, search_config, demo_lexicon):
@@ -423,7 +463,9 @@ def test_undeclared_element_is_not_looked_up_as_a_type(tmp_path, search_config, 
     assert param.type_ref == QName(XSD_NAMESPACE, "anyType")
     annotation, trace = annotate_parameter_with_trace(param, desc, search_config, demo_lexicon)
     assert not annotation.annotated
-    assert [v.source for v in trace] == [AnnotationSource.PARAMETER_NAME]
+    # anyType has no name to mine: the type-name visit holds no words
+    assert [(v.source, [w.text for w in v.words]) for v in trace] == [
+        (AnnotationSource.PARAMETER_NAME, ["shipment"]), (AnnotationSource.TYPE_NAME, [])]
 
 
 def test_corpus_is_plain_data():

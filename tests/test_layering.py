@@ -45,6 +45,12 @@ def test_module_does_not_import_the_parser(module):
     assert not imported_modules(path) & PARSER_MODULES
 
 
+def test_the_oracle_imports_nothing_from_the_package():
+    # a constant shared with the package would pass both the search and its oracle
+    package = {"semwsdl"} | {path.stem for path in PACKAGE.glob("*.py")}
+    assert not imported_modules(REPO_ROOT / "tests" / "bruteforce.py") & package
+
+
 def test_only_ingest_writer_and_the_package_import_xmlio():
     importers = {path.stem for path in PACKAGE.glob("*.py") if "xmlio" in imported_modules(path)}
     assert importers <= XMLIO_IMPORTERS

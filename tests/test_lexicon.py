@@ -122,6 +122,9 @@ def test_load_overrides_format():
         load_overrides("user Human\n")
     with pytest.raises(ConfigError):
         load_overrides("user=\n")
+    with pytest.raises(ConfigError) as raised:
+        load_overrides("us3r=Human\n", source="ov.txt")
+    assert str(raised.value) == "ov.txt:1: word must be letters only: 'us3r'"
     # modelReference splits at whitespace, so such a concept would read as two URIs
     with pytest.raises(ConfigError) as raised:
         load_overrides("user=Human\ncity=Foo Bar\n", source="ov.txt")

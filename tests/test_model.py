@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from semwsdl.model import (
     ONTOLOGY,
+    XSD_BUILTIN_TYPES,
     XSD_NAMESPACE,
     Annotation,
     AnnotationEntry,
@@ -19,6 +20,8 @@ from semwsdl.model import (
     is_builtin,
 )
 
+import bruteforce
+
 
 def test_is_builtin_for_schema_types():
     assert is_builtin(QName(XSD_NAMESPACE, "string"))
@@ -26,6 +29,13 @@ def test_is_builtin_for_schema_types():
     assert not is_builtin(QName("http://example.com/ns", "categoryDetail"))
     # right local name in the wrong namespace is not a builtin
     assert not is_builtin(QName("http://example.com/ns", "string"))
+
+
+def test_builtin_types_match_the_oracle_spelling():
+    # the oracle spells both constants from XML Schema Part 2 on its own
+    assert (XSD_NAMESPACE, XSD_BUILTIN_TYPES) == (
+        bruteforce.XSD_NAMESPACE, bruteforce.XSD_BUILTIN_TYPES)
+    assert len(XSD_BUILTIN_TYPES) == 44
 
 
 def test_qname_requires_local_name():
