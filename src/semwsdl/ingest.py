@@ -265,33 +265,56 @@ def _source_id(path: str) -> str:
     return raw.decode("utf-8", "backslashreplace")
 
 
+def _real_path(path: str, real_dirs: dict[str, str]) -> str:
+    """The one name ingest knows a file by, for an input and a schemaLocation alike.
+
+    A name that is a symlink is resolved in full by `os.path.realpath`;
+    any other name joins the real path of its directory, resolved once
+    per directory string and kept in real_dirs.  So two spellings that
+    name a file give one real path exactly when `os.path.realpath` does.
+    """
+    if os.path.islink(path):
+        return os.path.realpath(path)
+    head, name = os.path.split(path)
+    real_dir = real_dirs.get(head)
+    if real_dir is None:
+        real_dir = real_dirs[head] = os.path.realpath(head)
+    return os.path.join(real_dir, name)
+
+
+def _targets(importer: str, locations: list[str], real_dirs: dict[str, str]) -> tuple[str, ...]:
+    """The `_real_path` of each location, taken relative to its importer's real path."""
+    base = os.path.dirname(importer)
+    return tuple(_real_path(os.path.join(base, location), real_dirs) for location in locations)
+
+
 def load_corpus(paths: list) -> Corpus:
     """Load and parse a batch of files; failures are recorded, not fatal.
 
     Only a regular file is read; any other kind, such as a FIFO or a
     directory, is skipped as "not a regular file".  Each file is known
-    by its real path: the real path of its directory, resolved once per
-    directory string, joined with its name.  A name that is a symlink is
-    resolved in full by `os.path.realpath`.
+    by its `_real_path`.
     Standalone XSD files are indexed as import targets: a description
     whose schema imports/includes one of them (by schemaLocation) sees
-    its named types.  A location's target is the real path of the
-    location joined to the directory of its importer's real path.
-    Import resolution never leaves the supplied file set, so a location
-    through a symlink loop, whose real path names no file of the set, is
-    ignored like one outside it.  Each closure is computed once per
-    directory and list of locations; descriptions without types of their
-    own share the closure's dict as their `types`, which therefore must
-    not be mutated; a merge replaces the document with a copy.  A
-    file named more than once, in any spelling, is loaded once, under
-    its first.  Reports and messages name a file by its `_source_id`; a
-    parsed document keeps the path as given.  Nothing a batch holds
-    raises: one in which no WSDL parses gives a corpus with no documents.
+    its named types.  A location's target is the `_real_path` of the
+    location joined to the directory of its importer's real path, taken
+    once, when the importer is read.  Import resolution never leaves the
+    supplied file set, so a location whose real path names no file of
+    the set, such as one through a symlink loop or one ending in "/", is
+    ignored like one outside it.  Each closure is computed once per list
+    of target files, whatever the importers' directories or the
+    locations' spellings; descriptions without types of their own share
+    the closure's dict as their `types`, which therefore must not be
+    mutated; a merge replaces the document with a copy.  A file named
+    more than once, in any spelling, is loaded once, under its first.
+    Reports and messages name a file by its `_source_id`; a parsed
+    document keeps the path as given.  Nothing a batch holds raises: one
+    in which no WSDL parses gives a corpus with no documents.
     """
     documents: list[ParsedWsdl] = []
     skipped: list[SkippedFile] = []
-    schema_files: dict[str, tuple[dict[QName, TypeDefinition], list[str]]] = {}
-    import_keys: list[tuple[str, tuple[str, ...]]] = []
+    schema_files: dict[str, tuple[dict[QName, TypeDefinition], tuple[str, ...]]] = {}
+    import_keys: list[tuple[str, ...]] = []
     seen: set[str] = set()
     real_dirs: dict[str, str] = {}
     for path in map(os.fsdecode, paths):
@@ -303,14 +326,7 @@ def load_corpus(paths: list) -> Corpus:
         if data is None:
             skipped.append(SkippedFile(_source_id(path), "not a regular file"))
             continue
-        head, name = os.path.split(path)
-        if os.path.islink(path):
-            resolved = os.path.realpath(path)
-        else:
-            real_dir = real_dirs.get(head)
-            if real_dir is None:
-                real_dir = real_dirs[head] = os.path.realpath(head)
-            resolved = os.path.join(real_dir, name)
+        resolved = _real_path(path, real_dirs)
         if resolved in seen:
             continue
         seen.add(resolved)
@@ -318,19 +334,19 @@ def load_corpus(paths: list) -> Corpus:
             root = xmlio.parse_xml(data)
             if root.qname == (XSD_NAMESPACE, "schema"):
                 index, locations = _index_schemas([root])
-                schema_files[resolved] = (index.types, locations)
+                schema_files[resolved] = (index.types, _targets(resolved, locations, real_dirs))
                 continue
             parsed, locations = _analyze(_source_id(path), data, root, path)
         except MalformedXml as exc:
             skipped.append(SkippedFile(_source_id(path), str(exc)))
             continue
         documents.append(parsed)
-        import_keys.append((os.path.dirname(resolved), tuple(locations)))
-    closures: dict[tuple[str, tuple[str, ...]], dict[QName, TypeDefinition]] = {}
-    for i, (parsed, key) in enumerate(zip(documents, import_keys)):
-        imported = closures.get(key)
+        import_keys.append(_targets(resolved, locations, real_dirs))
+    closures: dict[tuple[str, ...], dict[QName, TypeDefinition]] = {}
+    for i, (parsed, targets) in enumerate(zip(documents, import_keys)):
+        imported = closures.get(targets)
         if imported is None:
-            imported = closures[key] = _imported_types(*key, schema_files)
+            imported = closures[targets] = _imported_types(targets, schema_files)
         if imported:
             own = parsed.description.types
             documents[i] = parsed._replace(description=parsed.description._replace(
@@ -338,24 +354,22 @@ def load_corpus(paths: list) -> Corpus:
     return Corpus(documents, skipped, len(schema_files))
 
 
-def _imported_types(base_dir: str, locations: tuple[str, ...],
-                    schema_files: dict) -> dict[QName, TypeDefinition]:
+def _imported_types(targets: tuple[str, ...], schema_files: dict) -> dict[QName, TypeDefinition]:
     """Transitive closure of schemaLocation imports over the supplied files.
 
-    Breadth first from the description's own locations; the first
-    definition of a name wins.
+    Walks real paths, breadth first from the description's own targets,
+    each schema file naming its own; the first definition of a name wins.
     """
     merged: dict[QName, TypeDefinition] = {}
-    queue = deque((base_dir, location) for location in locations)
+    queue = deque(targets)
     visited: set[str] = set()
     while queue:
-        base, location = queue.popleft()
-        target = os.path.realpath(os.path.join(base, location))
+        target = queue.popleft()
         if target in visited or target not in schema_files:
             continue
         visited.add(target)
         types, further = schema_files[target]
         for qn, definition in types.items():
             merged.setdefault(qn, definition)
-        queue.extend((os.path.dirname(target), loc) for loc in further)
+        queue.extend(further)
     return merged

@@ -475,7 +475,7 @@ def test_corpus_is_plain_data():
     assert corpus.skipped == []
 
 
-# -- import closures: computed once per directory and location list ---------
+# -- import closures: computed once per list of target files ----------------
 
 def schema(tns, body):
     return f"""<?xml version="1.0"?>
@@ -640,6 +640,41 @@ def test_file_through_a_symlinked_directory_shares_the_closure(tmp_path):
     assert QName("http://example.com/common", "Address") in one.types
 
 
+def test_one_library_reached_from_three_directories_shares_the_closure(tmp_path):
+    (tmp_path / "lib").mkdir()
+    shutil.copy(IMPORTS_DIR / "common.xsd", tmp_path / "lib")
+    wsdls = []
+    for directory, location in (("a", "../lib/common.xsd"), ("b", "link.xsd"),
+                                ("c", "../lib/common.xsd")):
+        (tmp_path / directory).mkdir()
+        wsdls.append(tmp_path / directory / "svc.wsdl")
+        wsdls[-1].write_bytes(importing([location]))
+    os.symlink(tmp_path / "lib" / "common.xsd", tmp_path / "b" / "link.xsd")
+    a, b, c = load_corpus([*wsdls, tmp_path / "lib" / "common.xsd"]).descriptions
+    assert a.types is b.types is c.types
+    for path, desc in zip(wsdls, (a, b, c)):
+        alone = load_corpus([path, tmp_path / "lib" / "common.xsd"]).descriptions[0]
+        assert desc.types == alone.types
+        assert list(desc.types) == list(alone.types)
+
+
+def test_location_naming_a_symlinked_file_includes_from_its_target(tmp_path):
+    lib, other = tmp_path / "svc" / "lib", tmp_path / "other"
+    lib.mkdir(parents=True)
+    other.mkdir()
+    (other / "main.xsd").write_bytes(schema("urn:lib", (
+        '<xsd:include schemaLocation="part.xsd"/><xsd:simpleType name="Main"/>')))
+    (other / "part.xsd").write_bytes(schema("urn:lib", '<xsd:simpleType name="Physical"/>'))
+    (lib / "part.xsd").write_bytes(schema("urn:lib", '<xsd:simpleType name="Lexical"/>'))
+    os.symlink(other / "main.xsd", lib / "main.xsd")
+    (tmp_path / "svc" / "svc.wsdl").write_bytes(importing(["lib/main.xsd"]))
+    corpus = load_corpus([tmp_path / "svc" / "svc.wsdl", other / "main.xsd",
+                          other / "part.xsd", lib / "part.xsd"])
+    # the link names other/main.xsd, whose include names other/part.xsd
+    assert list(corpus.descriptions[0].types) == [
+        QName("urn:lib", "Main"), QName("urn:lib", "Physical")]
+
+
 def test_location_through_a_symlinked_directory_resolves_physically(tmp_path):
     deep = tmp_path / "other" / "deep"
     deep.mkdir(parents=True)
@@ -707,6 +742,16 @@ def test_unresolvable_paths_are_skipped_or_ignored(tmp_path):
     assert QName("http://example.com/common", "Address") in corpus.descriptions[0].types
     assert [s.path for s in corpus.skipped] == [str(looped)]
     assert corpus.skipped[0].error.startswith("io error:")
+
+
+def test_location_with_a_trailing_slash_names_no_file(tmp_path):
+    shutil.copy(IMPORTS_DIR / "common.xsd", tmp_path)
+    (tmp_path / "svc.wsdl").write_bytes(importing(["common.xsd/", "common.xsd/."]))
+    corpus = load_corpus([tmp_path / "svc.wsdl", tmp_path / "common.xsd"])
+    assert corpus.descriptions[0].types == {}
+    # the same spelling of an input is no file either
+    spelled = f"{tmp_path}/common.xsd/"
+    assert [s.path for s in load_corpus([spelled]).skipped] == [spelled]
 
 
 def padded_catalog():

@@ -42,6 +42,9 @@ def test_qname_requires_local_name():
     with pytest.raises(ValueError):
         QName("urn:x", "")
     assert QName("", "ok").local_name == "ok"
+    # Clark notation, and the bare local name when there is no namespace
+    assert str(QName("urn:x", "T")) == "{urn:x}T"
+    assert str(QName("", "T")) == "T"
 
 
 @given(st.text(max_size=20))
@@ -67,6 +70,7 @@ def test_concept_requires_id():
     # the ontology is one constant, not a field every concept carries
     assert Concept._fields == ("id",)
     assert ONTOLOGY == "SUMO"
+    assert str(Concept("City")) == "City"
     with pytest.raises(ValueError):  # a derived value is checked like a new one
         Concept("X")._replace(id="a b")
 
