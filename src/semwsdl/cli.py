@@ -1,7 +1,8 @@
 """Batch command line: annotate, ablate, wordfreq.
 
 Exit codes: 0 full success, 1 partial (some inputs skipped), 2 fatal
-(bad flags, unreadable config or lexicon, nothing parseable, or an
+(bad flags, unreadable config or lexicon, nothing parseable, a
+report.json, ablation.json or words.csv that cannot be written, or an
 internal error).
 """
 
@@ -47,36 +48,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semwsdl",
         description="Batch semantic annotator for WSDL files (SAWSDL output).")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input-paths", "--input", dest="input_paths", nargs="+",
-                        required=True, metavar="PATH",
+    common.add_argument("--input-paths", nargs="+", required=True, metavar="PATH",
                         help="WSDL/XSD files or directories containing them")
-    common.add_argument("--output-dir", "--out", dest="output_dir", required=True,
+    common.add_argument("--output-dir", required=True,
                         help="directory for generated files (created if missing)")
-    common.add_argument("--lexicon-path", "--lexicon", dest="lexicon_path",
-                        required=True, help="ranked lexicon TSV file")
-    common.add_argument("--abbreviations-path", dest="abbreviations_path",
-                        help="abbreviation file (default: packaged list)")
-    common.add_argument("--stopwords-path", dest="stopwords_path",
-                        help="stop-word file (default: packaged list)")
-    common.add_argument("--overrides-path", dest="overrides_path",
-                        help="word=Concept override file (default: none)")
-    common.add_argument("--max-depth", dest="max_depth", type=int,
+    common.add_argument("--lexicon-path", required=True, help="ranked lexicon TSV file")
+    common.add_argument("--abbreviations-path", help="abbreviation file (default: packaged list)")
+    common.add_argument("--stopwords-path", help="stop-word file (default: packaged list)")
+    common.add_argument("--overrides-path", help="word=Concept override file (default: none)")
+    common.add_argument("--max-depth", type=int,
                         default=SearchConfig._field_defaults["max_depth"],
                         help="maximum exploration depth (default %(default)s)")
     subparsers = parser.add_subparsers(dest="command", required=True)
     annotate = subparsers.add_parser("annotate", parents=[common],
                                      help=f"write {_COPY_SUFFIX} copies plus report.json")
+    annotate.set_defaults(runner=_run_annotate)
     # ablate and wordfreq set the stages themselves and write no copies
-    annotate.add_argument("--stages", dest="stages",
-                          help=f"comma list of {','.join(_STAGE_NAMES)} "
-                               "or 'none' (default: all)")
-    annotate.add_argument("--uri-prefix", dest="uri_prefix",
-                          default=WriterConfig._field_defaults["uri_prefix"],
+    annotate.add_argument("--stages", help=f"comma list of {','.join(_STAGE_NAMES)} "
+                                           "or 'none' (default: all)")
+    annotate.add_argument("--uri-prefix", default=WriterConfig._field_defaults["uri_prefix"],
                           help="prefix for concept URIs in modelReference values")
     subparsers.add_parser("ablate", parents=[common],
-                          help="run the five-stage evaluation, write ablation.json")
+                          help="run the five-stage evaluation, write ablation.json"
+                          ).set_defaults(runner=_run_ablate)
     subparsers.add_parser("wordfreq", parents=[common],
-                          help="count emitted words, write words.csv")
+                          help="count emitted words, write words.csv"
+                          ).set_defaults(runner=_run_wordfreq)
     return parser
 
 
@@ -101,6 +98,9 @@ def _parse_stages(text: str | None) -> frozenset[Stage]:
 def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
+    A listed entry is passed on by name only: read_regular decides what is
+    read, so an entry that is no regular file (a dangling or looping
+    symlink, a FIFO, a directory) is skipped as it is when named by flag.
     Directories never yield a name ending in _COPY_SUFFIX, so outputs are
     not re-annotated; the second value counts the copies passed over.  A
     file named twice is left in twice; load_corpus loads it once.
@@ -111,7 +111,7 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
         path = Path(raw)
         if path.is_dir():
             listed = sorted(str(child) for child in path.iterdir()
-                            if child.is_file() and child.suffix in (".wsdl", ".xsd"))
+                            if child.suffix in (".wsdl", ".xsd"))
             kept = [name for name in listed if not name.endswith(_COPY_SUFFIX)]
             copies += len(listed) - len(kept)
             files.extend(kept)
@@ -239,19 +239,12 @@ def _run_wordfreq(args, corpus: Corpus, setup) -> None:
     print(f"counted {len(rows)} distinct words", file=sys.stderr)
 
 
-_COMMANDS = {
-    "annotate": _run_annotate,
-    "ablate": _run_ablate,
-    "wordfreq": _run_wordfreq,
-}
-
-
 def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:
-        return exit_request.code if isinstance(exit_request.code, int) else 2
+        return exit_request.code
     # A command builds large acyclic tables; the few cycles it leaves
     # (argparse's, not one per input file) wait for the caller's collector,
     # whose setting comes back on the way out.
@@ -290,7 +283,7 @@ def _run_command(args) -> int:
         return 2
     try:
         Path(args.output_dir).mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.command](args, corpus, setup)
+        args.runner(args, corpus, setup)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

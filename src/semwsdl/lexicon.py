@@ -25,9 +25,7 @@ class Lexicon(namedtuple("Lexicon", "entries")):
     __slots__ = ()
     _make = classmethod(checked_make)
 
-    def __new__(cls, entries: dict[str, Concept] | None = None):
-        if entries is None:  # each lexicon its own table, never a shared one
-            entries = {}
+    def __new__(cls, entries: dict[str, Concept]):
         if not all(map(isinstance, entries.values(), repeat(Concept))):
             raise ConfigError("lexicon entries must map each word to one Concept")
         return tuple.__new__(cls, (entries,))

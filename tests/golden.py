@@ -17,8 +17,9 @@ commit; a refactor leaves it untouched.
 The manifest also holds the runs of the three commands on each seed-1
 benchmark corpus (annotate-mix, ablate-deep, wordfreq-imports), which
 `bench/generate.py` writes into a temporary directory with its own
-lexicon and overrides.  They take seconds, so only a run by hand checks
-them, or with `--update` rewrites them; one digest covers all the
+lexicon and overrides.  They take seconds, so the bare command leaves
+them to `tests/test_golden.py` and to `--bench`, which checks them, or
+with `--update` rewrites them; one digest covers all the
 `*.sawsdl.wsdl` copies of a run.
 
     python3 tests/golden.py --bench [--update]

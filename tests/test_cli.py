@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -509,6 +510,37 @@ def test_short_flag_aliases(tmp_path):
     assert (out / "music_catalog.sawsdl.wsdl").exists()
 
 
+@pytest.mark.parametrize("command", ["annotate", "ablate", "wordfreq"])
+def test_every_unique_prefix_of_a_flag_parses_as_the_flag(command):
+    parser = cli.build_parser()
+    subparsers = next(action for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    actions = {next(spelling for spelling in action.option_strings if spelling.startswith("--")):
+               action for action in subparsers.choices[command]._actions if action.option_strings}
+    required = [flag for flag, action in actions.items() if action.required]
+
+    def parse(flag, spelling):
+        argv = [command]
+        for name in required:
+            argv += [spelling if name == flag else name, "3"]
+        if flag not in required:
+            argv += [spelling, "3"]
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+    refused = []
+    for flag in actions.keys() - {"--help"}:
+        expected = parse(flag, flag)
+        assert expected is not None, flag
+        prefixes = [flag[:end] for end in range(3, len(flag))]
+        refused += [prefix for prefix in prefixes
+                    if sum(other.startswith(prefix) for other in actions) == 1
+                    and parse(flag, prefix) != expected]
+    assert sorted(refused) == []
+
+
 def test_a_run_leaves_no_garbage_cycle_per_file(tmp_path, capsys, monkeypatch):
     """run() turns the cyclic collector off: the garbage a run leaves must
     not grow with the number of input files, and the caller's setting comes
@@ -754,3 +786,31 @@ def test_a_raw_byte_and_its_escape_spelled_out_get_distinct_ids(tmp_path, capsys
             f"{literal_a}::Find::input::city", f"{raw_a}::Find::input::city"]
         assert sorted(os.listdir(os.fsencode(out))) == [
             b"a\\xff.sawsdl.wsdl", b"a\xff.sawsdl.wsdl", b"report.json"]
+
+
+def test_listed_entries_that_are_no_regular_file_are_skipped_as_when_named(tmp_path):
+    listed = tmp_path / "in"
+    listed.mkdir()
+    (listed / "good.wsdl").write_text(MINIMAL, "utf-8")
+    os.symlink("nothing", listed / "dangling.wsdl")
+    os.symlink("loop.wsdl", listed / "loop.wsdl")
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(listed / "pipe.wsdl")
+    folder = listed / "sub.xsd"
+    folder.mkdir()
+
+    def run(inputs, out):
+        child = run_child(base_args("annotate", inputs, out))
+        lines = [line for line in child.stderr.decode().splitlines()
+                 if line.startswith("skipped ")]
+        return child.returncode, lines, read_report(out)["skipped"]
+
+    entries = sorted(listed.iterdir())
+    code, lines, skipped = run([listed], tmp_path / "listed")
+    # a directory named by flag is listed, so the folder's entry is spelled out
+    named_code, named_lines, named_skipped = run(
+        [entry for entry in entries if entry != folder], tmp_path / "named")
+    assert code == named_code == 1
+    assert [s["path"] for s in skipped] == [str(e) for e in entries if e.name != "good.wsdl"]
+    assert lines == named_lines + [f"skipped {folder}: not a regular file"]
+    assert skipped == named_skipped + [{"path": str(folder), "error": "not a regular file"}]
