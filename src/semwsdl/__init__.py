@@ -22,7 +22,6 @@ from .lexicon import (
     load_overrides,
 )
 from .metrics import (
-    AblationReport,
     AblationRow,
     WordFrequencyRow,
     run_ablation,
@@ -59,7 +58,6 @@ from .xmlio import MalformedXml
 __version__ = "0.1.0"
 
 __all__ = [
-    "AblationReport",
     "AblationRow",
     "Annotation",
     "AnnotationEntry",

@@ -98,9 +98,11 @@ def _parse_stages(text: str | None) -> frozenset[Stage]:
 def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
-    A listed entry is passed on by name only: read_regular decides what is
-    read, so an entry that is no regular file (a dangling or looping
-    symlink, a FIFO, a directory) is skipped as it is when named by flag.
+    A named path that cannot be listed (a file, a missing or overlong
+    name, a directory that refuses its listing) is passed on as given, and
+    a listed entry by name only: read_regular judges each, so one that is
+    no regular file (a dangling or looping symlink, a FIFO, a directory)
+    is skipped alike whether named by flag or listed.
     Directories never yield a name ending in _COPY_SUFFIX, so outputs are
     not re-annotated; the second value counts the copies passed over.  A
     file named twice is left in twice; load_corpus loads it once.
@@ -108,15 +110,15 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     files: list[str] = []
     copies = 0
     for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            listed = sorted(str(child) for child in path.iterdir()
+        try:
+            listed = sorted(str(child) for child in Path(raw).iterdir()
                             if child.suffix in (".wsdl", ".xsd"))
-            kept = [name for name in listed if not name.endswith(_COPY_SUFFIX)]
-            copies += len(listed) - len(kept)
-            files.extend(kept)
-        else:
+        except OSError:
             files.append(raw)
+            continue
+        kept = [name for name in listed if not name.endswith(_COPY_SUFFIX)]
+        copies += len(listed) - len(kept)
+        files.extend(kept)
     return files, copies
 
 
@@ -227,9 +229,9 @@ def _run_annotate(args, corpus: Corpus, setup) -> None:
 
 def _run_ablate(args, corpus: Corpus, setup) -> None:
     config, lexicon, _ = setup
-    report = run_ablation(corpus.descriptions, config, lexicon)
-    _write_output(Path(args.output_dir) / "ablation.json", ablation_to_json(report))
-    sys.stdout.write(render_ablation_table(report))
+    rows = run_ablation(corpus.descriptions, config, lexicon)
+    _write_output(Path(args.output_dir) / "ablation.json", ablation_to_json(rows))
+    sys.stdout.write(render_ablation_table(rows))
 
 
 def _run_wordfreq(args, corpus: Corpus, setup) -> None:

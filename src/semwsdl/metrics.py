@@ -49,20 +49,6 @@ class AblationRow(namedtuple("AblationRow", "stage_name annotated total")):
         return annotation_rate(self.annotated, self.total)
 
 
-class AblationReport(namedtuple("AblationReport", "rows")):
-    """The five AblationRows, in STAGE_NAMES order, over one total."""
-
-    __slots__ = ()
-    _make = classmethod(checked_make)
-
-    def __new__(cls, rows: tuple[AblationRow, ...]):
-        if tuple(row.stage_name for row in rows) != STAGE_NAMES:
-            raise ValueError(f"rows must be exactly {STAGE_NAMES}")
-        if len({row.total for row in rows}) != 1:
-            raise ValueError("all rows must share one total")
-        return tuple.__new__(cls, (rows,))
-
-
 class WordFrequencyRow(namedtuple("WordFrequencyRow", "word occurrences concept")):
     """(Word, int, Concept or None); the word occurred at least once."""
 
@@ -89,8 +75,12 @@ def stage_configurations(config: SearchConfig) -> list[tuple[str, SearchConfig]]
 
 
 def run_ablation(descriptions: list[WsDescription], config: SearchConfig,
-                 lexicon: Lexicon) -> AblationReport:
-    """Annotate the descriptions once per cumulative configuration and count."""
+                 lexicon: Lexicon) -> list[AblationRow]:
+    """The five AblationRows, in STAGE_NAMES order, over one total.
+
+    The descriptions are annotated once per cumulative configuration of
+    `stage_configurations`.
+    """
     total = sum(1 for desc in descriptions for _ in desc.parameters())
     rows = []
     for name, stage_config in stage_configurations(config):
@@ -99,7 +89,7 @@ def run_ablation(descriptions: list[WsDescription], config: SearchConfig,
             for annotation in annotate_description(description, stage_config, lexicon):
                 annotated += bool(annotation.entries)
         rows.append(AblationRow(name, annotated, total))
-    return AblationReport(tuple(rows))
+    return rows
 
 
 def word_frequency(descriptions: list[WsDescription], config: SearchConfig,
@@ -126,7 +116,8 @@ def word_frequency(descriptions: list[WsDescription], config: SearchConfig,
     ]
 
 
-def ablation_to_json(report: AblationReport) -> bytes:
+def ablation_to_json(rows: list[AblationRow]) -> bytes:
+    """The rows of `run_ablation` as deterministic UTF-8 JSON."""
     payload = {
         "counting": _COUNTING_NOTE,
         "rows": [
@@ -136,19 +127,19 @@ def ablation_to_json(report: AblationReport) -> bytes:
                 "total": row.total,
                 "rate": row.rate,
             }
-            for row in report.rows
+            for row in rows
         ],
     }
     return json.dumps(payload, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
 
 
-def render_ablation_table(report: AblationReport) -> str:
-    """Aligned plain-text table, one row per cumulative stage."""
-    width = max(len("Added functionality"), *(len(r.stage_name) for r in report.rows))
+def render_ablation_table(rows: list[AblationRow]) -> str:
+    """The rows of `run_ablation` as an aligned plain-text table."""
+    width = max(len("Added functionality"), *(len(r.stage_name) for r in rows))
     lines = [
         f"{'Added functionality':<{width}}  {'Annotated':>9}  {'Total':>5}  {'Rate':>7}",
     ]
-    for row in report.rows:
+    for row in rows:
         lines.append(
             f"{row.stage_name:<{width}}  {row.annotated:>9}  {row.total:>5}  "
             f"{row.rate * 100:>6.2f}%")

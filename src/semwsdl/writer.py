@@ -77,7 +77,7 @@ def _model_reference(data: bytes, node: XmlElement, uris: list[str],
     # the bindings as parsed, plus the root's SAWSDL declaration, first so that
     # it wins wherever nothing shadows it
     scope = {root_prefix: SAWSDL_NAMESPACE, **node.nsmap()}
-    attrs_end, quotes = xmlio.start_tag(data, node.offset)
+    attrs_end, quotes = xmlio.start_tag(data, node)
     for quote, (name, value) in zip(quotes, node.attrs.items()):
         prefix, colon, local = name.partition(":")
         if colon and local == "modelReference" and scope.get(prefix) == SAWSDL_NAMESPACE:
@@ -116,7 +116,7 @@ def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
     declared = {name[6:]: value for name, value in root.attrs.items()
                 if name.startswith("xmlns:")}
     root_prefix, declaration = _prefix(declared)
-    insertions = [(xmlio.start_tag(data, root.offset)[0], declaration)]
+    insertions = [(xmlio.start_tag(data, root)[0], declaration)]
     insertions.extend(_model_reference(data, node, list(uris), root_prefix)
                       for node, uris in uris_for.items())
     return xmlio.serialize(data, insertions)

@@ -144,14 +144,16 @@ _TAG_NAME = re.compile(r"<[^\s/>]+", re.ASCII)
 _ATTRIBUTE = re.compile(r"""\s+[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*')""", re.ASCII)
 
 
-def start_tag(data: bytes, offset: int) -> tuple[int, list[int]]:
-    """Byte positions in the well-formed start tag at offset.
+def start_tag(data: bytes, element: XmlElement) -> tuple[int, list[int]]:
+    """Byte positions in element's start tag, read from data.
 
     The first is the end of its last attribute (of its name, when it has
     none); the second lists each attribute value's closing quote, in the
-    order of the element's `attrs`.  An attribute value holds no "<", so
-    the tag is read up to the next one.
+    order of the element's `attrs`.  Exactly the attributes expat listed
+    are read, so text after the tag stays text however it looks.  An
+    attribute value holds no "<", so the tag is read up to the next one.
     """
+    offset = element.offset
     codec = _codec(data)
     less_than = "<".encode(codec)
     end = data.find(less_than, offset + 1)
@@ -164,8 +166,8 @@ def start_tag(data: bytes, offset: int) -> tuple[int, list[int]]:
 
     at = _TAG_NAME.match(text).end()
     quotes = []
-    while attribute := _ATTRIBUTE.match(text, at):
-        at = attribute.end()
+    for _ in element.attrs:
+        at = _ATTRIBUTE.match(text, at).end()
         quotes.append(position(at - 1))
     return position(at), quotes
 

@@ -120,21 +120,21 @@ def test_criterion_5_staged_evaluation_against_reference(fixture_corpus):
         started = time.perf_counter()
         config = default_config()
         lexicon = default_lexicon()
-        report = run_ablation(fixture_corpus.descriptions, config, lexicon)
+        rows = run_ablation(fixture_corpus.descriptions, config, lexicon)
         rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
         expected = bruteforce.oracle_ablation(
             fixture_corpus.descriptions, config.abbreviations,
             config.stop_words, rank1, {})
-        assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
+        assert [(r.stage_name, r.annotated, r.total) for r in rows] == expected
         total = sum(1 for d in fixture_corpus.descriptions for _ in d.parameters())
         assert total >= 20
 
         def order_holds(ablation):
-            by_name = {row.stage_name: row for row in ablation.rows}
+            by_name = {row.stage_name: row for row in ablation}
             assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
             assert by_name["+TypeExplorer"].annotated >= by_name["+Filtering"].annotated
 
-        order_holds(report)
+        order_holds(rows)
         for seed in range(200):
             order_holds(run_ablation(random_corpus(seed), config, lexicon))
         assert time.perf_counter() - started < 10.0

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import json
 import os
@@ -786,6 +787,44 @@ def test_a_raw_byte_and_its_escape_spelled_out_get_distinct_ids(tmp_path, capsys
             f"{literal_a}::Find::input::city", f"{raw_a}::Find::input::city"]
         assert sorted(os.listdir(os.fsencode(out))) == [
             b"a\\xff.sawsdl.wsdl", b"a\xff.sawsdl.wsdl", b"report.json"]
+
+
+def test_a_name_too_long_is_a_skipped_entry(tmp_path, capsys):
+    good = tmp_path / "good.wsdl"
+    good.write_text(MINIMAL, "utf-8")
+    name = "x" * 300
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [good, name], out)) == 1
+    err = capsys.readouterr().err
+    assert f"skipped {name}: io error: [Errno {errno.ENAMETOOLONG}] " in err
+    assert "error: internal:" not in err
+    assert (out / "good.sawsdl.wsdl").is_file()
+    assert [skip["path"] for skip in read_report(out)["skipped"]] == [name]
+
+
+def test_a_directory_that_cannot_be_listed_is_a_skipped_entry(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "good.wsdl"
+    good.write_text(MINIMAL, "utf-8")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    (locked / "hidden.wsdl").write_text(MINIMAL, "utf-8")
+
+    def refused(call):
+        # a directory without read permission refuses its listing and its
+        # opening alike; root reads every directory, so the refusal is staged
+        def refusing(path, *args):
+            if str(path) == str(locked):
+                raise PermissionError(errno.EACCES, "Permission denied", str(locked))
+            return call(path, *args)
+        return refusing
+
+    monkeypatch.setattr(Path, "iterdir", refused(Path.iterdir))
+    monkeypatch.setattr(os, "open", refused(os.open))
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [good, locked], out)) == 1
+    err = capsys.readouterr().err
+    assert f"skipped {locked}: io error: [Errno {errno.EACCES}] Permission denied" in err
+    assert sorted(path.name for path in out.iterdir()) == ["good.sawsdl.wsdl", "report.json"]
 
 
 def test_listed_entries_that_are_no_regular_file_are_skipped_as_when_named(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from semwsdl import cli
 from semwsdl.explore import annotate_description, annotate_parameter
 from semwsdl.metrics import (
-    AblationReport,
     AblationRow,
     STAGE_NAMES,
     WordFrequencyRow,
@@ -73,30 +72,30 @@ def name_only_corpus(names):
 
 def test_fixture_ablation_matches_reference_search(fixture_corpus, search_config, demo_lexicon,
                                                    tmp_path):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     expected = oracle_rows(fixture_corpus.descriptions, search_config)
-    assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
+    assert [(r.stage_name, r.annotated, r.total) for r in rows] == expected
     # with an overrides file, through the command line
     out = run_with_overrides("ablate", tmp_path)
-    rows = json.loads((out / "ablation.json").read_bytes())["rows"]
+    written = json.loads((out / "ablation.json").read_bytes())["rows"]
     pinned = oracle_rows(fixture_corpus.descriptions, search_config,
                          bruteforce.oracle_parse_overrides(OVERRIDES))
-    assert [(row["stage"], row["annotated"], row["total"]) for row in rows] == pinned
+    assert [(row["stage"], row["annotated"], row["total"]) for row in written] == pinned
     assert pinned != expected  # "play" rescues a parameter
 
 
 def test_fixture_ablation_counts_are_stable(fixture_corpus, search_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
-    assert tuple(r.annotated for r in report.rows) == EXPECTED_FIXTURE_COUNTS
-    assert all(r.total == FIXTURE_TOTAL for r in report.rows)
-    assert report.rows[0].rate == pytest.approx(8 / 27)
-    assert report.rows[4].rate == pytest.approx(19 / 27)
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    assert tuple(r.annotated for r in rows) == EXPECTED_FIXTURE_COUNTS
+    assert all(r.total == FIXTURE_TOTAL for r in rows)
+    assert rows[0].rate == pytest.approx(8 / 27)
+    assert rows[4].rate == pytest.approx(19 / 27)
 
 
 def test_filtering_can_cost_and_explorer_always_gains(fixture_corpus,
                                                       search_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
-    by_name = {row.stage_name: row for row in report.rows}
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    by_name = {row.stage_name: row for row in rows}
     assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
     assert by_name["+TypeExplorer"].annotated >= by_name["+Filtering"].annotated
 
@@ -127,33 +126,33 @@ def test_stage_configurations_shape(search_config):
 
 def test_all_stages_hit_on_plain_names(search_config, demo_lexicon):
     corpus = name_only_corpus(["city", "customer", "password"])
-    report = run_ablation(corpus, search_config, demo_lexicon)
+    rows = run_ablation(corpus, search_config, demo_lexicon)
     assert all(row.annotated == 3 and row.total == 3 and row.rate == 1.0
-               for row in report.rows)
+               for row in rows)
 
 
 def test_empty_corpus_gives_zero_rows(search_config, demo_lexicon):
-    report = run_ablation([], search_config, demo_lexicon)
+    rows = run_ablation([], search_config, demo_lexicon)
     assert all((row.annotated, row.total, row.rate) == (0, 0, 0.0)
-               for row in report.rows)
+               for row in rows)
 
 
 def test_final_row_equals_standard_annotation(fixture_corpus, search_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
     annotated = sum(
         annotation.annotated
         for desc in fixture_corpus.descriptions
         for annotation in annotate_description(desc, search_config, demo_lexicon))
-    assert report.rows[4].annotated == annotated
+    assert rows[4].annotated == annotated
 
 
 @pytest.mark.parametrize("seed", range(0, 120, 7))
 def test_generated_corpora_match_reference_search(seed, search_config, demo_lexicon):
     corpus = random_corpus(seed)
-    report = run_ablation(corpus, search_config, demo_lexicon)
+    rows = run_ablation(corpus, search_config, demo_lexicon)
     expected = oracle_rows(corpus, search_config)
-    assert [(r.stage_name, r.annotated, r.total) for r in report.rows] == expected
-    by_name = {row.stage_name: row for row in report.rows}
+    assert [(r.stage_name, r.annotated, r.total) for r in rows] == expected
+    by_name = {row.stage_name: row for row in rows}
     assert by_name["+Filtering"].annotated <= by_name["+Normalization"].annotated
     assert by_name["+TypeExplorer"].annotated >= by_name["+Filtering"].annotated
 
@@ -220,17 +219,17 @@ def test_csv_format():
 
 
 def test_ablation_json_round_trip(fixture_corpus, search_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
-    payload = json.loads(ablation_to_json(report))
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    payload = json.loads(ablation_to_json(rows))
     assert [row["stage"] for row in payload["rows"]] == list(STAGE_NAMES)
     assert payload["rows"][4]["annotated"] == 19
     assert "counted per occurrence" in payload["counting"]
-    assert ablation_to_json(report) == ablation_to_json(report)
+    assert ablation_to_json(rows) == ablation_to_json(rows)
 
 
 def test_table_rendering(fixture_corpus, search_config, demo_lexicon):
-    report = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
-    table = render_ablation_table(report)
+    rows = run_ablation(fixture_corpus.descriptions, search_config, demo_lexicon)
+    table = render_ablation_table(rows)
     for name in STAGE_NAMES:
         assert name in table
     assert "70.37%" in table
@@ -238,16 +237,6 @@ def test_table_rendering(fixture_corpus, search_config, demo_lexicon):
 
 
 def test_report_invariants():
-    rows = tuple(
-        AblationRow(name, 1, 2) for name in STAGE_NAMES)
-    AblationReport(rows)
-    with pytest.raises(ValueError):
-        AblationReport(rows[:4])
-    with pytest.raises(ValueError):
-        AblationReport(tuple(AblationRow(f"S{i}", 1, 2) for i in range(5)))
-    mixed = rows[:4] + (AblationRow(STAGE_NAMES[4], 1, 3),)
-    with pytest.raises(ValueError):
-        AblationReport(mixed)
     with pytest.raises(ValueError):
         AblationRow("x", 3, 2)
     with pytest.raises(ValueError):

@@ -429,6 +429,30 @@ def test_copy_keeps_the_input_encoding(name, codec, search_config, demo_lexicon)
     assert without_model_references(expat_events(copy)) == expat_events(data)
 
 
+def text_after_tags(root_end, part_end, declaration="", reference=""):
+    """SHADOWING with the root's and the part's start tags ending as given."""
+    return SHADOWING.format(root_attrs="", message_attrs="", part_attrs="").replace(
+        'xmlns:tns="urn:t">', f'xmlns:tns="urn:t"{declaration}{root_end}').replace(
+        'type="xsd:string"/>', f'type="xsd:string"{reference}{part_end}')
+
+
+@pytest.mark.parametrize("codec, bom", [("utf-8", ""), ("utf-16-le", "\ufeff")])
+@pytest.mark.parametrize("root_end, part_end", [(' >a="b"', "/>"), (">", ' />k="v"')],
+                         ids=["after-root", "after-part"])
+def test_text_after_a_start_tag_stays_text(codec, bom, root_end, part_end):
+    data = (bom + text_after_tags(root_end, part_end)).encode(codec)
+    parsed = parse_wsdl("text.wsdl", data)
+    ann = annotation_for(parsed.description, "city", [entry("City", "city")])
+    copy = write_sawsdl(parsed, [ann])
+    assert copy == (bom + text_after_tags(
+        root_end, part_end, f' xmlns:sawsdl="{SAWSDL_NAMESPACE}"',
+        f' sawsdl:modelReference="{PREFIX}City"')).encode(codec)
+    events = expat_events(copy)
+    assert without_model_references(events) == expat_events(data)
+    part = next(event for event in events if event[:2] == ("start", f"{WSDL_NAMESPACE} part"))
+    assert part[2][-2:] == [f"{SAWSDL_NAMESPACE} modelReference", f"{PREFIX}City"]
+
+
 def test_custom_uri_prefix():
     data, desc = load("music_catalog.wsdl")
     ann = annotation_for(desc, "category", [entry("Class", "category")])

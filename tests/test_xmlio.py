@@ -56,7 +56,7 @@ def test_serialization_is_stable_after_one_round():
     assert serialize(SAMPLE, []) == SAMPLE
     root = parse_xml(SAMPLE)
     child = root.children[0]
-    first = serialize(SAMPLE, [(start_tag(SAMPLE, child.offset)[0], ' n="1"')])
+    first = serialize(SAMPLE, [(start_tag(SAMPLE, child)[0], ' n="1"')])
     assert b'<a:child attr="v&amp;w" n="1">text &lt;here&gt;</a:child>' in first
     assert serialize(first, []) == first
     assert parse_xml(first).attrs == root.attrs
@@ -65,7 +65,7 @@ def test_serialization_is_stable_after_one_round():
 def test_comment_and_pi_survive_round_trip():
     source = b'<?xml version="1.0"?>\n<?style sheet?>\n<r><!--inside--><x/></r>\n<!--after-->\n'
     root = parse_xml(source)
-    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
+    out = serialize(source, [(start_tag(source, root)[0], ' n="1"')])
     assert out == source.replace(b"<r>", b'<r n="1">')
 
 
@@ -74,14 +74,14 @@ def test_top_level_nodes_keep_their_order_and_whitespace():
               b'<r> <x/> </r>\n<?last?>  <!--after-->\n\t\n')
     root = parse_xml(source)
     assert source[root.offset:root.offset + 4] == b"<r> "
-    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"')])
+    out = serialize(source, [(start_tag(source, root)[0], ' n="1"')])
     assert out == source.replace(b"<r>", b'<r n="1">')
 
 
 def test_empty_element_forms_are_kept():
     for source in (b"<r><a></a></r>", b"<r><a/></r>", b"<r><a  /></r>"):
         a = parse_xml(source).children[0]
-        out = serialize(source, [(start_tag(source, a.offset)[0], ' n="1"')])
+        out = serialize(source, [(start_tag(source, a)[0], ' n="1"')])
         assert out == source.replace(b"<a", b'<a n="1"')
 
 
@@ -97,12 +97,16 @@ def test_tree_holds_elements_only():
     ("<a x='1' y = \"a>b\"  >", 18, [7, 17]),
     ("<a\tx=\"\"\r\n/>", 7, [6]),
     ("<a é='1'>", 9, [8]),  # positions count bytes
+    # text after the tag stays text, however much it looks like an attribute
+    ("<a x='1' >k=\"v\"", 8, [7]),
+    ("<a x='1'/>k=\"v\"", 8, [7]),
+    ("<a x='1' />k=\"v\"", 8, [7]),
 ])
 def test_start_tag_positions(tag, end, quotes):
-    data = f"<r>{tag}{'' if tag.endswith('/>') else '</a>'}</r>".encode()
+    data = f"<r>{tag}{'' if '/>' in tag else '</a>'}</r>".encode()
     a = parse_xml(data).children[0]
     assert a.offset == 3
-    assert start_tag(data, a.offset) == (3 + end, [3 + quote for quote in quotes])
+    assert start_tag(data, a) == (3 + end, [3 + quote for quote in quotes])
 
 
 @pytest.mark.parametrize("encoding, prolog, value", [
@@ -119,8 +123,8 @@ def test_offsets_and_splices_are_in_the_input_code_units(encoding, prolog, value
     source = text.encode(encoding)
     root = parse_xml(source)
     a = root.children[0]
-    out = serialize(source, [(start_tag(source, root.offset)[0], ' n="1"'),
-                             (start_tag(source, a.offset)[1][0], "!")])
+    out = serialize(source, [(start_tag(source, root)[0], ' n="1"'),
+                             (start_tag(source, a)[1][0], "!")])
     expected = text.replace('é="1"', 'é="1" n="1"').replace('"/>', '!"/>')
     assert out == expected.encode(encoding)
     assert parse_xml(out).attrs == {"é": "1", "n": "1"}
