@@ -98,11 +98,11 @@ def _parse_stages(text: str | None) -> frozenset[Stage]:
 def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     """Expand directories (non-recursive *.wsdl + *.xsd, sorted) in flag order.
 
-    A named path that cannot be listed (a file, a missing or overlong
-    name, a directory that refuses its listing) is passed on as given, and
-    a listed entry by name only: read_regular judges each, so one that is
-    no regular file (a dangling or looping symlink, a FIFO, a directory)
-    is skipped alike whether named by flag or listed.
+    A named path that cannot be listed (a file, a missing, empty or overlong
+    name, a directory that refuses its listing) is passed on as given, and a
+    listed entry by name only: read_regular judges each, so one that is no
+    regular file (a dangling or looping symlink, a FIFO, a directory) is
+    skipped alike whether named by flag or listed.
     Directories never yield a name ending in _COPY_SUFFIX, so outputs are
     not re-annotated; the second value counts the copies passed over.  A
     file named twice is left in twice; load_corpus loads it once.
@@ -110,8 +110,8 @@ def _gather_inputs(paths: list[str]) -> tuple[list[str], int]:
     files: list[str] = []
     copies = 0
     for raw in paths:
-        try:
-            listed = sorted(str(child) for child in Path(raw).iterdir()
+        try:  # listed as typed: Path("") is the current directory
+            listed = sorted(str(child) for child in map(Path(raw).joinpath, os.listdir(raw))
                             if child.suffix in (".wsdl", ".xsd"))
         except OSError:
             files.append(raw)

@@ -21,6 +21,8 @@ from .model import ONTOLOGY, Annotation, WsDescription, annotation_rate, checked
 from .xmlio import XmlElement
 
 SAWSDL_NAMESPACE = "http://www.w3.org/ns/sawsdl"
+# expat's key of a SAWSDL modelReference attribute, before its prefix
+_MODEL_REFERENCE = f"{SAWSDL_NAMESPACE} modelReference "
 
 
 class WriterConfig(namedtuple("WriterConfig", "uri_prefix",
@@ -52,12 +54,12 @@ def _escape(value: str) -> str:
 def _prefix(scope: dict[str, str]) -> tuple[str, str]:
     """A prefix for SAWSDL in scope, and the declaration it needs.
 
-    The first ASCII prefix (all inserted text is ASCII) that scope binds
-    to SAWSDL needs none; else the first of sawsdl, sawsdl1, sawsdl2, ...
-    that scope leaves unbound is declared.
+    The first ASCII prefix but '' (inserted text is ASCII, and the default
+    namespace is no attribute's) that scope binds to SAWSDL needs none;
+    else the first of sawsdl, sawsdl1, ... that scope leaves unbound is declared.
     """
     for prefix, uri in scope.items():
-        if uri == SAWSDL_NAMESPACE and prefix.isascii():
+        if prefix and uri == SAWSDL_NAMESPACE and prefix.isascii():
             return prefix, ""
     prefix, counter = "sawsdl", 0
     while prefix in scope:
@@ -71,20 +73,15 @@ def _model_reference(data: bytes, node: XmlElement, uris: list[str],
     """The insertion that gives node's start tag the URIs it lacks.
 
     They are appended to the value of its SAWSDL modelReference, if it has
-    one; else a modelReference attribute, declared as `_prefix` says, is
-    added after its last attribute.
+    one; else one is added after its last attribute, as `_prefix` says of
+    node's scope behind the root's SAWSDL prefix, which wins unshadowed.
     """
-    # the bindings as parsed, plus the root's SAWSDL declaration, first so that
-    # it wins wherever nothing shadows it
-    scope = {root_prefix: SAWSDL_NAMESPACE, **node.nsmap()}
     attrs_end, quotes = xmlio.start_tag(data, node)
     for quote, (name, value) in zip(quotes, node.attrs.items()):
-        prefix, colon, local = name.partition(":")
-        if colon and local == "modelReference" and scope.get(prefix) == SAWSDL_NAMESPACE:
+        if name.startswith(_MODEL_REFERENCE):
             present = value.split()
             return quote, "".join(f" {_escape(uri)}" for uri in uris if uri not in present)
-    scope.pop("", None)  # the default namespace never applies to an attribute
-    prefix, declaration = _prefix(scope)
+    prefix, declaration = _prefix({root_prefix: SAWSDL_NAMESPACE, **node.nsmap()})
     value = " ".join(map(_escape, uris))
     return attrs_end, f'{declaration} {prefix}:modelReference="{value}"'
 
@@ -111,11 +108,7 @@ def write_sawsdl(parsed: ParsedWsdl, annotations: list[Annotation],
         uris_for.setdefault(node, {}).update(dict.fromkeys(
             config.uri_prefix + entry.concept.id for entry in annotation.entries))
     data, root = parsed.data, parsed.root
-    # the root's declarations as written; not nsmap(), which lists a rebound
-    # xml prefix before all others
-    declared = {name[6:]: value for name, value in root.attrs.items()
-                if name.startswith("xmlns:")}
-    root_prefix, declaration = _prefix(declared)
+    root_prefix, declaration = _prefix(root.nsmap())
     insertions = [(xmlio.start_tag(data, root)[0], declaration)]
     insertions.extend(_model_reference(data, node, list(uris), root_prefix)
                       for node, uris in uris_for.items())

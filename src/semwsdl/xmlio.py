@@ -1,4 +1,4 @@
-"""Prefix-preserving XML parsing, and copies spliced from the input bytes.
+"""Namespace-aware XML parsing, and copies spliced from the input bytes.
 
 The annotation writer has to emit WSDL documents whose QName-valued
 attributes (``type="tns:categoryDetail"``) still resolve, and has to
@@ -7,15 +7,14 @@ is therefore never serialized from a tree: it is the input's bytes with
 text spliced into some start tags (`serialize`), so its encoding,
 declaration, quoting, comments and whitespace are the input's own.
 
-The tree is only for analysis and keeps only what ingest and the writer
-read: elements alone, each with its expanded name, its attributes as
-written (``xmlns`` declarations among them), its prefix map and the byte
-offset of its start tag.  The nodes are plain classes with ``__slots__``.
-`parse_xml` is the one builder and returns the root.  Its expat handlers
-are closures over a local stack; each start tag gets the parent's prefix
-map, copied only where the tag declares a namespace, and its expanded
-name, resolved once.  QName-valued attribute values are resolved by the
-same rule on request.
+A document is read exactly when namespace-aware expat reads it and has
+no DOCTYPE.  `parse_xml`, the one builder, returns the root of a tree
+that keeps only what ingest and the writer read: elements alone, each
+with its name and attributes as expat expands them, its namespace
+declarations, its prefix map and the byte offset of its start tag.  The
+nodes are plain classes with ``__slots__``.  Each start tag gets its
+parent's prefix map, copied only where it declares a namespace, in
+which QName-valued attribute values are resolved on request.
 """
 
 from __future__ import annotations
@@ -30,27 +29,23 @@ class MalformedXml(ValueError):
     """Raised when a document cannot be parsed (or is not the expected kind)."""
 
 
-def _expand(name: str, scope: dict[str, str]) -> tuple[str, str]:
-    # the prefix ends at the first colon; an unprefixed name takes the default
-    # namespace, as XSD requires, and an undeclared prefix the empty one
-    prefix, colon, local = name.partition(":")
-    return (scope.get(prefix, ""), local) if colon else (scope.get("", ""), name)
-
-
 class XmlElement:
-    """An element: its attributes as written and its expanded (URI, local) name.
+    """An element: its expanded (URI, local) name, attributes and declarations.
 
+    `attrs` maps each attribute to its value, keyed by its name or, when
+    prefixed, by expat's "URI local prefix"; `declarations` maps each
+    prefix its tag declares ('' is the default namespace) to the URI.
     `children` are its child elements, in document order.  `scope` is the
     in-scope prefix -> URI map, shared with the parent unless the element
-    declares a namespace; `qname` is the element's name expanded in it.
-    `offset` is the byte offset of the start tag's "<" in the input.
+    declares a namespace.  `offset` is the byte offset of the tag's "<".
     """
 
-    __slots__ = ("attrs", "children", "scope", "qname", "offset")
+    __slots__ = ("attrs", "declarations", "children", "scope", "qname", "offset")
 
-    def __init__(self, attrs: dict[str, str], children: list,
+    def __init__(self, attrs: dict[str, str], declarations: dict[str, str], children: list,
                  scope: dict[str, str], qname: tuple[str, str], offset: int):
         self.attrs = attrs
+        self.declarations = declarations
         self.children = children
         self.scope = scope
         self.qname = qname
@@ -67,7 +62,11 @@ class XmlElement:
 
     def resolve_qname(self, value: str) -> tuple[str, str]:
         """Expand a QName-valued attribute, such as type="tns:Foo", in this scope."""
-        return _expand(value.strip(), self.nsmap())
+        # an unprefixed value takes the default namespace, as XSD requires, and
+        # an undeclared prefix the empty one
+        scope = self.nsmap()
+        prefix, colon, local = value.strip().partition(":")
+        return (scope.get(prefix, ""), local) if colon else (scope.get("", ""), prefix)
 
     def find_children(self, namespace: str, local: str) -> list[XmlElement]:
         """Direct element children named (namespace, local), in document order."""
@@ -87,30 +86,34 @@ def _reject_doctype(name, *_) -> None:
 def parse_xml(data: bytes) -> XmlElement:
     """The root element of the document in data; raises MalformedXml on bad input."""
     # the document is the bottom of the stack: a nameless holder of the root
-    document = XmlElement({}, [], {"xml": XML_NAMESPACE}, ("", ""), 0)
+    document = XmlElement({}, {}, [], {"xml": XML_NAMESPACE}, ("", ""), 0)
     stack = [document]
     push, pop = stack.append, stack.pop
-    parser = xml.parsers.expat.ParserCreate()
+    # names come as "URI local prefix"; expat refuses a URI that holds the
+    # separator, so a name with one space is unprefixed in the default namespace
+    parser = xml.parsers.expat.ParserCreate(namespace_separator=" ")
+    parser.namespace_prefixes = True
+    declarations = {}  # the next start tag's, reported before it
+
+    def declare(prefix: str | None, uri: str | None) -> None:
+        declarations[prefix or ""] = uri or ""
 
     def start_element(name: str, attrs: dict[str, str]) -> None:
+        nonlocal declarations
         parent = stack[-1]
         # share the parent's map unless this element declares a namespace
-        inherited = scope = parent.scope
-        for attr, value in attrs.items():
-            if attr == "xmlns" or attr.startswith("xmlns:"):
-                if attr == "xmlns:":
-                    # not namespace-well-formed; a namespace-aware parser refuses it
-                    raise MalformedXml("namespace declaration 'xmlns:' names no prefix")
-                if scope is inherited:
-                    scope = dict(inherited)
-                scope[attr[6:]] = value  # "xmlns"[6:] is "", the default namespace
-        element = XmlElement(attrs, [], scope, _expand(name, scope), parser.CurrentByteIndex)
+        scope = {**parent.scope, **declarations} if declarations else parent.scope
+        uri, _, local = name.partition(" ")
+        qname = (uri, local.partition(" ")[0]) if local else ("", uri)
+        element = XmlElement(attrs, declarations, [], scope, qname, parser.CurrentByteIndex)
+        declarations = {}
         parent.children.append(element)
         push(element)
 
     def end_element(name: str) -> None:
         pop()
 
+    parser.StartNamespaceDeclHandler = declare
     parser.StartElementHandler = start_element
     parser.EndElementHandler = end_element
     parser.StartDoctypeDeclHandler = _reject_doctype
@@ -141,17 +144,19 @@ def _codec(data: bytes) -> str:
 
 # ASCII whitespace only: a name read as Latin-1 may hold "\x85", which is not
 _TAG_NAME = re.compile(r"<[^\s/>]+", re.ASCII)
-_ATTRIBUTE = re.compile(r"""\s+[^\s=]+\s*=\s*(?:"[^"]*"|'[^']*')""", re.ASCII)
+_ATTRIBUTE = re.compile(r"""\s+([^\s=]+)\s*=\s*(?:"[^"]*"|'[^']*')""", re.ASCII)
 
 
 def start_tag(data: bytes, element: XmlElement) -> tuple[int, list[int]]:
     """Byte positions in element's start tag, read from data.
 
-    The first is the end of its last attribute (of its name, when it has
-    none); the second lists each attribute value's closing quote, in the
-    order of the element's `attrs`.  Exactly the attributes expat listed
-    are read, so text after the tag stays text however it looks.  An
-    attribute value holds no "<", so the tag is read up to the next one.
+    The first is the end of its last attribute or declaration (of its
+    name, when it has none); the second lists each attribute value's
+    closing quote, in the order of the element's `attrs`.  Exactly its
+    declarations and attributes are read, so text after the tag stays
+    text however it looks; a declaration is told by its ASCII name, xmlns
+    or xmlns:...  An attribute value holds no "<", so the tag is read up
+    to the next one.
     """
     offset = element.offset
     codec = _codec(data)
@@ -166,9 +171,11 @@ def start_tag(data: bytes, element: XmlElement) -> tuple[int, list[int]]:
 
     at = _TAG_NAME.match(text).end()
     quotes = []
-    for _ in element.attrs:
-        at = _ATTRIBUTE.match(text, at).end()
-        quotes.append(position(at - 1))
+    for _ in range(len(element.declarations) + len(element.attrs)):
+        item = _ATTRIBUTE.match(text, at)
+        at = item.end()
+        if item[1].partition(":")[0] != "xmlns":
+            quotes.append(position(at - 1))
     return position(at), quotes
 
 

@@ -3,6 +3,7 @@ import errno
 import gc
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from semwsdl import annotate_description, cli, parse_wsdl, write_sawsdl
-from semwsdl.xmlio import parse_xml
+from semwsdl.xmlio import MalformedXml, parse_xml
 
 from conftest import CORPUS_DIR, IMPORTS_DIR, LEXICON_PATH, REPO_ROOT, SPECIAL_DIR
 
@@ -165,9 +166,58 @@ def test_xmlns_colon_input_is_skipped_and_named_once(tmp_path, capsys):
     assert [p.name for p in out.glob("*.sawsdl.wsdl")] == ["music_catalog.sawsdl.wsdl"]
     err = capsys.readouterr().err
     assert err.count(str(bad)) == 1
-    reason = "namespace declaration 'xmlns:' names no prefix"
+    reason = "XML parse error: not well-formed (invalid token): line 2, column 24"
     assert f"skipped {bad}: {reason}" in err.splitlines()
     assert read_report(out)["skipped"] == [{"path": str(bad), "error": reason}]
+
+
+# Namespaces in XML 1.0 §§3-7: each row breaks one rule of the
+# namespace-aware reading; (text replaced in MINIMAL, its replacement,
+# expat's message)
+NOT_NAMESPACE_WELL_FORMED = {
+    "unbound-element-prefix": ("<wsdl:portType", "<p:doc/><wsdl:portType", "unbound prefix"),
+    "unbound-attribute-prefix": ('type="xsd:string"', 'type="xsd:string" sem:modelReference="x"',
+                                 "unbound prefix"),
+    "undeclared-prefix": ('<wsdl:message name="In"', '<wsdl:message name="In" xmlns:tns=""',
+                          "must not undeclare prefix"),
+    "one-expanded-name-twice": ('xmlns:tns="urn:t">',
+                                'xmlns:tns="urn:t" xmlns:a="urn:x" xmlns:b="urn:x" a:k="1" b:k="2">',
+                                "duplicate attribute"),
+    "xml-rebound": ('xmlns:tns="urn:t">',
+                    'xmlns:tns="urn:t" xmlns:a="http://www.w3.org/ns/sawsdl" '
+                    'xmlns:xml="http://www.w3.org/ns/sawsdl">',
+                    "reserved prefix (xml) must not be undeclared or bound to another namespace name"),
+    "xmlns-declared": ('xmlns:tns="urn:t">', 'xmlns:tns="urn:t" xmlns:xmlns="urn:x">',
+                       "reserved prefix (xmlns) must not be declared or undeclared"),
+    "two-colons": ("<wsdl:portType", "<wsdl:x:doc/><wsdl:portType",
+                   "not well-formed (invalid token)"),
+    "xmlns-colon": ('xmlns:tns="urn:t">', 'xmlns:tns="urn:t" xmlns:="urn:x">',
+                    "not well-formed (invalid token)"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NAMESPACE_WELL_FORMED)
+def test_a_document_that_is_not_namespace_well_formed_is_skipped(kind, tmp_path, capsys):
+    old, new, message = NOT_NAMESPACE_WELL_FORMED[kind]
+    assert MINIMAL.count(old) == 1
+    data = MINIMAL.replace(old, new).encode()
+    with pytest.raises(MalformedXml, match=f"^XML parse error: {re.escape(message)}: line "):
+        parse_xml(data)
+    good = CORPUS_DIR / "music_catalog.wsdl"
+    bad = tmp_path / "bad.wsdl"
+    bad.write_bytes(data)
+    alone, out = tmp_path / "alone", tmp_path / "out"
+    assert cli.run(base_args("annotate", [good], alone)) == 0
+    capsys.readouterr()
+    assert cli.run(base_args("annotate", [good, bad], out)) == 1
+    skipped = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("skipped ")]
+    assert len(skipped) == 1 and skipped[0].startswith(f"skipped {bad}: XML parse error: {message}")
+    assert [entry["path"] for entry in read_report(out)["skipped"]] == [str(bad)]
+    assert sorted(path.name for path in out.iterdir()) == ["music_catalog.sawsdl.wsdl",
+                                                           "report.json"]
+    copy = "music_catalog.sawsdl.wsdl"
+    assert (out / copy).read_bytes() == (alone / copy).read_bytes()
 
 
 def test_non_wsdl_root_is_reported_with_its_path_once(tmp_path, capsys):
@@ -802,6 +852,22 @@ def test_a_name_too_long_is_a_skipped_entry(tmp_path, capsys):
     assert [skip["path"] for skip in read_report(out)["skipped"]] == [name]
 
 
+def test_an_empty_name_is_a_skipped_entry_not_the_current_directory(tmp_path, capsys,
+                                                                      monkeypatch):
+    # Path("") is Path("."), so an empty name must be listed as typed
+    (tmp_path / "here.wsdl").write_text(MINIMAL, "utf-8")
+    good = tmp_path / "elsewhere" / "good.wsdl"
+    good.parent.mkdir()
+    good.write_text(MINIMAL, "utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert cli.run(base_args("annotate", [good, ""], out)) == 1
+    err = capsys.readouterr().err
+    assert f"skipped : io error: [Errno {errno.ENOENT}] " in err
+    assert sorted(path.name for path in out.iterdir()) == ["good.sawsdl.wsdl", "report.json"]
+    assert [skip["path"] for skip in read_report(out)["skipped"]] == [""]
+
+
 def test_a_directory_that_cannot_be_listed_is_a_skipped_entry(tmp_path, capsys, monkeypatch):
     good = tmp_path / "good.wsdl"
     good.write_text(MINIMAL, "utf-8")
@@ -818,7 +884,7 @@ def test_a_directory_that_cannot_be_listed_is_a_skipped_entry(tmp_path, capsys, 
             return call(path, *args)
         return refusing
 
-    monkeypatch.setattr(Path, "iterdir", refused(Path.iterdir))
+    monkeypatch.setattr(os, "listdir", refused(os.listdir))
     monkeypatch.setattr(os, "open", refused(os.open))
     out = tmp_path / "out"
     assert cli.run(base_args("annotate", [good, locked], out)) == 1

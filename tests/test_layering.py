@@ -8,6 +8,8 @@ pays the package's import, so it loads no dataclass machinery.  Every
 file is read by `preprocess.read_regular` and written by
 `cli._write_output`, so none of them is waited on, and the command line
 asks no named path what kind of file it is: `read_regular` judges it.
+Every expat parser the package makes is namespace-aware, so no second
+reader can accept a document that Namespaces in XML refuses.
 """
 
 import ast
@@ -152,3 +154,17 @@ def test_no_module_imports_importlib():
             if any(module.split(".")[0] == "importlib" for module in modules):
                 importers.add(path.stem)
     assert importers == set()
+
+
+def test_every_expat_parser_is_namespace_aware():
+    # a parser without namespace_separator reads prefixes as plain names
+    makers = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "ParserCreate":
+                    keywords = {keyword.arg for keyword in node.keywords}
+                    makers.append((path.stem, "namespace_separator" in keywords))
+    assert makers and all(aware for _, aware in makers), makers

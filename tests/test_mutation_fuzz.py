@@ -9,9 +9,9 @@ a FIFO named by flag.  A bad file may only become a skipped entry: no run raises
 internal error, every exit code is 0, 1 or 2, and 2 means nothing
 parsed.  The FIFO is always skipped, and every command skips the same
 files.  The loader accounts for every file: each is a document, a
-skipped entry or a schema file.  Each written copy of an input that
-namespace-aware expat parses keeps that input, event for event, by the
-rule the benchmark checks its copies with.
+skipped entry or a schema file.  Every document it keeps parses under
+namespace-aware expat, and each written copy keeps its input, event for
+event, by the rule the benchmark checks its copies with.
 """
 
 import importlib.util
@@ -129,6 +129,8 @@ def test_mutated_batches_keep_the_batch_promise(seed, tmp_path, capsys):
     files = [*sorted(batch.iterdir()), *inputs[1:]]
     corpus = load_corpus(files)
     assert len(corpus.documents) + len(corpus.skipped) + corpus.schemas == len(files)
+    for parsed in corpus.documents:
+        assert parses_with_namespaces(parsed.data), parsed.path
     capsys.readouterr()
     skipped = {}
     for command in ("annotate", "ablate", "wordfreq"):
@@ -149,8 +151,6 @@ def test_mutated_batches_keep_the_batch_promise(seed, tmp_path, capsys):
             copies = sum(1 for _ in out.glob("*.sawsdl.wsdl"))
             assert copies + len(report["skipped"]) == 3 + (fifo is not None)
             for parsed in corpus.documents:
-                if not parses_with_namespaces(parsed.data):
-                    continue
                 prefix = parsed.description.source_id + "::"
                 uris = {check.URI_PREFIX + entry["concept"] for record in report["parameters"]
                         if record["param_id"].startswith(prefix) for entry in record["entries"]}

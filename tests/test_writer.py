@@ -26,6 +26,8 @@ from semwsdl.xmlio import parse_xml
 from conftest import CORPUS_DIR, ENCODINGS_DIR
 
 PREFIX = "http://www.ontologyportal.org/SUMO.owl#"
+# parse_xml keys a prefixed attribute by namespace-aware expat's "URI local prefix"
+REFERENCE = f"{SAWSDL_NAMESPACE} modelReference"
 
 
 def entry(concept, word, source=AnnotationSource.PARAMETER_NAME, path=()):
@@ -67,10 +69,9 @@ def test_injects_multiple_uris_space_separated():
     ])
     output = write(data, desc.source_id, [ann])
     root = parse_xml(output)
-    assert any(v == SAWSDL_NAMESPACE for k, v in root.attrs.items()
-               if k.startswith("xmlns:"))
+    assert SAWSDL_NAMESPACE in root.declarations.values()
     part = find_part(root, "category")
-    value = part.attrs["sawsdl:modelReference"]
+    value = part.attrs[f"{REFERENCE} sawsdl"]
     assert value == f"{PREFIX}Musician {PREFIX}ComposingMusic"
     # the untouched sibling part carries no annotation
     other = find_part(root, "result")
@@ -85,7 +86,7 @@ def test_duplicate_concepts_collapse_to_one_uri():
     ])
     output = write(data, desc.source_id, [ann])
     part = find_part(parse_xml(output), "category")
-    assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class"
+    assert part.attrs[f"{REFERENCE} sawsdl"] == f"{PREFIX}Class"
 
 
 def test_no_annotations_changes_only_the_declaration():
@@ -94,7 +95,7 @@ def test_no_annotations_changes_only_the_declaration():
     output = write(data, desc.source_id, empty)
     assert b"modelReference" not in output
     root = parse_xml(output)
-    assert root.attrs["xmlns:sawsdl"] == SAWSDL_NAMESPACE
+    assert root.declarations["sawsdl"] == SAWSDL_NAMESPACE
 
 
 def test_unannotated_parameters_need_no_annotation_objects():
@@ -154,7 +155,7 @@ def test_existing_model_reference_is_merged():
     ann2 = annotation_for(desc2, "category", [entry("Collection", "category")])
     second = write(first, desc2.source_id, [ann2])
     part = find_part(parse_xml(second), "category")
-    assert part.attrs["sawsdl:modelReference"] == f"{PREFIX}Class {PREFIX}Collection"
+    assert part.attrs[f"{REFERENCE} sawsdl"] == f"{PREFIX}Class {PREFIX}Collection"
 
 
 def test_foreign_prefix_for_sawsdl_is_reused():
@@ -175,8 +176,8 @@ def test_foreign_prefix_for_sawsdl_is_reused():
     ann = annotation_for(desc, "city", [entry("City", "city")])
     output = write(data, desc.source_id, [ann])
     part = find_part(parse_xml(output), "city")
-    assert part.attrs["sem:modelReference"] == f"urn:old#Kept {PREFIX}City"
-    assert "sawsdl:modelReference" not in part.attrs
+    assert part.attrs[f"{REFERENCE} sem"] == f"urn:old#Kept {PREFIX}City"
+    assert f"{REFERENCE} sawsdl" not in part.attrs
 
 
 SHADOWING = """<?xml version="1.0"?>
@@ -196,12 +197,9 @@ SHADOWING = """<?xml version="1.0"?>
 @pytest.mark.parametrize("message_attrs, part_attrs", [
     (' xmlns:sawsdl="urn:other"', ""),
     ("", ' xmlns:sawsdl="urn:other"'),
-    # a modelReference under a prefix the document never declares is not SAWSDL's
-    ("", ' sem:modelReference="urn:old#Unbound"'),
     # the default namespace does not apply to attributes, so it offers no prefix
     (f' xmlns:sawsdl="urn:other" xmlns="{SAWSDL_NAMESPACE}"', ""),
-], ids=["shadowed-on-message", "shadowed-on-part", "undeclared-prefix",
-        "shadowed-under-default-sawsdl"])
+], ids=["shadowed-on-message", "shadowed-on-part", "shadowed-under-default-sawsdl"])
 def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     data = SHADOWING.format(root_attrs=f' xmlns:sawsdl="{SAWSDL_NAMESPACE}"',
                             message_attrs=message_attrs, part_attrs=part_attrs).encode()
@@ -211,31 +209,30 @@ def test_model_reference_resolves_to_sawsdl(message_attrs, part_attrs):
     assert write_sawsdl(parsed, [ann]) == first
     assert write(first, "shadow.wsdl", [ann]) == first
     part = find_part(parse_xml(first), "city")
-    references = [name for name in part.attrs if name.endswith(":modelReference")
-                  and part.resolve_qname(name)[0] == SAWSDL_NAMESPACE]
+    references = [name for name in part.attrs if name.startswith(REFERENCE)]
     assert [part.attrs[name] for name in references] == [f"{PREFIX}City"]
     assert not any(name.startswith(":") for name in part.attrs)
 
 
-@pytest.mark.parametrize("root_attrs, declarations, attr_name", [
-    ("", ["xmlns:sawsdl"], "sawsdl:modelReference"),
-    (' xmlns:sawsdl="urn:other"', ["xmlns:sawsdl1"], "sawsdl1:modelReference"),
-    # the first binding wins, also over the reserved xml prefix bound after it
-    (f' xmlns:a="{SAWSDL_NAMESPACE}" xmlns:xml="{SAWSDL_NAMESPACE}"',
-     ["xmlns:a", "xmlns:xml"], "a:modelReference"),
-], ids=["undeclared", "sawsdl-taken", "xml-after-a"])
-def test_writing_one_tree_twice(root_attrs, declarations, attr_name):
+@pytest.mark.parametrize("root_attrs, declarations, prefix", [
+    ("", ["sawsdl"], "sawsdl"),
+    (' xmlns:sawsdl="urn:other"', ["sawsdl1"], "sawsdl1"),
+    # the first of two bindings wins
+    (f' xmlns:a="{SAWSDL_NAMESPACE}" xmlns:b="{SAWSDL_NAMESPACE}"', ["a", "b"], "a"),
+], ids=["undeclared", "sawsdl-taken", "a-before-b"])
+def test_writing_one_tree_twice(root_attrs, declarations, prefix):
     data = SHADOWING.format(root_attrs=root_attrs, message_attrs="", part_attrs="").encode()
     parsed = parse_wsdl("root.wsdl", data)
     ann = annotation_for(parsed.description, "city", [entry("City", "city")])
     first = write_sawsdl(parsed, [ann])
     assert write_sawsdl(parsed, [ann]) == first
     root = parse_xml(first)
-    assert [name for name, value in root.attrs.items()
-            if name.startswith("xmlns:") and value == SAWSDL_NAMESPACE] == declarations
+    assert [declared for declared, uri in root.declarations.items()
+            if uri == SAWSDL_NAMESPACE] == declarations
     part = find_part(root, "city")
-    assert [name for name in part.attrs if name.endswith(":modelReference")] == [attr_name]
-    assert part.attrs[attr_name] == f"{PREFIX}City"
+    assert [name for name in part.attrs if name.startswith(REFERENCE)] == [
+        f"{REFERENCE} {prefix}"]
+    assert part.attrs[f"{REFERENCE} {prefix}"] == f"{PREFIX}City"
 
 
 WSDL_NAMESPACE = "http://schemas.xmlsoap.org/wsdl/"
@@ -364,7 +361,7 @@ def test_attribute_escaping_round_trips():
     output = write(data, desc.source_id, [ann])
     assert data.isascii() and output.isascii()
     part = find_part(parse_xml(output), "category")
-    assert part.attrs["sawsdl:modelReference"] == PREFIX + odd
+    assert part.attrs[f"{REFERENCE} sawsdl"] == PREFIX + odd
     assert write(output, desc.source_id, [ann]) == output
 
 
