@@ -32,6 +32,7 @@ from .model import (
     AnnotationEntry,
     AnnotationSource,
     Parameter,
+    QName,
     Word,
     WsDescription,
     resolve_type,
@@ -118,5 +119,19 @@ def annotate_parameter(param: Parameter, desc: WsDescription, config: SearchConf
 
 def annotate_description(desc: WsDescription, config: SearchConfig,
                          lexicon: Lexicon) -> list[Annotation]:
-    """One Annotation per parameter, in document order."""
-    return [annotate_parameter(param, desc, config, lexicon) for param in desc.parameters()]
+    """One Annotation per parameter, in document order.
+
+    The search reads a parameter's name and declared type and nothing else
+    of it, so parameters that agree on both (one message reused by several
+    operations, or as input and output) are searched once and share one
+    entries tuple; each still gets its own Annotation.
+    """
+    searched: dict[tuple[str, QName], tuple[AnnotationEntry, ...]] = {}
+    annotations = []
+    for param in desc.parameters():
+        key = (param.name, param.type_ref)
+        entries = searched.get(key)
+        if entries is None:
+            entries = searched[key] = annotate_parameter(param, desc, config, lexicon).entries
+        annotations.append(Annotation(param.param_id, entries))
+    return annotations

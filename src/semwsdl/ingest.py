@@ -214,7 +214,11 @@ def _analyze(source_id: str, data: bytes, root: XmlElement,
         if not name:
             warnings.append("unnamed message skipped")
             continue
-        messages[QName(target_ns, name)] = message.find_children(WSDL_NAMESPACE, "part")
+        qname = QName(target_ns, name)
+        if qname in messages:
+            warnings.append(f"message {name!r} declared again; the first is used")
+            continue
+        messages[qname] = message.find_children(WSDL_NAMESPACE, "part")
     operations: list[Operation] = []
     nodes: dict[str, XmlElement] = {}
     for port_type in root.find_children(WSDL_NAMESPACE, "portType"):

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from semwsdl import explore
 from semwsdl.explore import (
     annotate_description,
     annotate_parameter,
@@ -20,11 +21,13 @@ from semwsdl.model import (
     WsDescription,
     XSD_NAMESPACE,
 )
-from semwsdl.ingest import load_corpus
+from semwsdl.ingest import load_corpus, parse_wsdl
+from semwsdl.metrics import stage_configurations, word_frequency
 from semwsdl.preprocess import SearchConfig, Stage
 
+import bruteforce
 from corpusgen import random_corpus
-from conftest import SPECIAL_DIR
+from conftest import LEXICON_PATH, SPECIAL_DIR
 
 XSD_STRING = QName(XSD_NAMESPACE, "string")
 
@@ -308,3 +311,69 @@ def test_empty_lexicon_annotates_nothing(fixture_corpus, search_config):
 def test_negative_max_depth_rejected():
     with pytest.raises(ValueError):
         SearchConfig(max_depth=-1)
+
+
+# one message is the input of two operations, one is the input and the
+# output of a third, and two element-style parts name one global element;
+# "box" is also a part of another type
+REUSED_PARTS = b"""<?xml version="1.0"?>
+<wsdl:definitions targetNamespace="urn:shared"
+    xmlns:wsdl="http://schemas.xmlsoap.org/wsdl/"
+    xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:tns="urn:shared">
+  <wsdl:types><xsd:schema targetNamespace="urn:shared">
+    <xsd:complexType name="Parcel"><xsd:sequence>
+      <xsd:element name="city" type="xsd:string"/>
+    </xsd:sequence></xsd:complexType>
+    <xsd:element name="shipment" type="tns:Parcel"/>
+  </xsd:schema></wsdl:types>
+  <wsdl:message name="Query">
+    <wsdl:part name="userId" type="xsd:string"/><wsdl:part name="box" type="tns:Parcel"/>
+  </wsdl:message>
+  <wsdl:message name="Echo">
+    <wsdl:part name="xyzzy" type="xsd:string"/><wsdl:part name="box" type="xsd:string"/>
+  </wsdl:message>
+  <wsdl:message name="Ship">
+    <wsdl:part name="first" element="tns:shipment"/>
+    <wsdl:part name="second" element="tns:shipment"/>
+  </wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Find">
+      <wsdl:input message="tns:Query"/><wsdl:output message="tns:Ship"/>
+    </wsdl:operation>
+    <wsdl:operation name="Lookup"><wsdl:input message="tns:Query"/></wsdl:operation>
+    <wsdl:operation name="Repeat">
+      <wsdl:input message="tns:Echo"/><wsdl:output message="tns:Echo"/>
+    </wsdl:operation>
+  </wsdl:portType>
+</wsdl:definitions>"""
+
+
+def test_parameters_that_agree_on_name_and_type_share_one_search(
+        search_config, demo_lexicon, monkeypatch):
+    desc = parse_wsdl("r", REUSED_PARTS).description
+    params = list(desc.parameters())
+    keys = [(p.name, p.type_ref) for p in params]
+    assert len(params) == 10 and len(set(keys)) == 5
+    searched = []
+
+    def counted(param, *rest):
+        searched.append((param.name, param.type_ref))
+        return annotate_parameter(param, *rest)
+
+    monkeypatch.setattr(explore, "annotate_parameter", counted)
+    for _, config in stage_configurations(search_config):
+        expected = [annotate_parameter(p, desc, config, demo_lexicon) for p in params]
+        searched.clear()
+        assert annotate_description(desc, config, demo_lexicon) == expected
+        assert sorted(searched) == sorted(set(keys))
+    # words still count once per occurrence
+    rows = word_frequency([desc], search_config, demo_lexicon)
+    rank1 = bruteforce.oracle_parse_lexicon(LEXICON_PATH.read_text())
+    assert {row.word.text: row.occurrences for row in rows} == bruteforce.oracle_word_counts(
+        [desc], search_config.abbreviations, search_config.stop_words, rank1, {})
+    assert ("xyzzy", 2) in [(row.word.text, row.occurrences) for row in rows]
+    # the two "box" parts differ in type, so only one of them is annotated
+    boxes = [a for a in annotate_description(desc, search_config, demo_lexicon)
+             if "::box" in a.param_id]
+    assert [bool(a.entries) for a in boxes] == [True, True, False, False]

@@ -107,6 +107,20 @@ def test_operation_with_undeclared_message_is_skipped():
     assert "skipped" in desc.warnings[0]
 
 
+def test_first_declaration_of_a_message_name_is_used():
+    doc = wsdl("""
+  <wsdl:message name="M"><wsdl:part name="city" type="xsd:string"/></wsdl:message>
+  <wsdl:message name="M"><wsdl:part name="password" type="xsd:string"/></wsdl:message>
+  <wsdl:portType name="P">
+    <wsdl:operation name="Op"><wsdl:input message="tns:M"/></wsdl:operation>
+  </wsdl:portType>
+""")
+    parsed = parse_wsdl("d", doc)
+    assert [p.param_id for p in parsed.description.parameters()] == ["d::Op::input::city"]
+    assert parsed.description.warnings == ("message 'M' declared again; the first is used",)
+    assert list(parsed.nodes) == ["d::Op::input::city"]
+
+
 def test_duplicate_part_names_get_distinct_ids():
     for names, suffixes in [
         (["item", "item"], ["item", "item::2"]),

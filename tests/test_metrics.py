@@ -146,9 +146,23 @@ def test_final_row_equals_standard_annotation(fixture_corpus, search_config, dem
     assert rows[4].annotated == annotated
 
 
-@pytest.mark.parametrize("seed", range(0, 120, 7))
-def test_generated_corpora_match_reference_search(seed, search_config, demo_lexicon):
+def with_first_operation_repeated(desc):
+    """desc plus a copy of its first operation under a new name: new ids, same names and types."""
+    first, *_ = desc.operations
+    again = Operation(f"{first.name}Again",
+                      tuple(p._replace(param_id=f"{p.param_id}::again") for p in first.parameters))
+    return desc._replace(operations=desc.operations + (again,))
+
+
+# "-repeat" cases add a copy of each description's first operation, so
+# their parameters share searches within the description
+@pytest.mark.parametrize("seed, repeat", [
+    pytest.param(seed, repeat, id=f"{seed}-repeat" if repeat else str(seed))
+    for repeat in (False, True) for seed in range(0, 120, 7)])
+def test_generated_corpora_match_reference_search(seed, repeat, search_config, demo_lexicon):
     corpus = random_corpus(seed)
+    if repeat:
+        corpus = [with_first_operation_repeated(desc) for desc in corpus]
     rows = run_ablation(corpus, search_config, demo_lexicon)
     expected = oracle_rows(corpus, search_config)
     assert [(r.stage_name, r.annotated, r.total) for r in rows] == expected
